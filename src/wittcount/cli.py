@@ -50,13 +50,17 @@ EXIT_INFEASIBLE = 3
 
 
 def _env(name: str, fallback):
-    raw = os.environ.get(ENV_PREFIX + name.upper().replace("-", "_"))
+    key = ENV_PREFIX + name.upper().replace("-", "_")
+    raw = os.environ.get(key)
     if raw is None:
         return fallback
     if isinstance(fallback, bool):
         return raw.lower() in ("1", "true", "yes", "on")
     if isinstance(fallback, int):
-        return int(raw)
+        try:
+            return int(raw)
+        except ValueError:
+            raise ValueError(f"{key}={raw!r} is not an integer") from None
     return raw
 
 
@@ -126,8 +130,7 @@ def _exit_code(records) -> int:
 
 
 def cmd_verify_all(args) -> int:
-    cfg = CheckConfig(cap=args.cap, witt_max=args.witt_max,
-                      saturation_rounds=args.saturation_rounds,
+    cfg = CheckConfig(cap=args.cap, saturation_rounds=args.saturation_rounds,
                       seed=args.seed, timing=args.timing)
     records = []
     for name, group in ALL_CHECK_GROUPS:
@@ -318,9 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)  # flag defaults read WITTCOUNT_* here
         return args.func(args)
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .fields import field
-from .polys import CapExceededError, DEFAULT_ENUM_CAP, Polynomial, canonical_prime, phi
+from .polys import CapExceededError, DEFAULT_ENUM_CAP, Polynomial, canonical_prime, phi, polys_below
 from .rationals import RationalFunction
 from .witt import WittVector
 
@@ -350,18 +350,10 @@ class _DSU:
 
 def _coprime_numerators(fld, prime, lam, cap):
     """All Q with deg Q < lam*deg P and gcd(Q, P) = 1, in encoding order."""
-    from .polys import _enc_digits
-
-    q = fld.q
     deg = lam * prime.degree
-    if q**deg > cap:
-        raise CapExceededError(f"numerator enumeration of size {q**deg} exceeds cap {cap}")
-    out = []
-    for enc in range(1, q**deg):
-        cand = Polynomial(fld, _enc_digits(enc, q, deg))
-        if cand.gcd(prime).degree == 0:
-            out.append(cand)
-    return out
+    if fld.q**deg > cap:
+        raise CapExceededError(f"numerator enumeration of size {fld.q**deg} exceeds cap {cap}")
+    return [cand for cand in polys_below(fld, deg) if cand and cand.gcd(prime).degree == 0]
 
 
 def _valid_lambdas(p, alpha, weight, allow_zero):
@@ -408,7 +400,7 @@ def _as_classes(params, prime, cap):
     for i, (lam, beta) in enumerate(cands):
         gamma0 = lam // p
         g_set = [RationalFunction(h, prime**gamma0) for h in
-                 _all_numerators(fld, gamma0 * prime.degree)] if gamma0 else \
+                 polys_below(fld, gamma0 * prime.degree)] if gamma0 else \
                 [RationalFunction.zero(fld)]
         for j in range(1, p):
             scaled = beta * j
@@ -424,13 +416,6 @@ def _as_classes(params, prime, cap):
         lam = cands[i][0]
         by_lambda[lam] = by_lambda.get(lam, 0) + 1
     return len(roots), by_lambda
-
-
-def _all_numerators(fld, deg):
-    from .polys import _enc_digits
-
-    q = fld.q
-    return [Polynomial(fld, _enc_digits(enc, q, deg)) for enc in range(q**deg)]
 
 
 class NotStabilizedError(RuntimeError):
@@ -523,7 +508,7 @@ def oracle_asw_classes_detail(params: CountParams, prime: Polynomial = None,
 
 def _correction_vectors(fld, p, n, prime, bound):
     pe = prime**bound
-    pool = [RationalFunction(h, pe) for h in _all_numerators(fld, bound * prime.degree)]
+    pool = [RationalFunction(h, pe) for h in polys_below(fld, bound * prime.degree)]
     stack = [[]]
     for _ in range(n):
         stack = [partial + [c] for partial in stack for c in pool]

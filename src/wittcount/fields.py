@@ -1,9 +1,11 @@
 """Exact arithmetic in finite fields F_q, q = p^s.
 
-A field is constructed once per (p, s) and cached, with the canonical
-modulus chosen as the lexicographically smallest monic irreducible of
-degree s over F_p (coefficients compared from the constant term up), so
-equal parameters always give the identical field object.
+A field is constructed once per (p, s) and cached, so equal parameters
+always give the identical field object.  Its modulus is
+``polys.canonical_prime(field(p), s)``: the smallest-encoded monic
+irreducible of degree s over F_p (coefficients compared from the constant
+term up), found and multiplied with the one F_p[T] arithmetic in ``polys``.
+The search is bounded by that module's enumeration cap.
 
 Elements are encoded as integers in [0, q): the base-p digits of the
 encoding are the coordinates in the power basis, constant digit first.
@@ -12,7 +14,6 @@ encoding are the coordinates in the power basis, constant digit first.
 from __future__ import annotations
 
 import functools
-import itertools
 
 MAX_EXTENSION_DEGREE = 16
 _TABLE_LIMIT = 256  # build full add/mul tables below this q
@@ -30,58 +31,6 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-# -- arithmetic on F_p coefficient tuples, used only to bootstrap a field --
-
-def _fp_mul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
-def _fp_mod(a, m, p):
-    a = list(a)
-    dm = len(m) - 1
-    inv_lead = pow(m[-1], p - 2, p)
-    while len(a) - 1 >= dm and a:
-        factor = a[-1] * inv_lead % p
-        shift = len(a) - 1 - dm
-        for j, mj in enumerate(m):
-            a[shift + j] = (a[shift + j] - factor * mj) % p
-        while a and a[-1] == 0:
-            a.pop()
-    return tuple(a)
-
-
-def _fp_is_irreducible(f, p):
-    """Trial division by every monic polynomial of degree <= deg(f)/2."""
-    deg = len(f) - 1
-    if deg < 1:
-        return False
-    for d in range(1, deg // 2 + 1):
-        for lower in itertools.product(range(p), repeat=d):
-            g = lower + (1,)
-            if not _fp_mod(f, g, p):
-                return False
-    return True
-
-
-def _canonical_modulus(p, s):
-    for lower in itertools.product(range(p), repeat=s):
-        # itertools.product varies the LAST coordinate fastest; we need the
-        # constant term fastest, so index the reversed tuple.
-        coeffs = tuple(reversed(lower)) + (1,)
-        if _fp_is_irreducible(coeffs, p):
-            return coeffs
-    raise AssertionError(f"no monic irreducible of degree {s} over F_{p}")
-
-
 class FiniteField:
     """The finite field with q = p^s elements.
 
@@ -97,7 +46,13 @@ class FiniteField:
         self.p = p
         self.s = s
         self.q = p**s
-        self.modulus = _canonical_modulus(p, s)
+        if s == 1:
+            self.modulus = (0, 1)
+        else:
+            from .polys import canonical_prime  # polys imports this module
+
+            self._modulus_poly = canonical_prime(field(p), s)
+            self.modulus = self._modulus_poly.coeffs
         self._mul_table = None
         self._add_table = None
         if self.q <= _TABLE_LIMIT:
@@ -138,8 +93,13 @@ class FiniteField:
     def mul_val(self, a: int, b: int) -> int:
         if self._mul_table is not None:
             return self._mul_table[a][b]
-        prod = _fp_mul(tuple(self._digits(a)), tuple(self._digits(b)), self.p)
-        return self._undigits(list(_fp_mod(prod, self.modulus, self.p)) + [0] * self.s)
+        if self.s == 1:
+            return a * b % self.p
+        from .polys import Polynomial
+
+        m = self._modulus_poly
+        prod = Polynomial(m.field, self._digits(a)) * Polynomial(m.field, self._digits(b))
+        return self._undigits((prod % m).coeffs)
 
     def pow_val(self, a: int, e: int) -> int:
         if e < 0:

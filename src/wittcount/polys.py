@@ -7,6 +7,10 @@ coefficient tuple and degree ``NEG_INF``.
 Text format: terms ``c*T^k`` joined by ``+``, where ``c`` is the integer
 encoding of the coefficient and a coefficient of 1 is omitted, e.g.
 ``T^3+T+1`` or ``2*T^2+1``.  Printing and parsing round-trip.
+
+Every exhaustive walk over polynomials (trial divisors, residues, oracle
+numerators) goes through the single enumerator :func:`polys_below`, or its
+monic variant, in increasing :meth:`Polynomial.to_int` order.
 """
 
 from __future__ import annotations
@@ -322,6 +326,21 @@ def parse_poly(fld: FiniteField, text: str) -> Polynomial:
     return acc
 
 
+# -- enumeration --
+
+def polys_below(fld: FiniteField, k: int):
+    """Every polynomial of degree < k, in increasing :meth:`Polynomial.to_int` order."""
+    # product varies its last coordinate fastest; reversed, that is the constant term
+    for digits in itertools.product(range(fld.q), repeat=k):
+        yield Polynomial(fld, digits[::-1])
+
+
+def _monics(fld: FiniteField, d: int):
+    """Every monic polynomial of degree d, in increasing encoding order."""
+    for digits in itertools.product(range(fld.q), repeat=d):
+        yield Polynomial(fld, digits[::-1] + (1,))
+
+
 # -- irreducibility and factorization --
 
 def is_irreducible(f: Polynomial, cap: int = DEFAULT_ENUM_CAP) -> bool:
@@ -335,19 +354,10 @@ def is_irreducible(f: Polynomial, cap: int = DEFAULT_ENUM_CAP) -> bool:
     for d in range(1, deg // 2 + 1):
         if q**d > cap:
             raise CapExceededError(f"irreducibility scan needs {q**d} divisors of degree {d}")
-        for enc in range(q**d):
-            g = Polynomial(f.field, _enc_digits(enc, q, d) + (1,))
+        for g in _monics(f.field, d):
             if (f % g).is_zero():
                 return False
     return True
-
-
-def _enc_digits(enc, q, length):
-    out = []
-    for _ in range(length):
-        enc, r = divmod(enc, q)
-        out.append(r)
-    return tuple(out)
 
 
 def monic_irreducibles(fld: FiniteField, d: int, cap: int = DEFAULT_ENUM_CAP):
@@ -356,25 +366,16 @@ def monic_irreducibles(fld: FiniteField, d: int, cap: int = DEFAULT_ENUM_CAP):
         raise ValueError("degree must be positive")
     if fld.q**d > cap:
         raise CapExceededError(f"enumeration of degree {d} over GF({fld.q}) exceeds cap {cap}")
-    out = []
-    for enc in range(fld.q**d):
-        g = Polynomial(fld, _enc_digits(enc, fld.q, d) + (1,))
-        if is_irreducible(g, cap=cap):
-            out.append(g)
-    return out
+    return [g for g in _monics(fld, d) if is_irreducible(g, cap=cap)]
 
 
 @functools.lru_cache(maxsize=None)
 def canonical_prime(fld: FiniteField, d: int) -> Polynomial:
     """Smallest-encoded monic irreducible of degree d (the default oracle prime)."""
-    q = fld.q
-    for enc in itertools.count():
-        if enc >= q**d:
-            break
-        g = Polynomial(fld, _enc_digits(enc, q, d) + (1,))
+    for g in _monics(fld, d):
         if is_irreducible(g):
             return g
-    raise AssertionError(f"no monic irreducible of degree {d} over GF({q})")
+    raise AssertionError(f"no monic irreducible of degree {d} over GF({fld.q})")
 
 
 def factor(f: Polynomial, cap: int = DEFAULT_ENUM_CAP):
@@ -420,11 +421,10 @@ def _split_equal_degree(g: Polynomial, d: int, cap: int):
     if fld.q**d > cap:
         raise CapExceededError(f"equal-degree split at degree {d} exceeds cap {cap}")
     primes = []
-    for enc in range(fld.q**d):
+    for cand in _monics(fld, d):
         if g.degree == d:
             primes.append(g)
             break
-        cand = Polynomial(fld, _enc_digits(enc, fld.q, d) + (1,))
         if (g % cand).is_zero():
             primes.append(cand)
             g = g // cand
@@ -467,10 +467,7 @@ class ResidueRing:
     def elements(self, cap: int = DEFAULT_ENUM_CAP):
         if self.size > cap:
             raise CapExceededError(f"residue enumeration of size {self.size} exceeds cap {cap}")
-        deg = self.modulus.degree
-        q = self.field.q
-        for enc in range(self.size):
-            yield Polynomial(self.field, _enc_digits(enc, q, deg))
+        yield from polys_below(self.field, self.modulus.degree)
 
     def units(self, cap: int = DEFAULT_ENUM_CAP):
         """All units in increasing encoding order; yields exactly phi(N) of them."""

@@ -413,10 +413,6 @@ def witt_int_mul(m: int, x: WittVector) -> WittVector:
     return x.int_mul(m)
 
 
-def witt_frobenius(x: WittVector) -> WittVector:
-    return x.frobenius()
-
-
 def witt_wp(x: WittVector) -> WittVector:
     return x.wp()
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -159,3 +160,40 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["count", "--format", "bogus"])
     assert exc.value.code == 2
+
+
+def test_bad_env_value_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("WITTCOUNT_CAP", "abc")
+    code, _, err = run_cli(capsys, "count")
+    assert code == EXIT_USAGE
+    assert err.startswith("error:") and "WITTCOUNT_CAP" in err
+
+
+def test_class_oracle_fault_is_a_failure_not_a_skip(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise AssertionError("oracle invariant broken")
+
+    monkeypatch.setattr("wittcount.checks.oracle_asw_classes_detail", broken)
+    code, out, _ = run_cli(capsys, "verify-all", "--only", "criterion-3", "--format", "jsonl")
+    assert code == EXIT_FAIL
+    records = [json.loads(line) for line in out.strip().splitlines()]
+    assert records and all(r["status"] == "fail" for r in records)
+
+
+def test_conductor_divisibility_fault_is_a_record(capsys, monkeypatch):
+    monkeypatch.setattr("wittcount.checks.phi", lambda n: 1)  # odd, so not divisible by p-1 = 2
+    code, out, _ = run_cli(capsys, "verify-all", "--only", "criterion-9", "--format", "jsonl")
+    assert code == EXIT_FAIL
+    records = {r["check_id"]: r for r in map(json.loads, out.strip().splitlines())}
+    assert records["c09-exact-conductor/q3"]["status"] == "fail"
+
+
+def test_verify_jsonl_golden_digest(capsys):
+    # these groups walk the numerator, residue and irreducible enumerations;
+    # the digest pins their verify-all output byte for byte
+    code, out, _ = run_cli(capsys, "verify-all", "--only", "criterion-2-oracle",
+                           "--only", "criterion-9", "--only", "criterion-10",
+                           "--format", "jsonl")
+    assert code == EXIT_PASS
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "e035fb469c677d6ec02cdd1deb8ba516e367111e62688882ed658c764100455e"

@@ -1,6 +1,7 @@
 import pytest
 
 from wittcount.fields import FiniteField, field
+from wittcount.polys import CapExceededError
 
 
 def test_canonical_moduli():
@@ -9,8 +10,22 @@ def test_canonical_moduli():
     # the only monic irreducible quadratic over F_2, confirmed by scanning
     # all four monic quadratics by hand: x^2, x^2+1, x^2+x factor
     assert field(2, 2).modulus == (1, 1, 1)
+    # smallest-encoded monic irreducibles, constant term first
+    assert field(2, 3).modulus == (1, 1, 0, 1)
+    assert field(3, 2).modulus == (1, 0, 1)
+    assert field(2, 4).modulus == (1, 1, 0, 0, 1)
+    assert field(5, 2).modulus == (2, 0, 1)
+    assert field(7, 2).modulus == (1, 0, 1)
+    assert field(3, 4).modulus == (2, 1, 0, 0, 1)
+    assert field(2, 10).modulus == (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1)
     assert field(2, 1).q == 2
     assert field(3, 1).q == 3
+
+
+def test_modulus_search_is_capped():
+    # trial division of a quartic over F_1031 needs 1031^2 > 2^20 quadratic divisors
+    with pytest.raises(CapExceededError):
+        field(1031, 4)
 
 
 def test_field_is_cached_and_identical():

@@ -14,6 +14,7 @@ from wittcount.polys import (
     monic_irreducibles,
     parse_poly,
     phi,
+    polys_below,
 )
 
 F2 = field(2, 1)
@@ -184,6 +185,12 @@ def test_unit_powers_in_one_plus_p_subgroup():
                 while order % fld.p == 0:
                     order //= fld.p
                 assert order == 1
+
+
+@pytest.mark.parametrize("fld", [F2, F3, F4])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_polys_below_order(fld, k):
+    assert [g.to_int() for g in polys_below(fld, k)] == list(range(fld.q**k))
 
 
 def test_enumeration_cap():
