@@ -49,18 +49,28 @@ EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
 
 
-def _env(name: str, fallback):
+_TRUE_WORDS = ("1", "true", "yes", "on")
+_FALSE_WORDS = ("0", "false", "no", "off")
+
+
+def _env(name: str, fallback, choices=None):
+    """The flag default from WITTCOUNT_<NAME>, checked as argparse checks the flag."""
     key = ENV_PREFIX + name.upper().replace("-", "_")
     raw = os.environ.get(key)
     if raw is None:
         return fallback
     if isinstance(fallback, bool):
-        return raw.lower() in ("1", "true", "yes", "on")
+        if raw.lower() not in _TRUE_WORDS + _FALSE_WORDS:
+            raise ValueError(f"{key}={raw!r} is not a boolean "
+                             f"(one of {', '.join(_TRUE_WORDS + _FALSE_WORDS)})")
+        return raw.lower() in _TRUE_WORDS
     if isinstance(fallback, int):
         try:
             return int(raw)
         except ValueError:
             raise ValueError(f"{key}={raw!r} is not an integer") from None
+    if choices is not None and raw not in choices:
+        raise ValueError(f"{key}={raw!r} is not one of {', '.join(choices)}")
     return raw
 
 
@@ -80,8 +90,9 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--saturation-rounds", type=int,
                         default=_env("saturation_rounds", DEFAULT_SATURATION_ROUNDS),
                         help="maximum saturation rounds for the class oracle")
-    parser.add_argument("--format", choices=("table", "jsonl"),
-                        default=_env("format", "table"), help="report format")
+    formats = ("table", "jsonl")
+    parser.add_argument("--format", choices=formats,
+                        default=_env("format", "table", formats), help="report format")
     parser.add_argument("--seed", type=int, default=_env("seed", 0),
                         help="seed for sampled property checks")
     parser.add_argument("--timing", action="store_true", default=_env("timing", False),

@@ -2,10 +2,13 @@
 
 The closed forms (v_n, w, t_1, s_n and the integer lemmas behind them) are
 pure arbitrary-precision arithmetic.  Each one is paired with an exhaustive
-oracle: cyclic-subgroup counting enumerates the full unit group of
-F_q[T]/(P^alpha), and the generator-class oracles enumerate normal-form
-generators and partition them under the scaling-plus-wp equivalence, with
-the correction pole bound saturated until the class count stabilizes.
+oracle.  Cyclic-subgroup counting enumerates all of F_q[T]/(P^alpha) as
+pairs x = h + l of a high and a low half; x -> x^p is additive, so the
+p-power images of each half are computed once, with the generic
+``Polynomial`` arithmetic, and every pair is compared exactly.  The
+generator-class oracles enumerate normal-form generators and partition
+them under the scaling-plus-wp equivalence, with the correction pole bound
+saturated until the class count stabilizes.
 """
 
 from __future__ import annotations
@@ -179,63 +182,15 @@ def telescoped_phi_sum(params: CountParams, r: int, s: int) -> int:
 
 # -- oracle: cyclic subgroup count by full unit enumeration --
 
-class _PackedRing:
-    """F_q[T]/(M) with residues packed one F_p digit per byte of an int.
-
-    Addition of packed values is plain integer addition (digits stay below
-    256) followed by a bytewise mod-p table translation, so the p-power
-    map x -> x^p = sum a_i^p T^(ip) reduces to table lookups: one
-    precomputed packed row per (coefficient index, coefficient value).
-    """
-
-    def __init__(self, fld, modulus: Polynomial):
-        self.field = fld
-        self.modulus = modulus
-        self.deg = modulus.degree
-        self.width = fld.s * self.deg  # bytes per packed residue
-        self.mod_table = bytes(b % fld.p for b in range(256))
-        q = fld.q
-        # plain placement rows: a * T^i, no reduction needed (deg < deg M)
-        self.place = [[self._pack_coeff(i, a) for a in range(q)] for i in range(self.deg)]
-        # p-power rows: a^p * T^(ip) mod M
-        t = Polynomial.T(fld)
-        self.frob_rows = []
-        for i in range(self.deg):
-            reduced = (t ** (i * fld.p)) % modulus
-            row = [self._pack_poly(reduced.scale(fld.frobenius_val(a))) for a in range(q)]
-            self.frob_rows.append(row)
-        self.one = self._pack_poly(Polynomial.one(fld))
-
-    def _pack_coeff(self, i: int, a: int) -> int:
-        packed = 0
-        for t_, digit in enumerate(self.field._digits(a)):
-            packed |= digit << (8 * (i * self.field.s + t_))
-        return packed
-
-    def _pack_poly(self, f: Polynomial) -> int:
-        packed = 0
-        for i, c in enumerate(f.coeffs):
-            packed |= self._pack_coeff(i, c)
-        return packed
-
-    def renorm(self, acc: int) -> int:
-        return int.from_bytes(acc.to_bytes(self.width, "little").translate(self.mod_table),
-                              "little")
-
-    def coeff_of(self, packed: int, i: int) -> int:
-        s = self.field.s
-        val = 0
-        for t_ in range(s - 1, -1, -1):
-            val = val * self.field.p + ((packed >> (8 * (i * s + t_))) & 0xFF)
-        return val
-
-    def frobenius(self, packed: int) -> int:
-        acc = 0
-        for i in range(self.deg):
-            a = self.coeff_of(packed, i)
-            if a:
-                acc += self.frob_rows[i][a]
-        return self.renorm(acc)
+def _power_images(residues, prime, modulus, n_max):
+    """Per residue f of one half: [f mod P, f, f^p, ..., f^(p^n_max)], the
+    powers reduced mod M = P^alpha."""
+    for f in residues:
+        row = [f % prime, f]
+        for _ in range(n_max):
+            f = f.frobenius() % modulus
+            row.append(f)
+        yield row
 
 
 @functools.lru_cache(maxsize=32)
@@ -243,61 +198,40 @@ def _p_power_order_counts(p, s, prime_coeffs, alpha, n_max, cap):
     """counts[m] = number of units of F_q[T]/(P^alpha) of order exactly p^m,
     for 0 <= m <= n_max, by exhaustive enumeration of all residues.
 
+    Each residue is split as x = h + l, with deg l < k and h a multiple of
+    T^k, k = floor(d*alpha/2).  The p-power map is additive in
+    characteristic p, so x^(p^m) = 1 exactly when l^(p^m) = 1 - h^(p^m), and
+    x is a unit exactly when l mod P != -(h mod P).  The encodings of both
+    sides are computed once per half; every one of the q^(d*alpha) pairs is
+    then compared.  The units of order dividing p^m are nested in m, so the
+    order-exactly-p^m count is the difference of consecutive tallies.
+
     Also cross-checks that the number of units found equals Phi(P^alpha).
     """
     fld = field(p, s)
     prime = Polynomial(fld, prime_coeffs)
-    q = fld.q
-    d = prime.degree
-    size = q ** (d * alpha)
+    deg_full = prime.degree * alpha
+    size = fld.q**deg_full
     if size > cap:
         raise CapExceededError(f"unit enumeration of size {size} exceeds cap {cap}")
     modulus = prime**alpha
-    ring = _PackedRing(fld, modulus)
-    ring_mod_p = _PackedRing(fld, prime)
-
-    # x is a unit iff x mod P != 0; reduction rows for the degree-d quotient
-    t = Polynomial.T(fld)
-    red_rows = []
-    for i in range(d * alpha):
-        reduced = (t**i) % prime
-        red_rows.append([ring_mod_p._pack_poly(reduced.scale(a)) for a in range(q)])
-
-    deg_full = d * alpha
-    place = ring.place
-    counts = [0] * (n_max + 1)
-    units_found = 0
-    one = ring.one
-    digits = [0] * deg_full
-    for _ in range(size):
-        packed = 0
-        modp_acc = 0
-        for i in range(deg_full):
-            a = digits[i]
-            if a:
-                packed += place[i][a]
-                modp_acc += red_rows[i][a]
-        if ring_mod_p.renorm(modp_acc):
-            units_found += 1
-            if packed == one:
-                counts[0] += 1
-            else:
-                y = packed
-                for m in range(1, n_max + 1):
-                    y = ring.frobenius(y)
-                    if y == one:
-                        counts[m] += 1
-                        break
-        # odometer step over base-q coefficient digits
-        for i in range(deg_full):
-            digits[i] += 1
-            if digits[i] < q:
-                break
-            digits[i] = 0
+    k = deg_full // 2
+    # column 0: l mod P; column m + 1: l^(p^m)
+    low = list(zip(*([g.to_int() for g in row]
+                     for row in _power_images(polys_below(fld, k), prime, modulus, n_max))))
+    one = Polynomial.one(fld)
+    highs = (h.shift(k) for h in polys_below(fld, deg_full - k))
+    non_units = 0
+    fixed = [0] * (n_max + 1)  # fixed[m]: residues with x^(p^m) = 1
+    for row in _power_images(highs, prime, modulus, n_max):
+        non_units += low[0].count((-row[0]).to_int())
+        for m in range(n_max + 1):
+            fixed[m] += low[m + 1].count((one - row[m + 1]).to_int())
+    units_found = size - non_units
     expected_units = phi(modulus)
     if units_found != expected_units:
         raise AssertionError(f"unit enumeration found {units_found}, Phi says {expected_units}")
-    return tuple(counts)
+    return tuple(fixed[:1] + [b - a for a, b in zip(fixed, fixed[1:])])
 
 
 def _resolve_prime(params: CountParams, prime: Polynomial = None) -> Polynomial:
@@ -382,15 +316,21 @@ def oracle_as_classes(params: CountParams, prime: Polynomial = None,
 def oracle_as_classes_by_conductor(params: CountParams, prime: Polynomial = None,
                                    cap: int = DEFAULT_ENUM_CAP) -> dict:
     """Classes with conductor exactly P^(lam+1), keyed by lam."""
-    return _as_classes(params, prime, cap)[1]
+    return dict(_as_classes(params, prime, cap)[1])
 
 
 def _as_classes(params, prime, cap):
-    fld = field(params.p, params.s)
-    p = params.p
     prime = _resolve_prime(params, prime)
+    return _as_classes_cached(params.p, params.s, prime.coeffs, params.alpha, cap)
+
+
+@functools.lru_cache(maxsize=32)
+def _as_classes_cached(p, s, prime_coeffs, alpha, cap):
+    """(class count, classes by pole order) of one ring; the caller copies the dict."""
+    fld = field(p, s)
+    prime = Polynomial(fld, prime_coeffs)
     cands = []
-    for lam in _valid_lambdas(p, params.alpha, 0, allow_zero=False):
+    for lam in _valid_lambdas(p, alpha, 0, allow_zero=False):
         for q_num in _coprime_numerators(fld, prime, lam, cap):
             cands.append((lam, RationalFunction(q_num, prime**lam)))
         if len(cands) > cap:

@@ -93,6 +93,9 @@ class FiniteField:
     def mul_val(self, a: int, b: int) -> int:
         if self._mul_table is not None:
             return self._mul_table[a][b]
+        return self._mul_untabled(a, b)
+
+    def _mul_untabled(self, a: int, b: int) -> int:
         if self.s == 1:
             return a * b % self.p
         from .polys import Polynomial
@@ -121,15 +124,34 @@ class FiniteField:
         return self.mul_val(a, self.inv_val(b))
 
     def _build_tables(self):
-        q = self.q
-        mul, add = [], []
-        self._mul_table = None
-        self._add_table = None
-        for a in range(q):
-            mul.append([self.mul_val(a, b) for b in range(q)])
-            add.append([self.add_val(a, b) for b in range(q)])
-        self._mul_table = mul
+        """The add table one base-p digit at a time; the mul table from the
+        powers of a primitive element g, a*b = g^(log a + log b), so only
+        O(q) untabled multiplies are made."""
+        p, q = self.p, self.q
+        add = [[0]]  # the zero-digit table; each pass prepends a constant digit
+        for _ in range(self.s):
+            size = len(add) * p
+            add = [[(a + b) % p + p * add[a // p][b // p] for b in range(size)]
+                   for a in range(size)]
         self._add_table = add
+        exp = self._primitive_powers()
+        log = [0] * q
+        for i, x in enumerate(exp):
+            log[x] = i
+        exp += exp  # log a + log b < 2(q - 1)
+        logs = log[1:]
+        self._mul_table = [[0] * q] + [[0] + [exp[la + lb] for lb in logs] for la in logs]
+
+    def _primitive_powers(self):
+        """[g^0, ..., g^(q-2)] for the smallest-encoded generator g of F_q^*."""
+        for g in range(1, self.q):
+            powers, x = [1], g
+            while x != 1:
+                powers.append(x)
+                x = self._mul_untabled(x, g)
+            if len(powers) == self.q - 1:
+                return powers
+        raise AssertionError(f"no primitive element in {self!r}")
 
     # -- Frobenius and the Artin-Schreier operator --
 
@@ -311,7 +333,11 @@ class FqElem:
         return f"FqElem(GF({self.field.q}), {self.val})"
 
 
-@functools.lru_cache(maxsize=None)
 def field(p: int, s: int = 1) -> FiniteField:
     """The canonical F_{p^s}; repeated calls return the same object."""
+    return _field(p, s)  # one cache key whether or not s is passed
+
+
+@functools.lru_cache(maxsize=None)
+def _field(p: int, s: int) -> FiniteField:
     return FiniteField(p, s)

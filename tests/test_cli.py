@@ -169,6 +169,34 @@ def test_bad_env_value_is_usage_error(capsys, monkeypatch):
     assert err.startswith("error:") and "WITTCOUNT_CAP" in err
 
 
+@pytest.mark.parametrize("key, value", [("WITTCOUNT_FORMAT", "bogus"),
+                                        ("WITTCOUNT_TIMING", "maybe")])
+def test_env_value_outside_choices_is_usage_error(capsys, monkeypatch, key, value):
+    monkeypatch.setenv(key, value)
+    code, out, err = run_cli(capsys, "count")
+    assert code == EXIT_USAGE and not out
+    assert err.startswith(f"error: {key}={value!r}")
+
+
+def test_env_boolean_spellings(capsys, monkeypatch):
+    monkeypatch.setenv("WITTCOUNT_FORMAT", "jsonl")
+    for value in ("OFF", "0", "no", "yes", "True"):
+        monkeypatch.setenv("WITTCOUNT_TIMING", value)
+        code, out, _ = run_cli(capsys, "count")
+        assert code == EXIT_PASS and out.startswith("{")
+
+
+def test_count_oracle_large_characteristic(capsys):
+    # p = 131: the unit enumeration used to overflow a one-byte digit packing;
+    # n = 2 keeps the class oracle (empty at alpha = 2) to one quick call
+    code, out, _ = run_cli(capsys, "count", "--p", "131", "--alpha", "2", "--prime", "T+1",
+                           "--n", "2", "--oracle", "--format", "jsonl")
+    assert code == EXIT_PASS
+    records = {r["check_id"]: r for r in map(json.loads, out.strip().splitlines())}
+    assert records["count/oracle-cyclic"]["status"] == "pass"
+    assert records["count/oracle-classes"]["status"] == "pass"
+
+
 def test_class_oracle_fault_is_a_failure_not_a_skip(capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise AssertionError("oracle invariant broken")

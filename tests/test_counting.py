@@ -22,7 +22,8 @@ from wittcount.counting import (
     w,
 )
 from wittcount.fields import field
-from wittcount.polys import CapExceededError, ResidueRing, canonical_prime, monic_irreducibles
+from wittcount.polys import (CapExceededError, Polynomial, ResidueRing, canonical_prime,
+                             monic_irreducibles)
 
 
 def params(p, s, d, alpha, n):
@@ -133,7 +134,7 @@ def test_oracle_cyclic_independent_of_prime_choice():
 
 
 def test_oracle_cyclic_matches_residue_ring_orders():
-    # cross-check the packed enumeration against the generic residue ring
+    # cross-check the split enumeration against the generic residue ring
     for p, s, d, alpha in ((2, 1, 1, 4), (3, 1, 1, 3), (2, 2, 1, 2), (2, 1, 2, 2)):
         fld = field(p, s)
         prime = canonical_prime(fld, d)
@@ -142,6 +143,46 @@ def test_oracle_cyclic_matches_residue_ring_orders():
             by_order = sum(1 for u in ring.units() if ring.elem_order(u) == p**n)
             expected = by_order // (p ** (n - 1) * (p - 1))
             assert oracle_cyclic_subgroups(params(p, s, d, alpha, n)) == expected
+
+
+def _orders_by_residue_ring(prime, alpha, n):
+    """Order-p^n cyclic subgroups of the units mod P^alpha, by elem_order."""
+    p = prime.field.p
+    ring = ResidueRing(prime**alpha)
+    by_order = sum(1 for u in ring.units() if ring.elem_order(u) == p**n)
+    return by_order // (p ** (n - 1) * (p - 1))
+
+
+@pytest.mark.parametrize("p, s, d, alpha", [
+    (2, 1, 1, 5), (3, 1, 1, 3),  # odd d*alpha: halves of unequal degree
+    (2, 1, 1, 1), (3, 1, 1, 1), (2, 2, 1, 1),  # d*alpha = 1: the low half is {0}
+    (2, 2, 2, 1), (2, 2, 2, 2),  # q = 4, d = 2
+])
+def test_oracle_cyclic_split_edge_cases(p, s, d, alpha):
+    prime = canonical_prime(field(p, s), d)
+    for n in (1, 2, 3):
+        assert oracle_cyclic_subgroups(params(p, s, d, alpha, n)) == \
+            _orders_by_residue_ring(prime, alpha, n)
+
+
+def test_oracle_cyclic_split_non_canonical_prime():
+    for p, s, d, alpha in ((3, 1, 2, 2), (2, 1, 3, 2), (2, 2, 1, 3)):
+        primes = monic_irreducibles(field(p, s), d)
+        other = primes[-1]
+        assert other != primes[0]
+        for n in (1, 2):
+            assert oracle_cyclic_subgroups(params(p, s, d, alpha, n), prime=other) == \
+                _orders_by_residue_ring(other, alpha, n)
+
+
+@pytest.mark.parametrize("p", [131, 257])
+def test_oracle_cyclic_large_characteristic(p):
+    # digit sums above 255 overflowed a one-byte-per-digit packing here
+    fld = field(p, 1)
+    t_plus_1 = Polynomial(fld, (1, 1))
+    for n in (1, 2, 3):
+        par = params(p, 1, 1, 2, n)
+        assert oracle_cyclic_subgroups(par, prime=t_plus_1) == v_n(par)
 
 
 def test_oracle_cyclic_agrees_with_formula_small_grid():
@@ -178,6 +219,14 @@ def test_as_classes_by_conductor():
     prime = canonical_prime(fld, 1)
     for lam, count in by_lam.items():
         assert count == phi(prime ** (lam - lam // 2))
+
+
+def test_as_classes_memo_hands_out_fresh_dicts():
+    par = params(3, 1, 1, 5, 1)
+    first = oracle_as_classes_by_conductor(par)
+    first.clear()
+    assert oracle_as_classes_by_conductor(par) == {1: 1, 2: 3, 4: 9}
+    assert oracle_as_classes(par) == 13
 
 
 # -- length-n class oracle --

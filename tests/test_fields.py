@@ -31,6 +31,21 @@ def test_modulus_search_is_capped():
 def test_field_is_cached_and_identical():
     assert field(2, 2) is field(2, 2)
     assert field(5, 1) is field(5, 1)
+    assert field(5) is field(5, 1)
+
+
+@pytest.mark.parametrize("p, s", [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3),
+                                  (5, 2), (7, 2)])
+def test_tables_match_untabled_arithmetic(p, s):
+    # every q = p^s <= 64 with s > 1: the log/antilog mul table and the
+    # digit-by-digit add table against the polynomial product and digit sums
+    fld = field(p, s)
+    for a in range(fld.q):
+        da = fld._digits(a)
+        for b in range(fld.q):
+            assert fld._mul_table[a][b] == fld._mul_untabled(a, b)
+            digit_sum = [(x + y) % p for x, y in zip(da, fld._digits(b))]
+            assert fld._add_table[a][b] == fld._undigits(digit_sum)
 
 
 def test_rejects_bad_parameters():
