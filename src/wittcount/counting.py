@@ -337,15 +337,17 @@ def _as_classes_cached(p, s, prime_coeffs, alpha, cap):
             raise CapExceededError(f"more than {cap} candidate generators")
     index = {rf: i for i, (lam, rf) in enumerate(cands)}
     dsu = _DSU(len(cands))
+    wp_images = {}  # gamma0 -> wp(h/P^gamma0) for every h with deg h < gamma0 * d
     for i, (lam, beta) in enumerate(cands):
         gamma0 = lam // p
-        g_set = [RationalFunction(h, prime**gamma0) for h in
-                 polys_below(fld, gamma0 * prime.degree)] if gamma0 else \
-                [RationalFunction.zero(fld)]
+        if gamma0 not in wp_images:
+            pe = prime**gamma0
+            wp_images[gamma0] = [RationalFunction(h, pe).wp()
+                                 for h in polys_below(fld, gamma0 * prime.degree)]
         for j in range(1, p):
             scaled = beta * j
-            for c in g_set:
-                image = scaled + c.wp()
+            for wpc in wp_images[gamma0]:
+                image = scaled + wpc
                 other = index.get(image)
                 if other is None:
                     raise AssertionError(f"transform left the normal-form set: {image}")
