@@ -50,7 +50,7 @@ from .polys import (
     phi,
 )
 from .rationals import RationalFunction, parse_rational, partial_fractions
-from .witt import WittVector, ghost_map, parse_witt, witt_add, witt_int_mul, witt_mul, witt_neg, witt_sub, witt_tables, witt_wp
+from .witt import WittVector, ghost_map, parse_witt, witt_tables
 
 __version__ = "0.1.0"
 
@@ -65,6 +65,5 @@ __all__ = [
     "ln1_bound", "monic_irreducibles", "oracle_as_classes", "oracle_asw_classes",
     "oracle_cyclic_subgroups", "parse_poly", "parse_rational", "parse_witt",
     "partial_fractions", "phi", "ratio_check", "s_n", "split_constants", "t1", "v_n",
-    "w", "witt_add", "witt_int_mul", "witt_mul", "witt_neg", "witt_normalize",
-    "witt_sub", "witt_tables", "witt_wp",
+    "w", "witt_normalize", "witt_tables",
 ]

@@ -9,9 +9,11 @@ instances that passed (so the record passes exactly when all did).
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 from dataclasses import dataclass
+from functools import partial
 
 from .asw import (
     AswGenerator,
@@ -58,15 +60,50 @@ class CheckConfig:
         return time.perf_counter() if self.timing else None
 
 
-def _aggregate(check_id, params, instances, failures, cfg, started, notes=()):
-    rec = VerificationReport.compare(
-        check_id, params, instances, instances - len(failures), started=started,
-        identity_checks=tuple(notes),
-    )
-    if failures:
-        rec.identity_checks += tuple((f"fail:{f}", False) for f in failures[:5])
-        rec.status = "fail"
-    return rec
+_VACUOUS = object()  # a sweep case with nothing to compare; left out of the count
+
+
+def _sweep(check_id, params, cfg, cases):
+    """One aggregate record over ``cases``, pairs (label, check) of a name and
+    a zero-argument callable.  A case fails when its check returns False or
+    raises; one returning ``_VACUOUS`` is tallied in a ``vacuous:N`` note
+    instead of being counted.  The record names its first five failures,
+    with the exception of a case that raised."""
+    started = cfg.clock()
+    count = vacuous = 0
+    failures, notes = [], []
+    for label, check in cases:
+        try:
+            result = check()
+        except Exception as exc:  # a raising check fails its case; the sweep goes on
+            result, label = False, f"{label} {type(exc).__name__}: {exc}"
+        if result is _VACUOUS:
+            vacuous += 1
+            continue
+        count += 1
+        if result is False:
+            failures.append(label)
+    if vacuous:
+        notes.append((f"vacuous:{vacuous}", True))
+    notes += [(f"fail:{f}", False) for f in failures[:5]]
+    return VerificationReport.compare(check_id, params, count, count - len(failures),
+                                      started=started, identity_checks=notes)
+
+
+def _oracle(check_id, params, cfg, compare):
+    """One formula-vs-oracle record from ``compare() -> (formula, oracle, notes)``.
+
+    An oracle over its cap or not stabilized gives a ``skipped`` record; any
+    other exception is a failure, never a skip."""
+    started = cfg.clock()
+    try:
+        formula, oracle, notes = compare()
+    except (CapExceededError, NotStabilizedError) as exc:
+        return VerificationReport.skipped(check_id, params, str(exc))
+    except Exception as exc:
+        formula, oracle, notes = None, None, ((f"error:{type(exc).__name__}: {exc}", False),)
+    return VerificationReport.compare(check_id, params, formula, oracle, started=started,
+                                      identity_checks=notes)
 
 
 QS_SMALL = ((2, 1), (3, 1), (2, 2))  # q in {2, 3, 4}
@@ -85,83 +122,57 @@ def checks_cyclic_subgroup_oracle(cfg: CheckConfig):
                     continue
                 for n in (1, 2, 3):
                     par = CountParams(p, s, d, alpha, n)
-                    check_id = f"c01-cyclic/q{q}/d{d}/a{alpha}/n{n}"
-                    if q ** (d * alpha) > cfg.cap:
-                        out.append(VerificationReport.skipped(check_id, par.as_dict(), "cap"))
-                        continue
-                    started = cfg.clock()
-                    out.append(VerificationReport.compare(
-                        check_id, par.as_dict(), v_n(par),
-                        oracle_cyclic_subgroups(par, cap=cfg.cap), started=started))
+                    out.append(_oracle(
+                        f"c01-cyclic/q{q}/d{d}/a{alpha}/n{n}", par.as_dict(), cfg,
+                        lambda: (v_n(par), oracle_cyclic_subgroups(par, cap=cfg.cap), ())))
     return out
 
 
 # -- criterion 2: degree-p classes and the t1 = v1 identity --
 
+def _degree_p_classes(par, cap):
+    oracle = oracle_as_classes(par, cap=cap)
+    formula = t1(par.alpha, par)
+    return formula, oracle, (("t1-equals-v1", formula == v_n(par)),)
+
+
 def checks_degree_p_classes(cfg: CheckConfig):
     out = []
     for p, s in ((2, 1), (3, 1)):
-        q = p**s
         for alpha in range(1, 7):
             par = CountParams(p, s, 1, alpha, 1)
-            check_id = f"c02-asclasses/q{q}/a{alpha}"
-            started = cfg.clock()
-            try:
-                oracle = oracle_as_classes(par, cap=cfg.cap)
-            except CapExceededError as exc:
-                out.append(VerificationReport.skipped(check_id, par.as_dict(), str(exc)))
-                continue
-            formula = t1(alpha, par)
-            out.append(VerificationReport.compare(
-                check_id, par.as_dict(), formula, oracle, started=started,
-                identity_checks=(("t1-equals-v1", formula == v_n(par)),)))
+            out.append(_oracle(f"c02-asclasses/q{p**s}/a{alpha}", par.as_dict(), cfg,
+                               partial(_degree_p_classes, par, cfg.cap)))
     return out
 
 
 def checks_t1_identity(cfg: CheckConfig):
     out = []
     for p, s in QS_WIDE:
-        q = p**s
         for d in (1, 2, 3):
-            started = cfg.clock()
-            failures = []
-            for alpha in range(1, 201):
-                par = CountParams(p, s, d, alpha, 1)
-                try:
-                    t1(alpha, par)
-                except AssertionError:
-                    failures.append(f"alpha={alpha}")
-            out.append(_aggregate(f"c02-t1v1/q{q}/d{d}", {"q": q, "d": d, "alpha": "1..200"},
-                                  200, failures, cfg, started))
+            cases = ((f"alpha={alpha}", partial(t1, alpha, CountParams(p, s, d, alpha, 1)))
+                     for alpha in range(1, 201))
+            out.append(_sweep(f"c02-t1v1/q{p**s}/d{d}", {"q": p**s, "d": d, "alpha": "1..200"},
+                              cfg, cases))
     return out
 
 
 # -- criterion 3: length-n classes by saturation --
 
+def _asw_classes(par, cfg):
+    detail = oracle_asw_classes_detail(par, cap=cfg.cap, max_rounds=cfg.saturation_rounds)
+    notes = [("stabilized-within-3-rounds", detail.rounds <= 3)]
+    if par.alpha == 3:
+        notes.append(("exactly-2-candidates", detail.candidates == 2))
+    return v_n(par), detail.count, notes
+
+
 def checks_asw_class_oracle(cfg: CheckConfig):
     out = []
-    p, s, d, n = 2, 1, 1, 2
     for alpha in (2, 3, 4, 5):
-        par = CountParams(p, s, d, alpha, n)
-        check_id = f"c03-aswclasses/q2/a{alpha}/n2"
-        started = cfg.clock()
-        try:
-            detail = oracle_asw_classes_detail(par, cap=cfg.cap,
-                                               max_rounds=cfg.saturation_rounds)
-        except (CapExceededError, NotStabilizedError) as exc:
-            out.append(VerificationReport.skipped(check_id, par.as_dict(), str(exc)))
-            continue
-        except Exception as exc:  # an oracle fault is a failure, never a skip
-            out.append(VerificationReport.compare(
-                check_id, par.as_dict(), v_n(par), None, started=started,
-                identity_checks=((f"error:{type(exc).__name__}: {exc}", False),)))
-            continue
-        notes = [("stabilized-within-3-rounds", detail.rounds <= 3)]
-        if alpha == 3:
-            notes.append(("exactly-2-candidates", detail.candidates == 2))
-        out.append(VerificationReport.compare(
-            check_id, par.as_dict(), v_n(par), detail.count, started=started,
-            identity_checks=tuple(notes)))
+        par = CountParams(2, 1, 1, alpha, 2)
+        out.append(_oracle(f"c03-aswclasses/q2/a{alpha}/n2", par.as_dict(), cfg,
+                           partial(_asw_classes, par, cfg)))
     return out
 
 
@@ -170,48 +181,30 @@ def checks_asw_class_oracle(cfg: CheckConfig):
 def checks_s_n_identity(cfg: CheckConfig):
     out = []
     for p, s in QS_WIDE:
-        q = p**s
         for d in (1, 2, 3):
-            started = cfg.clock()
-            failures = []
-            count = 0
-            for n in (1, 2, 3, 4):
-                for alpha in range(1, 201):
-                    count += 1
-                    try:
-                        s_n(CountParams(p, s, d, alpha, n))
-                    except AssertionError:
-                        failures.append(f"n={n},alpha={alpha}")
-            out.append(_aggregate(f"c04-sn/q{q}/d{d}", {"q": q, "d": d, "n": "1..4",
-                                                        "alpha": "1..200"},
-                                  count, failures, cfg, started))
+            cases = ((f"n={n},alpha={alpha}", partial(s_n, CountParams(p, s, d, alpha, n)))
+                     for n in (1, 2, 3, 4) for alpha in range(1, 201))
+            out.append(_sweep(f"c04-sn/q{p**s}/d{d}",
+                              {"q": p**s, "d": d, "n": "1..4", "alpha": "1..200"}, cfg, cases))
     return out
 
 
 # -- criterion 5: the ratio identity --
 
+def _ratio_case(par):
+    try:
+        return ratio_check(par)
+    except ZeroDivisionError:  # v_(n-1)(delta) = 0: there is no ratio to compare
+        return _VACUOUS
+
+
 def checks_ratio_identity(cfg: CheckConfig):
     out = []
     for p, s in QS_WIDE:
-        q = p**s
         for d in (1, 2, 3):
-            started = cfg.clock()
-            failures = []
-            count = 0
-            vacuous = 0
-            for n in (2, 3, 4):
-                for alpha in range(1, 201):
-                    try:
-                        ratio_check(CountParams(p, s, d, alpha, n))
-                        count += 1
-                    except ZeroDivisionError:
-                        vacuous += 1
-                    except AssertionError:
-                        count += 1
-                        failures.append(f"n={n},alpha={alpha}")
-            out.append(_aggregate(f"c05-ratio/q{q}/d{d}", {"q": q, "d": d},
-                                  count, failures, cfg, started,
-                                  notes=((f"vacuous:{vacuous}", True),)))
+            cases = ((f"n={n},alpha={alpha}", partial(_ratio_case, CountParams(p, s, d, alpha, n)))
+                     for n in (2, 3, 4) for alpha in range(1, 201))
+            out.append(_sweep(f"c05-ratio/q{p**s}/d{d}", {"q": p**s, "d": d}, cfg, cases))
     return out
 
 
@@ -220,34 +213,20 @@ def checks_ratio_identity(cfg: CheckConfig):
 def checks_floor_ceil_lemmas(cfg: CheckConfig):
     out = []
     for p in (2, 3, 5):
-        started = cfg.clock()
-        failures = []
-        count = 0
-        for alpha in range(-1000, 1001):
-            for s in range(1, 11):
-                count += 2
-                try:
-                    lemma42_floor(alpha, s, p)
-                    lemma42_ceil(alpha, s, p)
-                except AssertionError:
-                    failures.append(f"alpha={alpha},s={s}")
-        out.append(_aggregate(f"c06-lemma42/p{p}", {"p": p, "alpha": "-1000..1000",
-                                                    "s": "1..10"},
-                              count, failures, cfg, started))
+        cases = ((f"alpha={alpha},s={s}", partial(lemma, alpha, s, p))
+                 for alpha in range(-1000, 1001) for s in range(1, 11)
+                 for lemma in (lemma42_floor, lemma42_ceil))
+        out.append(_sweep(f"c06-lemma42/p{p}", {"p": p, "alpha": "-1000..1000", "s": "1..10"},
+                          cfg, cases))
     return out
 
 
 # -- criterion 7: Witt ring laws --
 
 def checks_witt_ghost_symbolic(cfg: CheckConfig):
-    out = []
-    for p in (2, 3):
-        for n in (1, 2, 3):
-            started = cfg.clock()
-            ok = witt_tables(p, n).verify_ghost_compatibility()
-            out.append(VerificationReport.compare(
-                f"c07-ghost/p{p}/n{n}", {"p": p, "n": n}, True, ok, started=started))
-    return out
+    return [_oracle(f"c07-ghost/p{p}/n{n}", {"p": p, "n": n}, cfg,
+                    lambda: (True, witt_tables(p, n).verify_ghost_compatibility(), ()))
+            for p in (2, 3) for n in (1, 2, 3)]
 
 
 def _random_fq_vector(rng, fld, n):
@@ -262,6 +241,20 @@ def _random_rf(rng, fld, max_deg=2):
     return RationalFunction(num, den)
 
 
+def _ring_laws_hold(x, y, z):
+    zero = x.zero_like()
+    return (
+        x.add(y) == y.add(x)
+        and x.add(y.add(z)) == x.add(y).add(z)
+        and x.add(zero) == x
+        and x.add(x.neg()) == zero
+        and x.mul(y) == y.mul(x)
+        and x.mul(y.mul(z)) == x.mul(y).mul(z)
+        and x.mul(y.add(z)) == x.mul(y).add(x.mul(z))
+        and x.add(y).wp() == x.wp().add(y.wp())
+    )
+
+
 def checks_witt_ring_laws(cfg: CheckConfig, triples=1000):
     out = []
     domains = [
@@ -273,27 +266,10 @@ def checks_witt_ring_laws(cfg: CheckConfig, triples=1000):
     ]
     for name, fld, n, make in domains:
         rng = random.Random(f"{cfg.seed}/{name}")  # str seeding is stable across runs
-        started = cfg.clock()
-        failures = []
-        zero = None
-        for k in range(triples):
-            x, y, z = make(rng, fld, n), make(rng, fld, n), make(rng, fld, n)
-            if zero is None:
-                zero = x.zero_like()
-            laws = (
-                x.add(y) == y.add(x)
-                and x.add(y.add(z)) == x.add(y).add(z)
-                and x.add(zero) == x
-                and x.add(x.neg()) == zero
-                and x.mul(y) == y.mul(x)
-                and x.mul(y.mul(z)) == x.mul(y).mul(z)
-                and x.mul(y.add(z)) == x.mul(y).add(x.mul(z))
-                and x.add(y).wp() == x.wp().add(y.wp())
-            )
-            if not laws:
-                failures.append(f"triple#{k}")
-        out.append(_aggregate(f"c07-ringlaws/{name}", {"domain": name, "triples": triples},
-                              triples, failures, cfg, started))
+        cases = ((f"triple#{k}", partial(_ring_laws_hold, *(make(rng, fld, n) for _ in range(3))))
+                 for k in range(triples))
+        out.append(_sweep(f"c07-ringlaws/{name}", {"domain": name, "triples": triples},
+                          cfg, cases))
     return out
 
 
@@ -320,87 +296,66 @@ def _random_generator(rng, fld, n, max_order=12):
     return AswGenerator(WittVector(fld.p, tuple(comps)))
 
 
+def _certificate_holds(gen):
+    nf = witt_normalize(gen)
+    nf.validate()
+    again = witt_normalize(AswGenerator(nf.normalized_beta))
+    return (nf.certificate_holds() and is_normal_form(nf.normalized_beta)
+            and again.certificate.is_zero() and again.normalized_beta == nf.normalized_beta)
+
+
 def checks_normalizer_certificates(cfg: CheckConfig, count=500):
     out = []
     per_field = count // 3 + 1
     for p, s in QS_SMALL:
         fld = field(p, s)
         rng = random.Random(cfg.seed * 7919 + fld.q)
-        started = cfg.clock()
-        failures = []
-        done = 0
-        for k in range(per_field):
-            n = 1 + k % 3
-            gen = _random_generator(rng, fld, n)
-            try:
-                nf = witt_normalize(gen)
-                nf.validate()
-                ok = nf.certificate_holds() and is_normal_form(nf.normalized_beta)
-                again = witt_normalize(AswGenerator(nf.normalized_beta))
-                ok = ok and again.certificate.is_zero() \
-                    and again.normalized_beta == nf.normalized_beta
-            except Exception:
-                ok = False
-            done += 1
-            if not ok:
-                failures.append(f"gen#{k}/n{n}")
-        out.append(_aggregate(f"c08-normcert/q{fld.q}", {"q": fld.q, "count": done},
-                              done, failures, cfg, started))
+        cases = ((f"gen#{k}/n{1 + k % 3}",
+                  partial(_certificate_holds, _random_generator(rng, fld, 1 + k % 3)))
+                 for k in range(per_field))
+        out.append(_sweep(f"c08-normcert/q{fld.q}", {"q": fld.q, "count": per_field},
+                          cfg, cases))
     return out
 
 
 # -- criterion 9: conductor formula and exact-conductor counts --
 
+def _conductor_grid(p, n):
+    """Every lambda tuple of length n with entries <= 20 coprime to p (or 0
+    past the first)."""
+    valid = [0] + [lam for lam in range(1, 21) if lam % p]
+    return itertools.product(valid[1:], *[valid] * (n - 1))
+
+
+def _exact_conductor_counts(par, cap):
+    p = par.p
+    prime = canonical_prime(field(p, par.s), 1)
+    by_lam = oracle_as_classes_by_conductor(par, cap=cap)
+    expected = {}
+    notes = []
+    for lam in range(1, 6):
+        if lam % p == 0:
+            continue
+        expected[lam], rem = divmod(phi(prime ** (lam - lam // p)), p - 1)
+        if rem:
+            notes.append((f"lam{lam}-phi-divisible-by-p-1", False))
+    notes += [(f"lam{lam}", by_lam.get(lam, 0) == expected[lam]) for lam in expected]
+    notes.append(("no-p-divisible-conductors", all(lam % p for lam in by_lam)))
+    return sum(expected.values()), sum(by_lam.values()), notes
+
+
 def checks_conductor(cfg: CheckConfig):
     out = []
     for p in (2, 3, 5):
-        started = cfg.clock()
-        failures = []
-        count = 0
-        valid = [0] + [lam for lam in range(1, 21) if lam % p]
-        first = [lam for lam in valid if lam]
-        for n in (1, 2, 3, 4):
-            def grids(level):
-                if level == n:
-                    yield ()
-                    return
-                for lam in (first if level == 0 else valid):
-                    for rest in grids(level + 1):
-                        yield (lam,) + rest
-            for lams in grids(0):
-                count += 1
-                try:
-                    conductor_exponent(lams, p)  # compares closed form vs recursion
-                except AssertionError:
-                    failures.append(str(lams))
-        out.append(_aggregate(f"c09-conductor/p{p}", {"p": p, "entries": "<=20", "n": "1..4"},
-                              count, failures, cfg, started))
-
+        # conductor_exponent compares its closed form with the recursion
+        cases = ((str(lams), partial(conductor_exponent, lams, p))
+                 for n in (1, 2, 3, 4) for lams in _conductor_grid(p, n))
+        out.append(_sweep(f"c09-conductor/p{p}", {"p": p, "entries": "<=20", "n": "1..4"},
+                          cfg, cases))
     for p, s in ((2, 1), (3, 1)):
-        q = p**s
         par = CountParams(p, s, 1, 6, 1)
-        check_id = f"c09-exact-conductor/q{q}"
-        if q**5 > cfg.cap:
-            out.append(VerificationReport.skipped(check_id, par.as_dict(), "cap"))
-            continue
-        started = cfg.clock()
-        fld = field(p, s)
-        prime = canonical_prime(fld, 1)
-        by_lam = oracle_as_classes_by_conductor(par, cap=cfg.cap)
-        expected = {}
-        notes = []
-        for lam in range(1, 6):
-            if lam % p == 0:
-                continue
-            expected[lam], rem = divmod(phi(prime ** (lam - lam // p)), p - 1)
-            if rem:
-                notes.append((f"lam{lam}-phi-divisible-by-p-1", False))
-        notes += [(f"lam{lam}", by_lam.get(lam, 0) == expected[lam]) for lam in expected]
-        notes.append(("no-p-divisible-conductors",
-                      all(lam % p for lam in by_lam)))
-        out.append(VerificationReport.compare(
-            check_id, par.as_dict(), sum(expected.values()), sum(by_lam.values()),
-            started=started, identity_checks=tuple(notes)))
+        out.append(_oracle(f"c09-exact-conductor/q{p**s}", par.as_dict(), cfg,
+                           partial(_exact_conductor_counts, par, cfg.cap)))
     return out
 
 
@@ -413,15 +368,16 @@ def _normal_pole_part(rng, fld, prime, lam):
     return RationalFunction(num, prime**lam)
 
 
-def checks_infinity_classifier(cfg: CheckConfig):
+def _infinity_label_is(beta, expected):
+    nf = witt_normalize(AswGenerator(WittVector(beta.field.p, (beta,))))
+    return infinity_behavior(nf).label == expected
+
+
+def _trichotomy_cases(cfg):
+    """Every n=1 normal form with conductor dividing P^6 (the criterion-2
+    grid), extended by each non-image constant and a polynomial part."""
     from .counting import _coprime_numerators
 
-    out = []
-    started = cfg.clock()
-    failures = []
-    count = 0
-    # every n=1 normal form with conductor dividing P^6 (the criterion-2
-    # grid), extended by each non-image constant and a polynomial part
     for p, s in ((2, 1), (3, 1)):
         fld = field(p, s)
         prime = canonical_prime(fld, 1)
@@ -438,45 +394,43 @@ def checks_infinity_classifier(cfg: CheckConfig):
                 poly = Polynomial(fld, [rng.randrange(fld.q), 1])  # degree 1, coprime to p
                 cases.append((frac + RationalFunction(poly), "ramified"))
                 for beta, expected in cases:
-                    count += 1
-                    nf = witt_normalize(AswGenerator(WittVector(p, (beta,))))
-                    got = infinity_behavior(nf).label
-                    if got != expected:
-                        failures.append(f"q{fld.q}/lam{lam}:{got}!={expected}")
-    out.append(_aggregate("c10-trichotomy", {"grid": "criterion-2 extended"},
-                          count, failures, cfg, started))
+                    yield (f"q{fld.q}/lam{lam}:{beta} not {expected}",
+                           partial(_infinity_label_is, beta, expected))
 
-    started = cfg.clock()
-    failures = []
+
+def _efg_product_holds(seed, k):
+    p, s = ((2, 1), (3, 1), (2, 2))[k % 3]
+    fld = field(p, s)
+    rng = random.Random(seed * 31 + k)
+    n = 1 + k % 3
+    prime = canonical_prime(fld, 1)
+    comps = []
+    for _ in range(n):
+        kind = rng.randrange(4)
+        if kind == 0:
+            comps.append(RationalFunction.zero(fld))
+        elif kind == 1:
+            nonwp = [c for c in range(1, fld.q) if not fld.in_wp_image_val(c)]
+            comps.append(RationalFunction.const(fld, rng.choice(nonwp)) if nonwp
+                         else RationalFunction.zero(fld))
+        elif kind == 2:
+            deg = rng.choice([d_ for d_ in range(1, 5) if d_ % p])
+            comps.append(RationalFunction(Polynomial(
+                fld, [rng.randrange(fld.q) for _ in range(deg)] + [rng.randrange(1, fld.q)])))
+        else:
+            lam = rng.choice([l_ for l_ in range(1, 6) if l_ % p])
+            comps.append(_normal_pole_part(rng, fld, prime, lam))
+    b = infinity_behavior(witt_normalize(AswGenerator(WittVector(p, tuple(comps)))))
+    return b.e * b.f * b.g == p**n
+
+
+def checks_infinity_classifier(cfg: CheckConfig):
     total = 1000
-    for k in range(total):
-        p, s = ((2, 1), (3, 1), (2, 2))[k % 3]
-        fld = field(p, s)
-        rng = random.Random(cfg.seed * 31 + k)
-        n = 1 + k % 3
-        prime = canonical_prime(fld, 1)
-        comps = []
-        for _ in range(n):
-            kind = rng.randrange(4)
-            if kind == 0:
-                comps.append(RationalFunction.zero(fld))
-            elif kind == 1:
-                nonwp = [c for c in range(1, fld.q) if not fld.in_wp_image_val(c)]
-                comps.append(RationalFunction.const(fld, rng.choice(nonwp)) if nonwp
-                             else RationalFunction.zero(fld))
-            elif kind == 2:
-                deg = rng.choice([d_ for d_ in range(1, 5) if d_ % p])
-                comps.append(RationalFunction(Polynomial(
-                    fld, [rng.randrange(fld.q) for _ in range(deg)] + [rng.randrange(1, fld.q)])))
-            else:
-                lam = rng.choice([l_ for l_ in range(1, 6) if l_ % p])
-                comps.append(_normal_pole_part(rng, fld, prime, lam))
-        nf = witt_normalize(AswGenerator(WittVector(p, tuple(comps))))
-        b = infinity_behavior(nf)
-        if b.e * b.f * b.g != p**n:
-            failures.append(f"form#{k}")
-    out.append(_aggregate("c10-efg-product", {"forms": total}, total, failures, cfg, started))
-    return out
+    return [
+        _sweep("c10-trichotomy", {"grid": "criterion-2 extended"}, cfg, _trichotomy_cases(cfg)),
+        _sweep("c10-efg-product", {"forms": total}, cfg,
+               ((f"form#{k}", partial(_efg_product_holds, cfg.seed, k)) for k in range(total))),
+    ]
 
 
 # -- criterion 11: Carlitz identities --
@@ -484,75 +438,29 @@ def checks_infinity_classifier(cfg: CheckConfig):
 def checks_carlitz(cfg: CheckConfig):
     out = []
     for p, s in QS_SMALL:
-        fld = field(p, s)
-        q = fld.q
-        polys = list(polys_below(fld, 4))[1:]  # every nonzero M of degree <= 3
-
-        started = cfg.clock()
-        failures = []
-        for m in polys:
-            try:
-                carlitz_poly(m)  # constructor asserts shape/degree/derivative data
-            except AssertionError:
-                failures.append(str(m))
-        out.append(_aggregate(f"c11-shape/q{q}", {"q": q, "deg": "<=3"},
-                              len(polys), failures, cfg, started))
-
-        started = cfg.clock()
-        failures = []
-        count = 0
-        for i, m in enumerate(polys):
-            for n in polys[i:]:
-                count += 1
-                if not carlitz_compose_check(m, n):
-                    failures.append(f"{m};{n}")
-        out.append(_aggregate(f"c11-compose/q{q}", {"q": q, "pairs": count},
-                              count, failures, cfg, started))
-
-        started = cfg.clock()
-        failures = []
-        count = 0
-        for i, m in enumerate(polys):
-            for n in polys[i:]:
-                count += 1
-                if not carlitz_gcd_check(m, n):
-                    failures.append(f"{m};{n}")
-        out.append(_aggregate(f"c11-gcd/q{q}", {"q": q, "pairs": count},
-                              count, failures, cfg, started))
+        q = p**s
+        polys = list(polys_below(field(p, s), 4))[1:]  # every nonzero M of degree <= 3
+        pairs = [(m, n) for i, m in enumerate(polys) for n in polys[i:]]
+        # the constructor asserts shape/degree/derivative data
+        out.append(_sweep(f"c11-shape/q{q}", {"q": q, "deg": "<=3"}, cfg,
+                          ((str(m), partial(carlitz_poly, m)) for m in polys)))
+        for name, check in (("compose", carlitz_compose_check), ("gcd", carlitz_gcd_check)):
+            out.append(_sweep(f"c11-{name}/q{q}", {"q": q, "pairs": len(pairs)}, cfg,
+                              ((f"{m};{n}", partial(check, m, n)) for m, n in pairs)))
     return out
 
 
 # -- supporting identities surfaced in verify-all --
 
 def checks_supporting(cfg: CheckConfig):
-    out = []
-    started = cfg.clock()
-    failures = []
-    count = 0
-    for p, s in ((2, 1), (3, 1)):
-        for d in (1, 2):
-            for r in range(1, 13):
-                for s_top in range(r, 13):
-                    count += 1
-                    try:
-                        telescoped_phi_sum(CountParams(p, s, d, 1, 1), r, s_top)
-                    except AssertionError:
-                        failures.append(f"q{p**s}/d{d}/r{r}/s{s_top}")
-    out.append(_aggregate("c12-phi-telescope", {"r<=s": "<=12"}, count, failures, cfg, started))
-
-    started = cfg.clock()
-    failures = []
-    count = 0
-    for p, s in QS_WIDE:
-        for d in (1, 2):
-            for alpha in range(2, 30):
-                count += 1
-                try:
-                    ln1_bound(CountParams(p, s, d, alpha, 1))
-                except (AssertionError, ValueError):
-                    failures.append(f"q{p**s}/d{d}/a{alpha}")
-    out.append(_aggregate("c12-ln1-bound", {"alpha": "2..29"}, count, failures, cfg, started))
-    return out
+    telescope = ((f"q{p**s}/d{d}/r{r}/s{s_top}",
+                  partial(telescoped_phi_sum, CountParams(p, s, d, 1, 1), r, s_top))
+                 for p, s in ((2, 1), (3, 1)) for d in (1, 2)
+                 for r in range(1, 13) for s_top in range(r, 13))
+    ln1 = ((f"q{p**s}/d{d}/a{alpha}", partial(ln1_bound, CountParams(p, s, d, alpha, 1)))
+           for p, s in QS_WIDE for d in (1, 2) for alpha in range(2, 30))
+    return [_sweep("c12-phi-telescope", {"r<=s": "<=12"}, cfg, telescope),
+            _sweep("c12-ln1-bound", {"alpha": "2..29"}, cfg, ln1)]
 
 
 ALL_CHECK_GROUPS = (

@@ -424,13 +424,22 @@ def oracle_asw_classes_detail(params: CountParams, prime: Polynomial = None,
     index = {wv: i for i, wv in enumerate(cands)}
 
     multipliers = [m for m in range(1, p**n) if m % p]
+    start_bound = _ceil_div(alpha, p)
+
+    def check_round_work(bound):
+        work = len(cands) * len(multipliers) * fld.q ** (bound * prime.degree * n)
+        if work > cap:
+            raise CapExceededError(f"saturation round at pole bound {bound} needs {work} "
+                                   f"Witt sums, over cap {cap}")
+
+    check_round_work(start_bound)
     scaled = [[wv.int_mul(m) for m in multipliers] for wv in cands]
 
     dsu = _DSU(len(cands))
-    start_bound = _ceil_div(alpha, p)
     bounds, counts = [], []
     for round_idx in range(max_rounds):
         bound = start_bound + round_idx
+        check_round_work(bound)
         for c_vec in _correction_vectors(fld, p, n, prime, bound):
             wpc = c_vec.wp()
             for i in range(len(cands)):

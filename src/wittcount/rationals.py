@@ -62,10 +62,6 @@ class RationalFunction:
         return RationalFunction(Polynomial.const(fld, val))
 
     @staticmethod
-    def from_poly(p: Polynomial) -> "RationalFunction":
-        return RationalFunction(p)
-
-    @staticmethod
     def T(fld: FiniteField) -> "RationalFunction":
         return RationalFunction(Polynomial.T(fld))
 

@@ -99,23 +99,24 @@ class _IPoly:
     def __eq__(self, other):
         return self.nvars == other.nvars and self.terms == other.terms
 
-    def evaluate(self, values, dom):
-        """Evaluate with the given domain adapter; powers are cached per call."""
+    def evaluate(self, values, from_int):
+        """Evaluate at ``values``, mapping the integer coefficients into their
+        ring by ``from_int``; powers are cached per call."""
         power_cache = [{} for _ in range(self.nvars)]
 
         def power(idx, e):
             cache = power_cache[idx]
             if e not in cache:
-                cache[e] = dom.pow(values[idx], e)
+                cache[e] = values[idx] ** e
             return cache[e]
 
-        acc = dom.zero
+        acc = from_int(0)
         for exps, coeff in self.terms.items():
-            term = dom.from_int(coeff)
+            term = from_int(coeff)
             for idx, e in enumerate(exps):
                 if e:
-                    term = dom.mul(term, power(idx, e))
-            acc = dom.add(acc, term)
+                    term = term * power(idx, e)
+            acc = acc + term
         return acc
 
 
@@ -187,80 +188,15 @@ def witt_tables(p: int, n: int, bound: int = MAX_WITT_LENGTH) -> WittUniversalTa
     return tables
 
 
-# -- coefficient domain adapters --
-
-class _IntDomain:
-    characteristic = 0
-    zero = 0
-
-    @staticmethod
-    def from_int(c):
-        return c
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def pow(a, e):
-        return a**e
-
-
-class _FqDomain:
-    def __init__(self, fld):
-        self.field = fld
-        self.characteristic = fld.p
-        self.zero = fld.zero()
-
-    def from_int(self, c):
-        return self.field.from_int(c)
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def pow(a, e):
-        return a**e
-
-
-class _RationalDomain:
-    def __init__(self, fld):
-        self.field = fld
-        self.characteristic = fld.p
-        self.zero = RationalFunction.zero(fld)
-
-    def from_int(self, c):
-        return RationalFunction.const(self.field, c % self.field.p)
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def pow(a, e):
-        return a**e
-
-
-def _domain_of(comp):
+def _ring_of(comp):
+    """The map from int into the ring of ``comp``: Z, F_q or F_q(T)."""
     if isinstance(comp, int):
-        return _IntDomain()
+        return int
     if isinstance(comp, FqElem):
-        return _FqDomain(comp.field)
+        return comp.field.from_int
     if isinstance(comp, RationalFunction):
-        return _RationalDomain(comp.field)
+        fld = comp.field
+        return lambda c: RationalFunction.const(fld, c % fld.p)
     raise TypeError(f"unsupported Witt coefficient type {type(comp).__name__}")
 
 
@@ -288,9 +224,6 @@ class WittVector:
     def n(self) -> int:
         return len(self.comps)
 
-    def _domain(self):
-        return _domain_of(self.comps[0])
-
     def _check(self, other: "WittVector"):
         if not isinstance(other, WittVector):
             raise TypeError("expected a WittVector")
@@ -304,17 +237,14 @@ class WittVector:
 
     @staticmethod
     def zero(p: int, n: int, like=None) -> "WittVector":
-        if like is None:
-            return WittVector(p, (0,) * n)
-        dom = _domain_of(like)
-        return WittVector(p, (dom.zero,) * n)
+        return WittVector(p, (0 if like is None else _ring_of(like)(0),) * n)
 
     def zero_like(self) -> "WittVector":
-        return WittVector(self.p, (self._domain().zero,) * self.n)
+        return WittVector.zero(self.p, self.n, self.comps[0])
 
     def is_zero(self) -> bool:
-        dom = self._domain()
-        return all(c == dom.zero for c in self.comps)
+        zero = _ring_of(self.comps[0])(0)
+        return all(c == zero for c in self.comps)
 
     def __eq__(self, other):
         if not isinstance(other, WittVector):
@@ -324,29 +254,24 @@ class WittVector:
     def __hash__(self):
         return hash((self.p, self.comps))
 
-    def _binary(self, other, polys):
-        values = list(self.comps) + list(other.comps)
-        dom = self._domain()
-        return WittVector(self.p, (polys[m].evaluate(values, dom) for m in range(self.n)))
+    def _evaluate(self, polys, values):
+        from_int = _ring_of(self.comps[0])
+        return WittVector(self.p, (poly.evaluate(values, from_int) for poly in polys))
 
     def add(self, other: "WittVector") -> "WittVector":
         self._check(other)
-        tables = witt_tables(self.p, self.n)
-        return self._binary(other, tables.sum_polys)
+        return self._evaluate(witt_tables(self.p, self.n).sum_polys, self.comps + other.comps)
 
     def neg(self) -> "WittVector":
-        tables = witt_tables(self.p, self.n)
-        values = list(self.comps) + [self._domain().zero] * self.n
-        dom = self._domain()
-        return WittVector(self.p, (tables.neg_polys[m].evaluate(values, dom) for m in range(self.n)))
+        # the negation polynomials take 2n variables; only the first n occur
+        return self._evaluate(witt_tables(self.p, self.n).neg_polys, self.comps * 2)
 
     def sub(self, other: "WittVector") -> "WittVector":
         return self.add(other.neg())
 
     def mul(self, other: "WittVector") -> "WittVector":
         self._check(other)
-        tables = witt_tables(self.p, self.n)
-        return self._binary(other, tables.prod_polys)
+        return self._evaluate(witt_tables(self.p, self.n).prod_polys, self.comps + other.comps)
 
     __add__ = add
     __neg__ = neg
@@ -367,10 +292,9 @@ class WittVector:
         return acc
 
     def frobenius(self) -> "WittVector":
-        dom = self._domain()
-        if dom.characteristic == 0:
+        if isinstance(self.comps[0], int):
             raise ValueError("Frobenius needs a characteristic-p coefficient domain")
-        return WittVector(self.p, (dom.pow(c, self.p) for c in self.comps))
+        return WittVector(self.p, (c**self.p for c in self.comps))
 
     def wp(self) -> "WittVector":
         """The operator x -> Frobenius(x) - x (componentwise p-power, Witt minus)."""
@@ -378,7 +302,7 @@ class WittVector:
 
     def ghost(self):
         """Ghost coordinates; only defined over the exact integers."""
-        if self._domain().characteristic != 0:
+        if not isinstance(self.comps[0], int):
             raise ValueError("ghost map requires integer components (it is not injective in characteristic p)")
         p = self.p
         out = []
@@ -391,30 +315,6 @@ class WittVector:
 
     def __repr__(self):
         return f"WittVector(p={self.p}, {self})"
-
-
-def witt_add(x: WittVector, y: WittVector) -> WittVector:
-    return x.add(y)
-
-
-def witt_neg(x: WittVector) -> WittVector:
-    return x.neg()
-
-
-def witt_sub(x: WittVector, y: WittVector) -> WittVector:
-    return x.sub(y)
-
-
-def witt_mul(x: WittVector, y: WittVector) -> WittVector:
-    return x.mul(y)
-
-
-def witt_int_mul(m: int, x: WittVector) -> WittVector:
-    return x.int_mul(m)
-
-
-def witt_wp(x: WittVector) -> WittVector:
-    return x.wp()
 
 
 def ghost_map(x: WittVector) -> tuple:

@@ -225,3 +225,60 @@ def test_verify_jsonl_golden_digest(capsys):
     assert code == EXIT_PASS
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == "e035fb469c677d6ec02cdd1deb8ba516e367111e62688882ed658c764100455e"
+
+
+def test_count_class_oracle_work_is_capped(capsys):
+    # 130 candidates x 130 multipliers x 131 corrections exceed the default cap
+    code, _, err = run_cli(capsys, "count", "--p", "131", "--alpha", "2", "--prime", "T+1",
+                           "--oracle")
+    assert code == EXIT_INFEASIBLE and "cap" in err
+
+
+def test_sweep_exception_is_a_failure(capsys, monkeypatch):
+    def broken(*args):
+        raise ValueError("injected")
+
+    monkeypatch.setattr("wittcount.checks.lemma42_ceil", broken)
+    code, out, _ = run_cli(capsys, "verify-all", "--only", "criterion-6", "--format", "jsonl")
+    assert code == EXIT_FAIL
+    records = [json.loads(line) for line in out.strip().splitlines()]
+    assert len(records) == 3 and all(r["status"] == "fail" for r in records)
+    # the floor half of every (alpha, s) instance still passes
+    assert all(r["oracle"] == r["formula"] // 2 for r in records)
+    _, out, _ = run_cli(capsys, "verify-all", "--only", "criterion-6")
+    assert "!! fail:alpha=-1000,s=1 ValueError: injected" in out
+
+
+def test_cyclic_oracle_fault_is_a_failure(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise AssertionError("unit count disagrees with Phi")
+
+    monkeypatch.setattr("wittcount.checks.oracle_cyclic_subgroups", broken)
+    code, out, _ = run_cli(capsys, "verify-all", "--only", "criterion-1", "--format", "jsonl")
+    assert code == EXIT_FAIL
+    records = [json.loads(line) for line in out.strip().splitlines()]
+    assert len(records) == 105 and all(r["status"] == "fail" for r in records)
+
+
+def test_failing_sweep_names_at_most_five_cases(capsys, monkeypatch):
+    monkeypatch.setattr("wittcount.checks.lemma42_floor", lambda alpha, s, p: alpha > 0)
+    code, out, _ = run_cli(capsys, "verify-all", "--only", "criterion-6")
+    assert code == EXIT_FAIL
+    lines = out.splitlines()
+    starts = [i for i, line in enumerate(lines) if line.startswith("c06-lemma42/")]
+    assert len(starts) == 3
+    for i, j in zip(starts, starts[1:] + [len(lines)]):
+        named = [line.strip() for line in lines[i + 1:j]]
+        assert named == [f"!! fail:alpha=-1000,s={s}" for s in range(1, 6)]
+
+
+def test_verify_sweeps_golden_digest(capsys):
+    # the identity sweeps of criteria 2, 4, 5, 6 and the supporting group
+    code, out, _ = run_cli(capsys, "verify-all", "--only", "criterion-2-identity",
+                           "--only", "criterion-4", "--only", "criterion-5",
+                           "--only", "criterion-6", "--only", "supporting",
+                           "--format", "jsonl")
+    assert code == EXIT_PASS
+    assert len(out.splitlines()) == 50
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "e9a0ccf2cd7685bec3eba420cfeea691fbf49e64edf4b46c91d5387c9c9aaed1"

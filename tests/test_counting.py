@@ -257,6 +257,17 @@ def test_asw_classes_stabilization_reporting():
         oracle_asw_classes(params(2, 1, 1, 4, 2), max_rounds=1)
 
 
+def test_asw_classes_work_is_capped():
+    # candidates x multipliers x correction vectors: 6 x 2 x 64 = 768 in the
+    # first round, 6 x 2 x 256 = 3072 in the second
+    par = params(2, 1, 1, 5, 2)
+    assert oracle_asw_classes_detail(par, cap=3072).rounds == 2
+    with pytest.raises(CapExceededError, match="3072"):
+        oracle_asw_classes_detail(par, cap=1000)
+    with pytest.raises(CapExceededError, match="768"):
+        oracle_asw_classes_detail(par, cap=700)
+
+
 def test_asw_classes_rejects_large_n():
     with pytest.raises(ValueError):
         oracle_asw_classes(params(2, 1, 1, 3, 4))
