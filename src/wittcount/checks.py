@@ -68,21 +68,28 @@ def _sweep(check_id, params, cfg, cases):
     a zero-argument callable.  A case fails when its check returns False or
     raises; one returning ``_VACUOUS`` is tallied in a ``vacuous:N`` note
     instead of being counted.  The record names its first five failures,
-    with the exception of a case that raised."""
+    with the exception of a case that raised.  Building the cases follows
+    :func:`_oracle`'s policy: over its cap or not stabilized, the record is
+    ``skipped``; any other exception fails it with an ``error:`` note."""
     started = cfg.clock()
     count = vacuous = 0
     failures, notes = [], []
-    for label, check in cases:
-        try:
-            result = check()
-        except Exception as exc:  # a raising check fails its case; the sweep goes on
-            result, label = False, f"{label} {type(exc).__name__}: {exc}"
-        if result is _VACUOUS:
-            vacuous += 1
-            continue
-        count += 1
-        if result is False:
-            failures.append(label)
+    try:
+        for label, check in cases:
+            try:
+                result = check()
+            except Exception as exc:  # a raising check fails its case; the sweep goes on
+                result, label = False, f"{label} {type(exc).__name__}: {exc}"
+            if result is _VACUOUS:
+                vacuous += 1
+                continue
+            count += 1
+            if result is False:
+                failures.append(label)
+    except (CapExceededError, NotStabilizedError) as exc:  # raised by ``cases`` itself
+        return VerificationReport.skipped(check_id, params, str(exc))
+    except Exception as exc:
+        notes.append((f"error:{type(exc).__name__}: {exc}", False))
     if vacuous:
         notes.append((f"vacuous:{vacuous}", True))
     notes += [(f"fail:{f}", False) for f in failures[:5]]

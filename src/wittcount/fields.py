@@ -9,6 +9,14 @@ The search is bounded by that module's enumeration cap.
 
 Elements are encoded as integers in [0, q): the base-p digits of the
 encoding are the coordinates in the power basis, constant digit first.
+
+Every field exposes its arithmetic as rows indexed by encodings:
+``_add_table[a][b]``, ``_mul_table[a][b]``, ``_neg_table[a]``,
+``_inv_table[a]``, ``_frob_table[a]`` (a^p) and ``_root_table[a]``
+(a^(1/p)).  For q <= 256 these are lists, so every operation is one list
+index; above that they are :class:`_LazyRows` that compute each entry with
+the untabled arithmetic when it is looked up.  The ``*_val`` methods and
+the ``polys`` kernels read the rows and do not care which kind they are.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from __future__ import annotations
 import functools
 
 MAX_EXTENSION_DEGREE = 16
-_TABLE_LIMIT = 256  # build full add/mul tables below this q
+_TABLE_LIMIT = 256  # list rows at and below this q, lazy rows above
 _WP_CROSSCHECK_LIMIT = 64  # exhaustively validate the trace criterion below this q
 
 
@@ -29,6 +37,19 @@ def _is_prime(n: int) -> bool:
             return False
         d += 1
     return True
+
+
+class _LazyRows:
+    """Entries computed on lookup: ``rows[a]`` is ``fn(a)``.  A binary op's
+    rows are ``_LazyRows`` of ``_LazyRows``, one per first operand."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __getitem__(self, a):
+        return self.fn(a)
 
 
 class FiniteField:
@@ -53,14 +74,43 @@ class FiniteField:
 
             self._modulus_poly = canonical_prime(field(p), s)
             self.modulus = self._modulus_poly.coeffs
-        self._mul_table = None
-        self._add_table = None
         if self.q <= _TABLE_LIMIT:
             self._build_tables()
+        else:
+            self._lazy_tables()
         if self.q <= _WP_CROSSCHECK_LIMIT:
             self._crosscheck_wp_image()
 
     # -- raw value arithmetic (integers in [0, q)) --
+
+    def add_val(self, a: int, b: int) -> int:
+        return self._add_table[a][b]
+
+    def neg_val(self, a: int) -> int:
+        return self._neg_table[a]
+
+    def sub_val(self, a: int, b: int) -> int:
+        return self._add_table[a][self._neg_table[b]]
+
+    def mul_val(self, a: int, b: int) -> int:
+        return self._mul_table[a][b]
+
+    def inv_val(self, a: int) -> int:
+        if a == 0:
+            raise ZeroDivisionError("inverse of zero in " + repr(self))
+        return self._inv_table[a]
+
+    def div_val(self, a: int, b: int) -> int:
+        return self._mul_table[a][self.inv_val(b)]
+
+    def pow_val(self, a: int, e: int) -> int:
+        if a == 0:
+            if e < 0:
+                raise ZeroDivisionError("inverse of zero in " + repr(self))
+            return 0 if e else 1
+        return self._pow_unit(a, e % (self.q - 1))  # a^(q-1) = 1
+
+    # -- the untabled arithmetic: digits, and products reduced mod the modulus --
 
     def _digits(self, val):
         p = self.p
@@ -76,24 +126,12 @@ class FiniteField:
             val = val * self.p + d
         return val
 
-    def add_val(self, a: int, b: int) -> int:
-        if self._add_table is not None:
-            return self._add_table[a][b]
+    def _add_untabled(self, a: int, b: int) -> int:
         da, db = self._digits(a), self._digits(b)
         return self._undigits([(x + y) % self.p for x, y in zip(da, db)])
 
-    def neg_val(self, a: int) -> int:
-        if self.p == 2:
-            return a
+    def _neg_untabled(self, a: int) -> int:
         return self._undigits([(-x) % self.p for x in self._digits(a)])
-
-    def sub_val(self, a: int, b: int) -> int:
-        return self.add_val(a, self.neg_val(b))
-
-    def mul_val(self, a: int, b: int) -> int:
-        if self._mul_table is not None:
-            return self._mul_table[a][b]
-        return self._mul_untabled(a, b)
 
     def _mul_untabled(self, a: int, b: int) -> int:
         if self.s == 1:
@@ -104,29 +142,36 @@ class FiniteField:
         prod = Polynomial(m.field, self._digits(a)) * Polynomial(m.field, self._digits(b))
         return self._undigits((prod % m).coeffs)
 
-    def pow_val(self, a: int, e: int) -> int:
-        if e < 0:
-            return self.pow_val(self.inv_val(a), -e)
+    def _pow_untabled(self, a: int, e: int) -> int:
+        """a^e for e >= 0 by square-and-multiply."""
         result, base = 1, a
         while e:
             if e & 1:
-                result = self.mul_val(result, base)
-            base = self.mul_val(base, base)
+                result = self._mul_untabled(result, base)
+            base = self._mul_untabled(base, base)
             e >>= 1
         return result
 
-    def inv_val(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero in " + repr(self))
-        return self.pow_val(a, self.q - 2)
+    def _lazy_tables(self):
+        """Rows over the untabled arithmetic, for fields too large to tabulate."""
+        def binary(op):
+            return _LazyRows(lambda a: _LazyRows(functools.partial(op, a)))
 
-    def div_val(self, a: int, b: int) -> int:
-        return self.mul_val(a, self.inv_val(b))
+        def power(e):
+            return _LazyRows(lambda a: self._pow_untabled(a, e))
+
+        self._add_table = binary(self._add_untabled)
+        self._mul_table = binary(self._mul_untabled)
+        self._neg_table = _LazyRows(self._neg_untabled)
+        self._inv_table = power(self.q - 2)
+        self._frob_table = power(self.p)
+        self._root_table = power(self.p ** (self.s - 1))  # Frobenius has order s
+        self._pow_unit = self._pow_untabled
 
     def _build_tables(self):
-        """The add table one base-p digit at a time; the mul table from the
-        powers of a primitive element g, a*b = g^(log a + log b), so only
-        O(q) untabled multiplies are made."""
+        """The add table one base-p digit at a time; everything else from the
+        powers of a primitive element g (log/antilog): a*b = g^(log a + log b),
+        so only O(q) untabled multiplies are made."""
         p, q = self.p, self.q
         add = [[0]]  # the zero-digit table; each pass prepends a constant digit
         for _ in range(self.s):
@@ -134,13 +179,22 @@ class FiniteField:
             add = [[(a + b) % p + p * add[a // p][b // p] for b in range(size)]
                    for a in range(size)]
         self._add_table = add
+        self._neg_table = [row.index(0) for row in add]
         exp = self._primitive_powers()
         log = [0] * q
         for i, x in enumerate(exp):
             log[x] = i
-        exp += exp  # log a + log b < 2(q - 1)
         logs = log[1:]
-        self._mul_table = [[0] * q] + [[0] + [exp[la + lb] for lb in logs] for la in logs]
+
+        def power(e):
+            return [0] + [exp[la * e % (q - 1)] for la in logs]
+
+        self._inv_table = power(q - 2)  # entry 0 is never read: inv_val rejects it
+        self._frob_table = power(p)
+        self._root_table = power(p ** (self.s - 1))  # Frobenius has order s
+        exp2 = exp + exp  # log a + log b < 2(q - 1)
+        self._mul_table = [[0] * q] + [[0] + [exp2[la + lb] for lb in logs] for la in logs]
+        self._pow_unit = lambda a, e: exp[log[a] * e % (q - 1)]
 
     def _primitive_powers(self):
         """[g^0, ..., g^(q-2)] for the smallest-encoded generator g of F_q^*."""
@@ -156,11 +210,10 @@ class FiniteField:
     # -- Frobenius and the Artin-Schreier operator --
 
     def frobenius_val(self, a: int) -> int:
-        return self.pow_val(a, self.p)
+        return self._frob_table[a]
 
     def pth_root_val(self, a: int) -> int:
-        # Frobenius is bijective, so the root is a^(p^(s-1)).
-        return self.pow_val(a, self.p ** (self.s - 1))
+        return self._root_table[a]
 
     def trace_val(self, a: int) -> int:
         """Absolute trace to F_p, returned as an integer in [0, p)."""

@@ -2,7 +2,8 @@
 
 Coefficients are stored as raw integer encodings (see ``fields``), lowest
 degree first, with no trailing zeros; the zero polynomial has an empty
-coefficient tuple and degree ``NEG_INF``.
+coefficient tuple and degree ``NEG_INF``.  The arithmetic kernels index the
+field's rows (``fields``) directly and skip zero coefficients.
 
 Text format: terms ``c*T^k`` joined by ``+``, where ``c`` is the integer
 encoding of the coefficient and a coefficient of 1 is omitted, e.g.
@@ -46,11 +47,11 @@ class Polynomial:
 
     @staticmethod
     def zero(fld: FiniteField) -> "Polynomial":
-        return Polynomial(fld)
+        return _wrap(fld, ())
 
     @staticmethod
     def one(fld: FiniteField) -> "Polynomial":
-        return Polynomial(fld, (1,))
+        return _wrap(fld, (1,))
 
     @staticmethod
     def const(fld: FiniteField, val) -> "Polynomial":
@@ -60,7 +61,7 @@ class Polynomial:
 
     @staticmethod
     def T(fld: FiniteField) -> "Polynomial":
-        return Polynomial(fld, (0, 1))
+        return _wrap(fld, (0, 1))
 
     @staticmethod
     def from_int(fld: FiniteField, encoding: int) -> "Polynomial":
@@ -130,63 +131,82 @@ class Polynomial:
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
+        add = f._add_table
         out = list(a)
         for i, c in enumerate(b):
-            out[i] = f.add_val(out[i], c)
-        return Polynomial(f, out)
+            if c:
+                out[i] = add[out[i]][c]
+        if len(b) < len(a):
+            return _wrap(f, tuple(out))
+        return _wrap_stripped(f, out)  # equal lengths: the tops may cancel
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        f = self.field
-        return Polynomial(f, [f.neg_val(c) for c in self.coeffs])
+        neg = self.field._neg_table
+        return _wrap(self.field, tuple([neg[c] for c in self.coeffs]))
 
     def __mul__(self, other):
         if isinstance(other, int):
             other = Polynomial.const(self.field, self.field.from_int(other).val)
         self._check(other)
         f = self.field
-        if not self.coeffs or not other.coeffs:
-            return Polynomial(f)
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] = f.add_val(out[i + j], f.mul_val(a, b))
-        return Polynomial(f, out)
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return _wrap(f, ())
+        if len(a) - a.count(0) > len(b) - b.count(0):
+            a, b = b, a  # the outer loop runs over the sparser factor
+        add, mul = f._add_table, f._mul_table
+        out = [0] * (len(a) + len(b) - 1)
+        for i, c in enumerate(a):
+            if c:
+                row = mul[c]
+                for k, d in enumerate(b, i):
+                    if d:
+                        out[k] = add[out[k]][row[d]]
+        return _wrap(f, tuple(out))  # F_q has no zero divisors
 
     __rmul__ = __mul__
 
     def scale(self, c: int) -> "Polynomial":
         f = self.field
-        return Polynomial(f, [f.mul_val(c, x) for x in self.coeffs])
+        if not c:
+            return _wrap(f, ())
+        row = f._mul_table[c]
+        return _wrap(f, tuple([row[x] for x in self.coeffs]))
 
     def shift(self, k: int) -> "Polynomial":
         """Multiply by T^k."""
         if not self.coeffs:
             return self
-        return Polynomial(self.field, (0,) * k + self.coeffs)
+        return _wrap(self.field, (0,) * k + self.coeffs)
 
     def __divmod__(self, other):
         self._check(other)
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
         f = self.field
+        b = other.coeffs
+        if not b:
+            raise ZeroDivisionError("polynomial division by zero")
+        db = len(b) - 1
+        if len(self.coeffs) <= db:
+            return _wrap(f, ()), self
+        add, mul, neg = f._add_table, f._mul_table, f._neg_table
+        lead_row = mul[f._inv_table[b[-1]]]
+        low = b[:db]  # the divisor's top term cancels the remainder's
         rem = list(self.coeffs)
-        dd = len(other.coeffs) - 1
-        inv_lead = f.inv_val(other.coeffs[-1])
-        quot = [0] * max(len(rem) - dd, 0)
-        while len(rem) - 1 >= dd and rem:
-            factor = f.mul_val(rem[-1], inv_lead)
-            shift = len(rem) - 1 - dd
-            quot[shift] = factor
-            for j, mj in enumerate(other.coeffs):
-                rem[shift + j] = f.sub_val(rem[shift + j], f.mul_val(factor, mj))
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return Polynomial(f, quot), Polynomial(f, rem)
+        quot = [0] * (len(rem) - db)
+        for shift in range(len(quot) - 1, -1, -1):
+            top = rem[shift + db]
+            if top:
+                factor = lead_row[top]
+                quot[shift] = factor
+                row = mul[neg[factor]]  # rem -= factor * T^shift * other
+                for k, d in enumerate(low, shift):
+                    if d:
+                        rem[k] = add[rem[k]][row[d]]
+        del rem[db:]
+        return _wrap(f, tuple(quot)), _wrap_stripped(f, rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -245,22 +265,21 @@ class Polynomial:
         """Horner evaluation at an FqElem (or raw encoding)."""
         f = self.field
         xv = x.val if isinstance(x, FqElem) else x % f.q
+        add, x_row = f._add_table, f._mul_table[xv]
         acc = 0
         for c in reversed(self.coeffs):
-            acc = f.add_val(f.mul_val(acc, xv), c)
+            acc = add[x_row[acc]][c]
         return FqElem(f, acc)
 
     def qpower(self, k: int) -> "Polynomial":
-        """self**(q^k), using that the q-power map is additive."""
+        """self**(q^k): the q-power map is additive and fixes every c in F_q,
+        so only the exponents spread, by q^k."""
         if k == 0 or self.is_zero():
             return self
-        f = self.field
-        qk = f.q**k
+        qk = self.field.q**k
         out = [0] * ((len(self.coeffs) - 1) * qk + 1)
-        for i, c in enumerate(self.coeffs):
-            if c:
-                out[i * qk] = f.pow_val(c, qk)
-        return Polynomial(f, out)
+        out[::qk] = self.coeffs
+        return _wrap(self.field, tuple(out))
 
     def frobenius(self) -> "Polynomial":
         """self**p (coefficientwise p-power, exponents spread by p)."""
@@ -268,10 +287,8 @@ class Polynomial:
             return self
         f = self.field
         out = [0] * ((len(self.coeffs) - 1) * f.p + 1)
-        for i, c in enumerate(self.coeffs):
-            if c:
-                out[i * f.p] = f.frobenius_val(c)
-        return Polynomial(f, out)
+        out[::f.p] = map(f._frob_table.__getitem__, self.coeffs)
+        return _wrap(f, tuple(out))
 
     def derivative(self) -> "Polynomial":
         f = self.field
@@ -300,6 +317,27 @@ class Polynomial:
 
     def __repr__(self):
         return f"Poly[GF({self.field.q})]({self})"
+
+
+_new = object.__new__
+
+
+def _wrap(fld: FiniteField, coeffs: tuple) -> Polynomial:
+    """A Polynomial of a tuple that is empty or ends in a nonzero coefficient,
+    with no copy and no strip.  Kernel results qualify when their top is
+    known to be nonzero: products (F_q has no zero divisors), quotients,
+    negations and sums of unequal lengths."""
+    poly = _new(Polynomial)
+    poly.field = fld
+    poly.coeffs = coeffs
+    return poly
+
+
+def _wrap_stripped(fld: FiniteField, cs: list) -> Polynomial:
+    """Drop the trailing zeros of a fresh list and wrap it."""
+    while cs and not cs[-1]:
+        cs.pop()
+    return _wrap(fld, tuple(cs))
 
 
 _TERM_RE = re.compile(r"^(?:(\d+)\*)?T(?:\^(\d+))?$|^(\d+)$")

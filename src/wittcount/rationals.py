@@ -159,6 +159,8 @@ class RationalFunction:
         return NotImplemented
 
     def __hash__(self):
+        if self.is_poly():  # equal to its numerator, so hashed like it
+            return hash(self.num)
         return hash((self.num, self.den))
 
     def __bool__(self):

@@ -282,3 +282,30 @@ def test_verify_sweeps_golden_digest(capsys):
     assert len(out.splitlines()) == 50
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == "e9a0ccf2cd7685bec3eba420cfeea691fbf49e64edf4b46c91d5387c9c9aaed1"
+
+
+def test_sweep_cases_over_cap_are_a_skip(capsys):
+    # criterion 10 builds its trichotomy cases from a numerator enumeration
+    # that exceeds --cap 10; the other selected records are still printed
+    code, out, _ = run_cli(capsys, "verify-all", "--cap", "10", "--only", "criterion-9",
+                           "--only", "criterion-10", "--format", "jsonl")
+    assert code == EXIT_PASS
+    records = {r["check_id"]: r for r in map(json.loads, out.strip().splitlines())}
+    assert len(records) == 7
+    assert records["c10-trichotomy"]["status"] == "skipped"
+    assert records["c10-efg-product"]["status"] == "pass"
+    assert records["c09-exact-conductor/q2"]["status"] == "skipped"
+
+
+def test_sweep_cases_fault_is_a_failure(capsys, monkeypatch):
+    def broken(*args):
+        raise ValueError("injected")
+
+    monkeypatch.setattr("wittcount.counting._coprime_numerators", broken)
+    code, out, _ = run_cli(capsys, "verify-all", "--only", "criterion-10", "--format", "jsonl")
+    assert code == EXIT_FAIL
+    records = {r["check_id"]: r for r in map(json.loads, out.strip().splitlines())}
+    assert records["c10-trichotomy"]["status"] == "fail"
+    assert records["c10-efg-product"]["status"] == "pass"
+    _, out, _ = run_cli(capsys, "verify-all", "--only", "criterion-10")
+    assert "!! error:ValueError: injected" in out

@@ -160,3 +160,46 @@ def test_large_field_without_tables():
     g = f.elem(37)
     assert (g * g.pth_root().frobenius()).val == f.mul_val(37, 37)
     assert g ** f.q == g
+
+
+def _pow_untabled_reference(fld, a, e):
+    """a^e by square-and-multiply over ``_mul_untabled``; e >= 0."""
+    result = 1
+    while e:
+        if e & 1:
+            result = fld._mul_untabled(result, a)
+        a, e = fld._mul_untabled(a, a), e >> 1
+    return result
+
+
+TABLED_UP_TO_64 = [(p, s) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
+                                    53, 59, 61)
+                   for s in range(1, 7) if p**s <= 64]
+
+
+@pytest.mark.parametrize("p, s", TABLED_UP_TO_64)
+def test_unary_tables_and_log_powers_match_untabled(p, s):
+    # every tabled q = p^s <= 64: negation, inverse, Frobenius and p-th root
+    # rows, and the log/antilog pow_val, against digits and square-and-multiply
+    fld = field(p, s)
+    q = fld.q
+    exponents = (0, 1, 2, p, q - 2, q - 1, q, q + 1, 3 * q + 5)
+    for a in range(q):
+        assert fld.neg_val(a) == fld._undigits([-x % p for x in fld._digits(a)])
+        assert fld.frobenius_val(a) == _pow_untabled_reference(fld, a, p)
+        assert fld.pth_root_val(fld.frobenius_val(a)) == a
+        for e in exponents:
+            assert fld.pow_val(a, e) == _pow_untabled_reference(fld, a, e), (a, e)
+        if a:
+            inv = fld.inv_val(a)
+            assert fld._mul_untabled(a, inv) == 1
+            for e in exponents:
+                assert fld.pow_val(a, -e) == _pow_untabled_reference(fld, inv, e), (a, -e)
+    assert fld.pow_val(0, 0) == 1 and fld.pow_val(0, q + 1) == 0
+    for e in (-1, -q):
+        with pytest.raises(ZeroDivisionError):
+            fld.pow_val(0, e)
+    with pytest.raises(ZeroDivisionError):
+        fld.zero() ** -1
+    with pytest.raises(ZeroDivisionError):
+        fld.inv_val(0)

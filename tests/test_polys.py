@@ -207,3 +207,149 @@ def test_qpower_matches_repeated_squaring():
             f = Polynomial(fld, [rng.randrange(fld.q) for _ in range(rng.randrange(1, 5))])
             assert f.qpower(1) == f ** fld.q
             assert f.frobenius() == f ** fld.p
+
+
+# -- every kernel against a schoolbook reference on the untabled arithmetic --
+
+# tabled q = 2..256, and the untabled q = 257 (s = 1) and q = 512 (s = 9)
+KERNEL_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2), (2, 4), (3, 3), (7, 2),
+                 (2, 8), (257, 1), (2, 9)]
+
+
+class _Reference:
+    """Schoolbook F_q[T] over digit-wise addition and ``_mul_untabled``, on
+    coefficient lists.  It reads no row of the field under test; for s > 1,
+    ``_mul_untabled`` multiplies over F_p, whose kernels the s = 1 cases
+    check against plain integer arithmetic."""
+
+    def __init__(self, fld):
+        self.fld = fld
+
+    def add(self, a, b):
+        fld = self.fld
+        return fld._undigits([(x + y) % fld.p for x, y in zip(fld._digits(a), fld._digits(b))])
+
+    def neg(self, a):
+        fld = self.fld
+        return fld._undigits([-x % fld.p for x in fld._digits(a)])
+
+    def mul(self, a, b):
+        return self.fld._mul_untabled(a, b)
+
+    def inv(self, a):
+        result, base, e = 1, a, self.fld.q - 2
+        while e:
+            if e & 1:
+                result = self.mul(result, base)
+            base, e = self.mul(base, base), e >> 1
+        return result
+
+    @staticmethod
+    def strip(cs):
+        cs = list(cs)
+        while cs and cs[-1] == 0:
+            cs.pop()
+        return cs
+
+    def poly_add(self, a, b):
+        n = max(len(a), len(b))
+        a, b = list(a) + [0] * (n - len(a)), list(b) + [0] * (n - len(b))
+        return self.strip(self.add(x, y) for x, y in zip(a, b))
+
+    def poly_neg(self, a):
+        return [self.neg(x) for x in a]
+
+    def poly_mul(self, a, b):
+        if not a or not b:
+            return []
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                if x and y:
+                    out[i + j] = self.add(out[i + j], self.mul(x, y))
+        return self.strip(out)
+
+    def poly_divmod(self, a, b):
+        rem, quot = list(a), [0] * max(len(a) - len(b) + 1, 0)
+        inv_lead = self.inv(b[-1])
+        while len(rem) >= len(b):
+            factor = self.mul(rem[-1], inv_lead)
+            shift = len(rem) - len(b)
+            quot[shift] = factor
+            for j, y in enumerate(b):
+                rem[shift + j] = self.add(rem[shift + j], self.neg(self.mul(factor, y)))
+            rem = self.strip(rem)
+        return self.strip(quot), rem
+
+    def poly_gcd(self, a, b):
+        while b:
+            a, b = b, self.poly_divmod(a, b)[1]
+        if not a:
+            return a
+        inv_lead = self.inv(a[-1])
+        return [self.mul(inv_lead, x) for x in a]
+
+
+def _kernel_operands(fld, rng):
+    def rand(length):
+        return Polynomial(fld, [rng.randrange(fld.q) for _ in range(length - 1)]
+                          + [rng.randrange(1, fld.q)])
+
+    def spread(poly, step):  # exponents times step: poly.qpower(1) when step = q
+        out = [0] * ((len(poly.coeffs) - 1) * step + 1)
+        out[::step] = poly.coeffs
+        return Polynomial(fld, out)
+
+    ops = [Polynomial.zero(fld), Polynomial.one(fld), Polynomial.const(fld, fld.q - 1),
+           Polynomial.T(fld), rand(3), rand(6), rand(9)]
+    # the sparse c^(q^k) T^(i q^k) shapes of Carlitz's twisted products, with
+    # the gaps capped at 8 so that the reference stays fast for large q
+    step = min(fld.q, 8)
+    sparse = [rand(2), rand(3)]
+    if step == fld.q:
+        assert [g.qpower(1) for g in sparse] == [spread(g, step) for g in sparse]
+    ops += [spread(sparse[0], step), spread(sparse[1], step).shift(1)]
+    ops.append(Polynomial(fld, [0, 0, rng.randrange(1, fld.q), 0, 0, 0, 1]))  # gappy
+    return ops
+
+
+def _no_trailing_zero(poly):
+    return not poly.coeffs or poly.coeffs[-1] != 0
+
+
+@pytest.mark.parametrize("p, s", KERNEL_FIELDS)
+def test_kernels_match_schoolbook_reference(p, s):
+    fld = field(p, s)
+    ref = _Reference(fld)
+    rng = random.Random(p * 100 + s)
+    ops = _kernel_operands(fld, rng)
+    for a in ops:
+        ca = list(a.coeffs)
+        neg = -a
+        assert list(neg.coeffs) == ref.poly_neg(ca) and _no_trailing_zero(neg)
+        for c in (0, 1, rng.randrange(1, fld.q)):
+            scaled = a.scale(c)
+            assert list(scaled.coeffs) == ref.strip(ref.mul(c, x) for x in ca)
+            assert _no_trailing_zero(scaled)
+        for b in ops:
+            cb = list(b.coeffs)
+            results = {"add": (a + b, ref.poly_add(ca, cb)),
+                       "sub": (a - b, ref.poly_add(ca, ref.poly_neg(cb))),
+                       "mul": (a * b, ref.poly_mul(ca, cb)),
+                       "gcd": (a.gcd(b), ref.poly_gcd(ca, cb))}
+            if b:
+                quot, rem = divmod(a, b)
+                ref_quot, ref_rem = ref.poly_divmod(ca, cb)
+                assert quot * b + rem == a and rem.degree < b.degree
+                results["quot"], results["rem"] = (quot, ref_quot), (rem, ref_rem)
+            for name, (got, want) in results.items():
+                assert list(got.coeffs) == want, (name, a, b)
+                assert _no_trailing_zero(got), (name, a, b)
+
+
+def test_divisor_longer_than_dividend():
+    for p, s in ((2, 2), (3, 1), (257, 1)):
+        fld = field(p, s)
+        a, b = Polynomial(fld, [1, 2 % fld.q]), Polynomial(fld, [1, 0, 0, 1])
+        quot, rem = divmod(a, b)
+        assert quot.is_zero() and rem == a

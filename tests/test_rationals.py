@@ -144,3 +144,14 @@ def test_poly_and_proper_parts():
     poly, proper = f.poly_and_proper_parts()
     assert RationalFunction(poly) + proper == f
     assert proper.num.degree < proper.den.degree
+
+
+def test_polynomial_valued_hash_matches_the_polynomial():
+    # RationalFunction(P) == P, so both must hash alike to share a dict slot
+    for fld in (F2, F3, F4):
+        for text in ("0", "1", "T", "T^3+T+1"):
+            poly = parse_poly(fld, text)
+            rf = RationalFunction(poly)
+            assert rf == poly and hash(rf) == hash(poly)
+            assert poly in {rf: 0} and rf in {poly: 0}
+    assert R("1/T") != R("T") and R("1/T") not in {parse_poly(F2, "T"): 0}
