@@ -96,15 +96,6 @@ class AswNormalForm:
     def p(self) -> int:
         return self.normalized_beta.p
 
-    def block_for(self, prime: Polynomial):
-        for block in self.primes:
-            if block.prime == prime:
-                return block
-        return None
-
-    def is_single_prime(self) -> bool:
-        return len(self.primes) == 1
-
     def certificate_holds(self) -> bool:
         """Re-check normalized = source (+) wp(certificate) by Witt arithmetic."""
         return self.source_beta.add(self.certificate.wp()) == self.normalized_beta

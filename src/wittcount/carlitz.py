@@ -167,89 +167,58 @@ def carlitz_compose_check(m: Polynomial, n: Polynomial) -> bool:
 
 # -- gcd of additive polynomials in the variable u --
 
-def _rf(c) -> RationalFunction:
-    return c if isinstance(c, RationalFunction) else RationalFunction(c)
+def _lead_inverse(a: dict) -> int:
+    """The encoding of 1/beta for a's leading tau-coefficient beta in F_q^x."""
+    lead = a[max(a)]
+    if lead.degree != 0:
+        raise ValueError(f"leading tau-coefficient {lead} is not a nonzero constant; "
+                         "the input is not a Carlitz polynomial")
+    return lead.field.inv_val(lead.coeffs[0])
 
 
-def _qpow_rf(c: RationalFunction) -> RationalFunction:
-    # coprimality and monicity survive the q-power ring map
-    return RationalFunction._raw(c.num.qpower(1), c.den.qpower(1))
+def _right_rem(a: dict, b: dict) -> dict:
+    """R with A = Q*B + R and deg_tau R < deg_tau B, in F_q[T]{tau}.
 
-
-def _acc(d: dict, k, v):
-    d[k] = d[k] + v if k in d else v
-
-
-def _additive_rem(a: dict, b: dict) -> dict:
-    """The unique polynomial remainder A mod B for additive A, B.
-
-    Remainders of additive polynomials are additive: u^(q^(j+1)) mod B is
-    the q-power of u^(q^j) mod B, reduced once more at the top, so the
-    whole division happens on the sparse q-exponent representation.
-    Coefficients here are rational functions.
+    B's leading coefficient beta is a constant, so beta^(q^s) = beta and the
+    quotient term that cancels a_m*tau^m is (a_m/beta)*tau^(m-k): one scale,
+    then c*b_j^(q^s) at tau^(s+j) for the lower b_j, with no denominator.
     """
-    bdeg = max(b)
-    blead = b[bdeg]
-    fold = {j: -(c / blead) for j, c in b.items() if j != bdeg}  # u^(q^bdeg) mod B
-    adeg = max(a)
-    reduced = {bdeg: dict(fold)}  # j -> coefficients of u^(q^j) mod B
-    current = dict(fold)
-    for j in range(bdeg + 1, adeg + 1):
-        nxt = {}
-        for i, c in current.items():
-            cq = _qpow_rf(c)
-            if i + 1 == bdeg:
-                for k, fc in fold.items():
-                    _acc(nxt, k, cq * fc)
-            else:
-                _acc(nxt, i + 1, cq)
-        current = {k: v for k, v in nxt.items() if not v.is_zero()}
-        reduced[j] = current
-    out = {}
-    for j, c in a.items():
-        if j < bdeg:
-            _acc(out, j, c)
-        else:
-            for k, rc in reduced[j].items():
-                _acc(out, k, c * rc)
-    return {k: v for k, v in out.items() if not v.is_zero()}
-
-
-def _primitive(a: dict) -> dict:
-    """Clear denominators and divide out the polynomial content; the result
-    has coprime R_T coefficients (gcd scaling is irrelevant for gcds)."""
-    if not a:
-        return {}
-    den = None
-    for c in a.values():
-        den = c.den if den is None else (den * c.den) // den.gcd(c.den)
-    ints = {k: (c.num * (den // c.den)) for k, c in a.items()}
-    content = None
-    for c in ints.values():
-        content = c if content is None else content.gcd(c)
-    content = content.monic()
-    return {k: c // content for k, c in ints.items()}
-
-
-def _monicize(a: dict) -> tuple:
-    """Divide by the leading u-coefficient; canonical up to nothing."""
-    if not a:
-        return ()
-    lead = _rf(a[max(a)])
-    return tuple(sorted((k, _rf(c) / lead) for k, c in a.items()))
+    k = max(b)
+    neg_inv = b[k].field.neg_val(_lead_inverse(b))
+    low = [(j, bj) for j, bj in b.items() if j != k]
+    r = dict(a)
+    for m in range(max(r, default=-1), k - 1, -1):
+        am = r.pop(m, None)
+        if am is None:
+            continue
+        c = am.scale(neg_inv)  # -(a_m/beta): the step adds c*tau^s*B
+        s = m - k
+        for j, bj in low:
+            term = c * _qpower_cached(bj, s)
+            t = s + j
+            if t in r:
+                term = r[t] + term
+                if term.is_zero():
+                    del r[t]
+                    continue
+            r[t] = term
+    return r
 
 
 def additive_gcd(a: dict, b: dict) -> tuple:
-    """Monic gcd of two additive u-polynomials, as sorted (i, coeff) pairs."""
-    r0 = _primitive({k: _rf(v) for k, v in a.items()})
-    r1 = _primitive({k: _rf(v) for k, v in b.items()})
-    if max(r0, default=-1) < max(r1, default=-1):
-        r0, r1 = r1, r0
-    while r1:
-        rem = _additive_rem({k: _rf(v) for k, v in r0.items()},
-                            {k: _rf(v) for k, v in r1.items()})
-        r0, r1 = r1, _primitive(rem)
-    return _monicize(r0)
+    """Monic gcd of two Carlitz u-polynomials, as sorted (i, coeff) pairs.
+
+    A = Q*B + R in F_q[T]{tau} means A(u) = Q(B(u)) + R(u), and B(u) divides
+    Q(B(u)), so the right Euclid below is the gcd in u (Ore 1933).  For
+    Carlitz inputs every remainder is C_(M mod N), whose leading coefficient
+    is a constant; any other leading coefficient raises ValueError.
+    """
+    while b:
+        a, b = b, _right_rem(a, b)
+    if not a:
+        return ()
+    inv = _lead_inverse(a)
+    return tuple(sorted((k, c.scale(inv)) for k, c in a.items()))
 
 
 def carlitz_gcd_check(m: Polynomial, n: Polynomial, cap: int = DEFAULT_GCD_CAP) -> bool:
@@ -260,5 +229,4 @@ def carlitz_gcd_check(m: Polynomial, n: Polynomial, cap: int = DEFAULT_GCD_CAP) 
     if q ** max(m.degree, n.degree) > cap:
         raise CapExceededError(f"u-degree q^{max(m.degree, n.degree)} exceeds cap {cap}")
     got = additive_gcd(dict(_carlitz_coeffs(m)), dict(_carlitz_coeffs(n)))
-    expected = _monicize(dict(_carlitz_coeffs(m.gcd(n))))
-    return got == expected
+    return got == _carlitz_coeffs(m.gcd(n))  # Polynomial.gcd is monic, so C_gcd is too

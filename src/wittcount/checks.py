@@ -486,11 +486,3 @@ ALL_CHECK_GROUPS = (
     ("criterion-11", checks_carlitz),
     ("supporting", checks_supporting),
 )
-
-
-def run_all_checks(cfg: CheckConfig = None):
-    cfg = cfg or CheckConfig()
-    records = []
-    for _, group in ALL_CHECK_GROUPS:
-        records.extend(group(cfg))
-    return records

@@ -217,12 +217,18 @@ class Polynomial:
     def __pow__(self, e: int):
         if e < 0:
             raise ValueError("negative polynomial power")
-        result = Polynomial.one(self.field)
+        if not e:
+            return Polynomial.one(self.field)
         base = self
-        while e:
+        while not e & 1:  # square up to the lowest set bit, which starts result
+            base = base * base
+            e >>= 1
+        result = base
+        e >>= 1
+        while e:  # no squaring past the top bit
+            base = base * base
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
         return result
 

@@ -78,11 +78,6 @@ class RationalFunction:
     def is_constant(self) -> bool:
         return self.is_poly() and self.num.is_constant()
 
-    def as_poly(self) -> Polynomial:
-        if not self.is_poly():
-            raise ValueError(f"{self} is not a polynomial")
-        return self.num
-
     # -- arithmetic --
 
     def _coerce(self, other):

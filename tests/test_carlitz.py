@@ -11,7 +11,7 @@ from wittcount.carlitz import (
     _carlitz_coeffs,
 )
 from wittcount.fields import field
-from wittcount.polys import CapExceededError, Polynomial, parse_poly
+from wittcount.polys import CapExceededError, Polynomial, parse_poly, polys_below
 from wittcount.rationals import RationalFunction
 
 F2 = field(2, 1)
@@ -168,6 +168,49 @@ def test_additive_gcd_matches_dense_euclid(fld, max_deg):
         )
         q = fld.q
         assert {q**i: c for i, c in sparse} == dict(dense)
+
+
+def test_additive_gcd_rejects_a_non_constant_lead():
+    t = P("T")
+    with pytest.raises(ValueError):
+        additive_gcd(dict(_carlitz_coeffs(P("T^2"))), {0: t, 1: t})
+    with pytest.raises(ValueError):
+        additive_gcd({0: t, 1: t}, {})
+
+
+def test_additive_gcd_is_monic_over_polynomials():
+    # non-monic inputs, so the last remainder's lead is not 1 before scaling
+    for m, n in (("2*T^2", "2*T"), ("2*T^2+2", "T^2+1"), ("T+1", "2*T^2+1")):
+        m, n = parse_poly(F3, m), parse_poly(F3, n)
+        got = additive_gcd(dict(_carlitz_coeffs(m)), dict(_carlitz_coeffs(n)))
+        assert all(type(c) is Polynomial for _, c in got)
+        assert got[-1][1] == Polynomial.one(F3)
+        assert got == _carlitz_coeffs(m.gcd(n))
+
+
+def _e(k, x):
+    """e_k(x) = prod over deg a < k of (x - a), a in F_q[T]."""
+    out = Polynomial.one(x.field)
+    for a in polys_below(x.field, k):
+        out = out * (x - a)
+    return out
+
+
+def test_coefficients_match_carlitz_closed_form():
+    # the tau^k coefficient of C_M is e_k(M)/D_k with D_k = e_k(T^k) (Goss,
+    # Basic Structures of Function Field Arithmetic, 3.1); shares no code
+    # with the twisted recursion
+    for fld in (F2, F3, F4):
+        t = Polynomial.T(fld)
+        d = [_e(k, t**k) for k in range(4)]
+        for m in all_nonzero_polys(fld, 3):
+            expected = {}
+            for k in range(4):
+                quot, rem = divmod(_e(k, m), d[k])
+                assert rem.is_zero(), (m, k)
+                if not quot.is_zero():
+                    expected[k] = quot
+            assert dict(_carlitz_coeffs(m)) == expected, m
 
 
 def test_gcd_check_small_grids_exhaustive():

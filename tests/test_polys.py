@@ -353,3 +353,24 @@ def test_divisor_longer_than_dividend():
         a, b = Polynomial(fld, [1, 2 % fld.q]), Polynomial(fld, [1, 0, 0, 1])
         quot, rem = divmod(a, b)
         assert quot.is_zero() and rem == a
+
+
+def test_pow_multiplies_only_what_the_exponent_needs(monkeypatch):
+    f = P("T^2+2*T+1", F3)
+    powers = [Polynomial.one(F3)]
+    for _ in range(13):
+        powers.append(powers[-1] * f)
+    calls = []
+    mul = Polynomial.__mul__
+
+    def counting_mul(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counting_mul)
+    # squarings up to the top bit, plus one multiply per further set bit
+    for e, muls in ((0, 0), (1, 0), (2, 1), (3, 2), (8, 3), (13, 5)):
+        calls.clear()
+        assert f ** e == powers[e]
+        assert len(calls) == muls, e
+    assert Polynomial.zero(F3) ** 0 == Polynomial.one(F3)
