@@ -350,8 +350,6 @@ class FqElem:
     def __eq__(self, other):
         if isinstance(other, FqElem):
             return self.field is other.field and self.val == other.val
-        if isinstance(other, int):
-            return self.val == other % self.field.p and self.val < self.field.p
         return NotImplemented
 
     def __hash__(self):

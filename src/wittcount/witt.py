@@ -7,19 +7,19 @@ ghost map turns them into ordinary +, *, - over any torsion-free ring.
 All divisions by p in the solve are exact over the integers, which is
 asserted, and the resulting tables are re-verified symbolically.
 
-The same tables are then evaluated in any coefficient domain of
-characteristic p (field elements or rational functions) or over the plain
-integers, where the ghost map serves as a test oracle.
+The same tables are evaluated in any commutative ring whose elements
+support ``+``, ``*``, ``**`` and multiplication by an int: over the plain
+integers, where the ghost map serves as a test oracle, they are used as
+they are; in characteristic p (field elements, rational functions) their
+coefficients are read mod p, so terms whose coefficient p divides are
+skipped.  Each ring maps an int into itself by its own ``* int``; this
+module knows no coefficient type.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-
-from .fields import FqElem
-from .polys import Polynomial
-from .rationals import RationalFunction
 
 MAX_WITT_LENGTH = 4
 
@@ -42,10 +42,6 @@ class _IPoly:
         exps = [0] * nvars
         exps[idx] = 1
         return _IPoly(nvars, {tuple(exps): 1})
-
-    @staticmethod
-    def const(nvars, c):
-        return _IPoly(nvars, {(0,) * nvars: c} if c else {})
 
     def __add__(self, other):
         out = dict(self.terms)
@@ -78,12 +74,18 @@ class _IPoly:
         return _IPoly(self.nvars, out)
 
     def __pow__(self, k):
-        result = _IPoly.const(self.nvars, 1)
+        if k < 1:
+            raise ValueError("_IPoly powers start at 1")
         base = self
-        while k:
+        while not k & 1:  # square up to the lowest set bit, which starts result
+            base = base * base
+            k >>= 1
+        result = base
+        k >>= 1
+        while k:  # no squaring past the top bit
+            base = base * base
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
         return result
 
@@ -99,9 +101,12 @@ class _IPoly:
     def __eq__(self, other):
         return self.nvars == other.nvars and self.terms == other.terms
 
-    def evaluate(self, values, from_int):
-        """Evaluate at ``values``, mapping the integer coefficients into their
-        ring by ``from_int``; powers are cached per call."""
+    def evaluate(self, values, p=None):
+        """Evaluate at ``values``; each integer coefficient acts by the values'
+        own ``* int``.  Given ``p``, the values have characteristic p: the
+        coefficients are read mod p, a term whose coefficient p divides is
+        skipped, and a coefficient 1 costs no multiply.  Powers are cached
+        per call.  There is no constant term: the Witt tables vanish at 0."""
         power_cache = [{} for _ in range(self.nvars)]
 
         def power(idx, e):
@@ -110,14 +115,20 @@ class _IPoly:
                 cache[e] = values[idx] ** e
             return cache[e]
 
-        acc = from_int(0)
+        acc = None
         for exps, coeff in self.terms.items():
-            term = from_int(coeff)
+            if p is not None:
+                coeff %= p
+                if not coeff:
+                    continue
+            term = None
             for idx, e in enumerate(exps):
                 if e:
-                    term = term * power(idx, e)
-            acc = acc + term
-        return acc
+                    term = power(idx, e) if term is None else term * power(idx, e)
+            if coeff != 1:
+                term = term * coeff
+            acc = term if acc is None else acc + term
+        return values[0] * 0 if acc is None else acc
 
 
 def _ghost(polys, m, p):
@@ -165,12 +176,13 @@ class WittUniversalTables:
 
 
 @functools.lru_cache(maxsize=None)
-def witt_tables(p: int, n: int, bound: int = MAX_WITT_LENGTH) -> WittUniversalTables:
+def witt_tables(p: int, n: int) -> WittUniversalTables:
     """Universal sum/negation/product polynomials for length n, cached per (p, n)."""
     if n < 1:
         raise ValueError("Witt length must be positive")
-    if n > bound:
-        raise ValueError(f"Witt length {n} exceeds bound {bound} (tables grow super-exponentially)")
+    if n > MAX_WITT_LENGTH:
+        raise ValueError(f"Witt length {n} exceeds bound {MAX_WITT_LENGTH} "
+                         "(tables grow super-exponentially)")
     nv = 2 * n
     xs = [_IPoly.variable(nv, i) for i in range(n)]
     ys = [_IPoly.variable(nv, n + i) for i in range(n)]
@@ -188,18 +200,6 @@ def witt_tables(p: int, n: int, bound: int = MAX_WITT_LENGTH) -> WittUniversalTa
     return tables
 
 
-def _ring_of(comp):
-    """The map from int into the ring of ``comp``: Z, F_q or F_q(T)."""
-    if isinstance(comp, int):
-        return int
-    if isinstance(comp, FqElem):
-        return comp.field.from_int
-    if isinstance(comp, RationalFunction):
-        fld = comp.field
-        return lambda c: RationalFunction.const(fld, c % fld.p)
-    raise TypeError(f"unsupported Witt coefficient type {type(comp).__name__}")
-
-
 class WittVector:
     """A length-n Witt vector over integers, F_q, or F_q(T)."""
 
@@ -210,13 +210,14 @@ class WittVector:
         if not comps:
             raise ValueError("empty Witt vector")
         first = comps[0]
+        fld = getattr(first, "field", None)
         for c in comps[1:]:
             if type(c) is not type(first):
                 raise ValueError("mixed component types in Witt vector")
-            if isinstance(c, (FqElem, RationalFunction)) and c.field is not first.field:
+            if getattr(c, "field", None) is not fld:
                 raise ValueError("components over different fields")
-        if isinstance(first, (FqElem, RationalFunction)) and first.field.p != p:
-            raise ValueError(f"component field has characteristic {first.field.p}, not {p}")
+        if fld is not None and fld.p != p:
+            raise ValueError(f"component field has characteristic {fld.p}, not {p}")
         self.p = p
         self.comps = comps
 
@@ -231,20 +232,18 @@ class WittVector:
             raise ValueError("Witt vectors of different shape")
         if type(self.comps[0]) is not type(other.comps[0]):
             raise ValueError("Witt vectors over different coefficient domains")
-        if isinstance(self.comps[0], (FqElem, RationalFunction)) and \
-                self.comps[0].field is not other.comps[0].field:
+        if getattr(self.comps[0], "field", None) is not getattr(other.comps[0], "field", None):
             raise ValueError("Witt vectors over different fields")
 
     @staticmethod
-    def zero(p: int, n: int, like=None) -> "WittVector":
-        return WittVector(p, (0 if like is None else _ring_of(like)(0),) * n)
+    def zero(p: int, n: int, like=0) -> "WittVector":
+        return WittVector(p, (like * 0,) * n)
 
     def zero_like(self) -> "WittVector":
         return WittVector.zero(self.p, self.n, self.comps[0])
 
     def is_zero(self) -> bool:
-        zero = _ring_of(self.comps[0])(0)
-        return all(c == zero for c in self.comps)
+        return not any(self.comps)
 
     def __eq__(self, other):
         if not isinstance(other, WittVector):
@@ -255,8 +254,8 @@ class WittVector:
         return hash((self.p, self.comps))
 
     def _evaluate(self, polys, values):
-        from_int = _ring_of(self.comps[0])
-        return WittVector(self.p, (poly.evaluate(values, from_int) for poly in polys))
+        p = None if isinstance(self.comps[0], int) else self.p
+        return WittVector(self.p, (poly.evaluate(values, p) for poly in polys))
 
     def add(self, other: "WittVector") -> "WittVector":
         self._check(other)

@@ -309,3 +309,16 @@ def test_sweep_cases_fault_is_a_failure(capsys, monkeypatch):
     assert records["c10-efg-product"]["status"] == "pass"
     _, out, _ = run_cli(capsys, "verify-all", "--only", "criterion-10")
     assert "!! error:ValueError: injected" in out
+
+
+@pytest.mark.parametrize("argv,err", [
+    (("witt-eval", "--op", "add", "--x", "1/T", "--y", "(1)"),
+     "error: Witt vector text must be parenthesised\n"),
+    (("witt-eval", "--op", "add", "--x", "(1, 0)", "--y", "(1)"),
+     "error: Witt vectors of different shape\n"),
+    (("carlitz", "--poly", "T^^2"), "error: bad polynomial term 'T^^2'\n"),
+    (("infinity", "--beta", "(1/T"), "error: Witt vector text must be parenthesised\n"),
+    (("normalize", "--beta", "(0, 0, 0, 0, 0)"), "error: Witt length 5 exceeds bound 4\n"),
+])
+def test_bad_input_is_one_usage_error_line(capsys, argv, err):
+    assert run_cli(capsys, *argv) == (EXIT_USAGE, "", err)

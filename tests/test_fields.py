@@ -148,6 +148,16 @@ def test_integer_encoding_digits():
     assert f9.from_coeffs((1, 2)).val == 7
 
 
+def test_element_is_not_equal_to_an_int():
+    # equality with an int would hold for a whole residue class mod p, which
+    # no hash can follow; elements compare with elements only
+    f3 = field(3)
+    one = f3.elem(1)
+    assert one != 1 and one != 4 and f3.zero() != 0
+    assert one == f3.from_int(4) and hash(one) == hash(f3.from_int(4))
+    assert len({f3.elem(v) for v in range(9)}) == 3
+
+
 def test_trace_lands_in_prime_field():
     for p, s in [(2, 2), (2, 3), (3, 2)]:
         f = field(p, s)

@@ -5,7 +5,7 @@ import pytest
 from wittcount.fields import field
 from wittcount.polys import Polynomial
 from wittcount.rationals import RationalFunction, parse_rational
-from wittcount.witt import WittVector, ghost_map, parse_witt, witt_tables
+from wittcount.witt import WittVector, _IPoly, ghost_map, parse_witt, witt_tables
 
 F2 = field(2, 1)
 F4 = field(2, 2)
@@ -44,6 +44,23 @@ def test_tables_cached_and_bounded():
         witt_tables(2, 5)
     with pytest.raises(ValueError):
         witt_tables(2, 0)
+
+
+def test_ipoly_pow_multiplies_only_what_the_exponent_needs(monkeypatch):
+    x = _IPoly.variable(2, 0) + _IPoly.variable(2, 1)
+    expected = {1: x, 8: x * x * x * x * x * x * x * x}
+    calls = []
+    mul = _IPoly.__mul__
+
+    def counting_mul(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(_IPoly, "__mul__", counting_mul)
+    for e, muls in ((1, 0), (8, 3)):
+        calls.clear()
+        assert x ** e == expected[e]
+        assert len(calls) == muls, e
 
 
 @pytest.mark.parametrize("p,n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)])
@@ -193,6 +210,38 @@ def test_witt_decomposition_identity():
             for part in parts[1:]:
                 acc = acc.add(part)
             assert acc == x
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)])
+def test_fp_operations_match_integer_lifts(p, n):
+    # reduction Z -> F_p is a ring map, so W_n(Z) -> W_n(F_p) componentwise is
+    # one too; the Z evaluation keeps every term of the tables, so it checks
+    # the mod-p reading and term skipping of the F_p evaluation
+    fld = field(p)
+    rng = random.Random(53 + 10 * p + n)
+
+    def reduce(v):
+        return WittVector(p, tuple(fld.from_int(c) for c in v.comps))
+
+    for _ in range(200):
+        xs = WittVector(p, tuple(rng.randrange(-3 * p, 3 * p) for _ in range(n)))
+        ys = WittVector(p, tuple(rng.randrange(-3 * p, 3 * p) for _ in range(n)))
+        x, y = reduce(xs), reduce(ys)
+        assert x.add(y) == reduce(xs.add(ys))
+        assert x.mul(y) == reduce(xs.mul(ys))
+        assert x.neg() == reduce(xs.neg())
+
+
+def test_zero_in_every_domain():
+    rf = parse_rational(F2, "1/T")
+    for p, like, zero, one in ((2, 0, 0, 1), (3, F9.elem(5), F9.zero(), F9.one()),
+                               (2, rf, RationalFunction.zero(F2), RationalFunction.one(F2))):
+        z = WittVector.zero(p, 3, like)
+        assert z == WittVector(p, (zero,) * 3) and z.is_zero()
+        x = WittVector(p, (zero, one, zero))
+        assert not x.is_zero()
+        assert x.zero_like() == z and x.add(z) == x
+    assert WittVector.zero(2, 2) == WittVector(2, (0, 0))
 
 
 def test_mixed_vectors_rejected():
