@@ -428,12 +428,17 @@ def factor(f: Polynomial, cap: int = DEFAULT_ENUM_CAP):
     Distinct-degree sieving with T^(q^d) - T picks out, degree by degree,
     the product of the irreducible factors of each exact degree; products
     of several same-degree factors are split by exhaustive trial division
-    over that single degree (guarded by ``cap``).
+    over that single degree (guarded by ``cap``).  Factorisations are
+    memoised per monic form; each call returns a fresh list.
     """
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
-    fld = f.field
-    rem = f.monic()
+    return list(_factor_monic(f.monic(), cap))
+
+
+@functools.lru_cache(maxsize=4096)
+def _factor_monic(rem: Polynomial, cap: int) -> tuple:
+    fld = rem.field
     out = []
     d = 0
     t = Polynomial.T(fld)
@@ -456,7 +461,7 @@ def factor(f: Polynomial, cap: int = DEFAULT_ENUM_CAP):
                 e += 1
             out.append((p_, e))
     out.sort(key=lambda pe: (pe[0].degree, pe[0].to_int()))
-    return out
+    return tuple(out)
 
 
 def _split_equal_degree(g: Polynomial, d: int, cap: int):

@@ -51,11 +51,11 @@ class RationalFunction:
 
     @staticmethod
     def zero(fld: FiniteField) -> "RationalFunction":
-        return RationalFunction(Polynomial.zero(fld))
+        return RationalFunction._raw(Polynomial.zero(fld), Polynomial.one(fld))
 
     @staticmethod
     def one(fld: FiniteField) -> "RationalFunction":
-        return RationalFunction(Polynomial.one(fld))
+        return RationalFunction._raw(Polynomial.one(fld), Polynomial.one(fld))
 
     @staticmethod
     def const(fld: FiniteField, val) -> "RationalFunction":
@@ -94,11 +94,39 @@ class RationalFunction:
             return RationalFunction(Polynomial.const(self.field, other % self.field.p))
         return None
 
+    def _add(self, c: Polynomial, d: Polynomial) -> "RationalFunction":
+        """self + c/d, c/d reduced with d monic, reduced by construction
+        (Henrici): with g = gcd(b, d), t = a*(d/g) + c*(b/g) is prime to b/g
+        and to d/g, so only gcd(t, g) can cancel."""
+        a, b = self.num, self.den
+        if b.degree == 0 or d.degree == 0 or (g := b.gcd(d)).degree == 0:
+            return RationalFunction._raw(a * d + c * b, b * d)
+        b1 = b // g
+        t = a * (d // g) + c * b1
+        if t.is_zero():
+            return RationalFunction.zero(t.field)
+        g2 = t.gcd(g)
+        if g2.degree > 0:
+            t, d = t // g2, d // g2
+        return RationalFunction._raw(t, b1 * d)
+
+    def _mul(self, c: Polynomial, d: Polynomial) -> "RationalFunction":
+        """self * c/d, c/d reduced with d monic: cancelling gcd(a, d) and
+        gcd(c, b) first leaves the product reduced."""
+        a, b = self.num, self.den
+        if a.is_zero() or c.is_zero():
+            return RationalFunction.zero(a.field)
+        if a.degree > 0 < d.degree and (g1 := a.gcd(d)).degree > 0:
+            a, d = a // g1, d // g1
+        if c.degree > 0 < b.degree and (g2 := c.gcd(b)).degree > 0:
+            c, b = c // g2, b // g2
+        return RationalFunction._raw(a * c, b * d)
+
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RationalFunction(self.num * o.den + o.num * self.den, self.den * o.den)
+        return self._add(o.num, o.den)
 
     __radd__ = __add__
 
@@ -106,7 +134,7 @@ class RationalFunction:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RationalFunction(self.num * o.den - o.num * self.den, self.den * o.den)
+        return self._add(-o.num, o.den)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -115,13 +143,13 @@ class RationalFunction:
         return o - self
 
     def __neg__(self):
-        return RationalFunction(-self.num, self.den)
+        return RationalFunction._raw(-self.num, self.den)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RationalFunction(self.num * o.num, self.den * o.den)
+        return self._mul(o.num, o.den)
 
     __rmul__ = __mul__
 
@@ -131,7 +159,8 @@ class RationalFunction:
             return NotImplemented
         if o.is_zero():
             raise ZeroDivisionError("division by zero rational function")
-        return RationalFunction(self.num * o.den, self.den * o.num)
+        inv = self.field.inv_val(o.num.leading())
+        return self._mul(o.den.scale(inv), o.num.scale(inv))
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -144,7 +173,7 @@ class RationalFunction:
             if self.is_zero():
                 raise ZeroDivisionError("negative power of zero")
             return RationalFunction(self.den, self.num) ** (-e)
-        return RationalFunction(self.num**e, self.den**e)
+        return RationalFunction._raw(self.num**e, self.den**e)  # coprime stays coprime
 
     def __eq__(self, other):
         if isinstance(other, RationalFunction):
@@ -171,8 +200,8 @@ class RationalFunction:
 
     def poly_and_proper_parts(self):
         """Split into polynomial part and proper fraction part (exact sum)."""
-        q, r = divmod(self.num, self.den)
-        return q, RationalFunction(r, self.den)
+        q, r = divmod(self.num, self.den)  # gcd(r, den) = gcd(num, den) = 1
+        return q, RationalFunction._raw(r, self.den) if r else RationalFunction.zero(r.field)
 
     # -- text format --
 
@@ -196,6 +225,8 @@ def parse_rational(fld: FiniteField, text: str) -> RationalFunction:
         return RationalFunction(parse_poly(fld, _strip_parens(text)))
     num = parse_poly(fld, _strip_parens(text[:slash]))
     den = parse_poly(fld, _strip_parens(text[slash + 1:]))
+    if den.is_zero():
+        raise ValueError(f"zero denominator in {text!r}")
     return RationalFunction(num, den)
 
 
@@ -257,4 +288,4 @@ def recombine(fld: FiniteField, poly_part: Polynomial, terms) -> RationalFunctio
 
 def pole_part(term) -> RationalFunction:
     p_, e, q_i = term
-    return RationalFunction(q_i, p_**e)
+    return RationalFunction._raw(q_i, p_**e)  # a partial_fractions term: Q != 0 prime to monic P

@@ -21,7 +21,10 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
+from .polys import CapExceededError
+
 MAX_WITT_LENGTH = 4
+MAX_TABLE_BITS = 2**19  # (11, 3) and (3, 4) fit, (13, 3) and (5, 4) do not
 
 
 class _IPoly:
@@ -175,6 +178,20 @@ class WittUniversalTables:
         return True
 
 
+def _table_bits(p: int, n: int) -> int:
+    """Estimated bits of the top components and of the powers the solve builds
+    for them: the monomials of weight p^(n-1), x_i and y_i weighing p^(i-1) (a
+    sum's in all 2n variables, a product's in x and in y), times p^(n-1) bits."""
+    top = p ** (n - 1)
+    if top * top > MAX_TABLE_BITS:
+        return top * top  # there are more than top monomials
+    ways = [1] + [0] * top  # ways[k]: monomials of weight k in x_1..x_n
+    for i in range(n):
+        for k in range(p**i, top + 1):
+            ways[k] += ways[k - p**i]
+    return max(sum(ways[k] * ways[top - k] for k in range(top + 1)), ways[top] ** 2) * top
+
+
 @functools.lru_cache(maxsize=None)
 def witt_tables(p: int, n: int) -> WittUniversalTables:
     """Universal sum/negation/product polynomials for length n, cached per (p, n)."""
@@ -183,6 +200,9 @@ def witt_tables(p: int, n: int) -> WittUniversalTables:
     if n > MAX_WITT_LENGTH:
         raise ValueError(f"Witt length {n} exceeds bound {MAX_WITT_LENGTH} "
                          "(tables grow super-exponentially)")
+    if (bits := _table_bits(p, n)) > MAX_TABLE_BITS:
+        raise CapExceededError(f"Witt tables for p={p}, n={n} would hold about {bits} bits "
+                               f"per component, over the budget of {MAX_TABLE_BITS}")
     nv = 2 * n
     xs = [_IPoly.variable(nv, i) for i in range(n)]
     ys = [_IPoly.variable(nv, n + i) for i in range(n)]

@@ -319,6 +319,19 @@ def test_sweep_cases_fault_is_a_failure(capsys, monkeypatch):
     (("carlitz", "--poly", "T^^2"), "error: bad polynomial term 'T^^2'\n"),
     (("infinity", "--beta", "(1/T"), "error: Witt vector text must be parenthesised\n"),
     (("normalize", "--beta", "(0, 0, 0, 0, 0)"), "error: Witt length 5 exceeds bound 4\n"),
+    (("normalize", "--beta", "(1/0)"), "error: cannot parse Witt vector: zero denominator in '1/0'\n"),
+    (("witt-eval", "--op", "neg", "--x", "(1/0)"), "error: zero denominator in '1/0'\n"),
 ])
 def test_bad_input_is_one_usage_error_line(capsys, argv, err):
     assert run_cli(capsys, *argv) == (EXIT_USAGE, "", err)
+
+
+@pytest.mark.parametrize("argv", [
+    ("count", "--p", "2", "--d", "1", "--alpha", "100000", "--n", "1"),
+    ("witt-eval", "--p", "5", "--op", "add", "--x", "(1, 0, 0, 0)", "--y", "(1, 0, 0, 0)"),
+    ("witt-eval", "--p", "1009", "--op", "neg", "--x", "(1, 0)"),
+])
+def test_oversized_input_is_one_infeasible_line(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (EXIT_INFEASIBLE, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "budget" in err

@@ -130,6 +130,22 @@ def test_factor_known():
     assert [(str(p_), e) for p_, e in factor(P("T^3+T"))] == [("T", 1), ("T+1", 2)]
 
 
+def test_factor_returns_a_fresh_list():
+    f = P("T^4+T^2")  # T^2 (T+1)^2
+    first = factor(f)
+    expected = list(first)
+    first.append((P("T^2+T+1"), 5))
+    first.reverse()
+    assert factor(f) == expected
+
+
+def test_factor_of_non_monic_is_factor_of_its_monic_form():
+    for fld, text in ((F3, "2*T^3+T+2"), (F4, "3*T^4+2*T^2+3"), (F3, "2")):
+        f = P(text, fld)
+        assert not f.is_monic()
+        assert factor(f) == factor(f.monic())
+
+
 def test_phi_frozen_examples():
     assert phi(P("T")) == 1
     assert phi(P("T^3")) == 4  # units 1, 1+T, 1+T^2, 1+T+T^2

@@ -74,6 +74,48 @@ def test_field_axioms_random():
                 assert a / a == RationalFunction.one(fld)
 
 
+@st.composite
+def _fraction_pairs(draw):
+    """Two fractions over one of F_2, F_3, F_4: zero and constants included,
+    their denominators built over a shared factor."""
+    fld = draw(st.sampled_from((F2, F3, F4)))
+
+    def poly(max_len, nonzero=False):
+        f = Polynomial(fld, draw(st.lists(st.integers(0, fld.q - 1), max_size=max_len)))
+        return Polynomial.one(fld) if nonzero and f.is_zero() else f
+
+    shared = poly(3, nonzero=True)
+    x = RationalFunction(poly(4), shared * poly(3, nonzero=True))
+    y = RationalFunction(poly(4), shared * poly(3, nonzero=True))
+    return x, y
+
+
+def _reduced(f):
+    return f.den.is_monic() and f.num.gcd(f.den).degree == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=_fraction_pairs(), e=st.integers(-3, 3))
+def test_arithmetic_matches_the_normalising_constructor(pair, e):
+    x, y = pair
+    a, b, c, d = x.num, x.den, y.num, y.den
+    checks = [
+        (x + y, RationalFunction(a * d + c * b, b * d)),
+        (x - y, RationalFunction(a * d - c * b, b * d)),
+        (x * y, RationalFunction(a * c, b * d)),
+        (-x, RationalFunction(-a, b)),
+    ]
+    if not y.is_zero():
+        checks.append((x / y, RationalFunction(a * d, b * c)))
+    if e >= 0:
+        checks.append((x**e, RationalFunction(a**e, b**e)))
+    elif not x.is_zero():
+        checks.append((x**e, RationalFunction(b ** -e, a ** -e)))
+    for result, expected in checks:
+        assert (result.num, result.den) == (expected.num, expected.den)
+        assert _reduced(result)
+
+
 def test_frobenius_and_wp():
     a = R("1/T")
     assert a.frobenius() == a * a

@@ -1,11 +1,20 @@
 import random
+import time
 
 import pytest
 
 from wittcount.fields import field
-from wittcount.polys import Polynomial
+from wittcount.polys import CapExceededError, Polynomial
 from wittcount.rationals import RationalFunction, parse_rational
-from wittcount.witt import WittVector, _IPoly, ghost_map, parse_witt, witt_tables
+from wittcount.witt import (
+    MAX_TABLE_BITS,
+    WittVector,
+    _IPoly,
+    _table_bits,
+    ghost_map,
+    parse_witt,
+    witt_tables,
+)
 
 F2 = field(2, 1)
 F4 = field(2, 2)
@@ -44,6 +53,36 @@ def test_tables_cached_and_bounded():
         witt_tables(2, 5)
     with pytest.raises(ValueError):
         witt_tables(2, 0)
+
+
+def test_table_build_is_budgeted():
+    start = time.perf_counter()
+    with pytest.raises(CapExceededError):
+        witt_tables(5, 4)  # about 27 s to build without the budget
+    assert time.perf_counter() - start < 1
+    for p, n in ((2, 4), (3, 4), (11, 3), (719, 2)):
+        assert _table_bits(p, n) <= MAX_TABLE_BITS, (p, n)
+    for p, n in ((13, 3), (5, 4), (727, 2), (10007, 3)):
+        assert _table_bits(p, n) > MAX_TABLE_BITS, (p, n)
+
+
+def test_rational_add_takes_few_gcds(monkeypatch):
+    x = wv2("1/(T^2+T)", "T/(T^3+T^2+T+1)")
+    y = wv2("1/T", "1/(T^3+T^2)")
+    expected = wv2("1/(T+1)", "T/(T^3+T^2+T+1)")
+    witt_tables(2, 2)
+    calls = []
+    gcd = Polynomial.gcd
+
+    def counting_gcd(a, b):
+        calls.append(1)
+        return gcd(a, b)
+
+    monkeypatch.setattr(Polynomial, "gcd", counting_gcd)
+    assert x.add(y) == expected
+    # two per sum of fractions whose denominators share a factor; none for
+    # powers, for the product of numerators 1 or for the normalised inputs
+    assert len(calls) == 6
 
 
 def test_ipoly_pow_multiplies_only_what_the_exponent_needs(monkeypatch):
