@@ -1,10 +1,11 @@
 """Carlitz-module polynomials: the additive polynomials C_M(u) over F_q[T].
 
 C_M is determined by C_T(u) = T*u + u^q together with additivity in M and
-C_(MN) = C_M o C_N.  Since only exponents u^(q^i) occur, a polynomial is
-stored sparsely as a map from i to the coefficient of u^(q^i); composition
-is multiplication in the twisted polynomial ring where moving a coefficient
-past the q-power symbol raises it to the q-th power.
+C_(MN) = C_M o C_N.  Since only exponents u^(q^i) occur, C_M is an element
+sum c_i tau^i of the twisted ring F_q[T]{tau}, where tau*c = c^q*tau and
+composition is the product.  The coefficient of tau^k has degree
+(deg M - k)*q^k but few terms, so C_M is stored here as {i: {e: c}} (tau-degree,
+T-exponent, nonzero F_q encoding); ``CarlitzPoly`` holds them as Polynomials.
 """
 
 from __future__ import annotations
@@ -51,60 +52,74 @@ class CarlitzPoly:
         return "+".join(parts)
 
 
-@functools.lru_cache(maxsize=65536)
-def _qpower_cached(poly: Polynomial, k: int) -> Polynomial:
-    return poly.qpower(k)
+def _to_polys(fld, x: dict) -> tuple:
+    """{i: {e: c}} as sorted (i, Polynomial) pairs."""
+    return tuple((i, Polynomial(fld, [t.get(e, 0) for e in range(max(t) + 1)]))
+                 for i, t in sorted(x.items()))
 
 
-def _twisted_mul(a: dict, b: dict) -> dict:
-    """(sum a_i tau^i)(sum b_j tau^j) with tau*c = c^q*tau, as coefficient dicts."""
+def _strip(x: dict) -> dict:
+    """Drop zero coefficients, then empty tau-coefficients."""
+    x = {i: {e: c for e, c in terms.items() if c} for i, terms in x.items()}
+    return {i: terms for i, terms in x.items() if terms}
+
+
+def _mul_into(out: dict, a: dict, b: dict, stride: int, add, mul) -> None:
+    """out += a * b(T^stride) on term maps; sums that cancel stay as zeros."""
+    spread = [(f * stride, d) for f, d in b.items()]
+    for e, c in a.items():
+        row = mul[c]
+        for f, d in spread:
+            x = e + f
+            out[x] = add[out.get(x, 0)][row[d]]
+
+
+def _twisted_mul(fld, a: dict, b: dict) -> dict:
+    """(sum a_i tau^i)(sum b_j tau^j): b_j^(q^i) only spreads exponents by
+    q^i (c^q = c on F_q), so term pairs add c*d at tau^(i+j), T^(e + f*q^i)."""
+    add, mul, q = fld._add_table, fld._mul_table, fld.q
     out = {}
     for i, ai in a.items():
         for j, bj in b.items():
-            k = i + j
-            term = ai * _qpower_cached(bj, i)
-            if k in out:
-                out[k] = out[k] + term
-            else:
-                out[k] = term
-    return {k: v for k, v in out.items() if not v.is_zero()}
+            _mul_into(out.setdefault(i + j, {}), ai, bj, q**i, add, mul)
+    return _strip(out)
 
 
-def _twisted_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = out[k] + v if k in out else v
-    return {k: v for k, v in out.items() if not v.is_zero()}
+def _twisted_add(fld, a: dict, b: dict) -> dict:
+    add = fld._add_table
+    out = {i: dict(terms) for i, terms in a.items()}
+    for i, terms in b.items():
+        acc = out.setdefault(i, {})
+        for e, c in terms.items():
+            acc[e] = add[acc.get(e, 0)][c]
+    return _strip(out)
 
 
 @functools.lru_cache(maxsize=None)
-def _carlitz_coeffs(m: Polynomial) -> tuple:
-    fld = m.field
+def _carlitz_sparse(m: Polynomial) -> dict:
+    """C_M as {i: {e: c}}, shared by every caller, so never mutated."""
     if m.is_zero():
         raise ValueError("the Carlitz polynomial of zero is not defined")
     if m.is_constant():
-        return ((0, m),)
+        return {0: {0: m.coeffs[0]}}
     # M = T*N + m_0, and C_(T*N) = C_T o C_N in the twisted ring
-    n_part = dict(_carlitz_coeffs(m // Polynomial.T(fld)))
-    c_t = {0: Polynomial.T(fld), 1: Polynomial.one(fld)}
-    out = _twisted_mul(c_t, n_part)
-    m0 = m.constant_coeff()
-    if m0:
-        out = _twisted_add(out, {0: Polynomial.const(fld, m0)})
-    return tuple(sorted(out.items()))
+    n_part = _carlitz_sparse(Polynomial(m.field, m.coeffs[1:]))
+    out = _twisted_mul(m.field, {0: {1: 1}, 1: {0: 1}}, n_part)
+    if m.coeffs[0]:
+        out[0][0] = m.coeffs[0]  # T*N has no constant term
+    return out
+
+
+def _carlitz_coeffs(m: Polynomial) -> tuple:
+    return _to_polys(m.field, _carlitz_sparse(m))
 
 
 def carlitz_poly(m: Polynomial) -> CarlitzPoly:
     """Build C_M and check its structural invariants."""
     coeffs = _carlitz_coeffs(m)
-    cp = CarlitzPoly(m=m, coeffs=coeffs)
-    cmap = cp.coeff_map()
-    if cmap.get(0, Polynomial.zero(m.field)) != m:
-        raise AssertionError("u-linear coefficient of C_M is not M")
-    if cp.tau_degree != m.degree or cmap[m.degree].degree != 0 \
-            or cmap[m.degree].constant_coeff() != m.leading():
-        raise AssertionError("leading coefficient of C_M is not lc(M)")
-    return cp
+    if coeffs[0] != (0, m) or coeffs[-1] != (m.degree, Polynomial.const(m.field, m.leading())):
+        raise AssertionError("C_M is not M*u + ... + lc(M)*u^(q^deg M)")
+    return CarlitzPoly(m=m, coeffs=coeffs)
 
 
 def _const_like(x, fld, encoding: int):
@@ -125,12 +140,9 @@ def carlitz_eval(m: Polynomial, x, t_image=None):
     """
     fld = m.field
     if t_image is None:
-        if isinstance(x, Polynomial):
-            t_image = Polynomial.T(fld)
-        elif isinstance(x, RationalFunction):
-            t_image = RationalFunction.T(fld)
-        else:
+        if not isinstance(x, (Polynomial, RationalFunction)):
             raise ValueError("t_image is required for this evaluation domain")
+        t_image = type(x).T(fld)
 
     def map_coeff(c: Polynomial):
         acc = _const_like(x, fld, 0)
@@ -138,12 +150,9 @@ def carlitz_eval(m: Polynomial, x, t_image=None):
             acc = acc * t_image + _const_like(x, fld, enc)
         return acc
 
-    q = fld.q
-    acc = _const_like(x, fld, 0)
-    power = x
-    last_i = 0
+    acc, power, last_i = _const_like(x, fld, 0), x, 0
     for i, c in carlitz_poly(m).coeffs:
-        power = power ** (q ** (i - last_i))
+        power = power ** (fld.q ** (i - last_i))
         last_i = i
         acc = acc + map_coeff(c) * power
     return acc
@@ -153,80 +162,70 @@ def carlitz_compose_check(m: Polynomial, n: Polynomial) -> bool:
     """C_(MN) = C_M o C_N = C_N o C_M and C_(M+N) = C_M + C_N, exactly."""
     if m.is_zero() or n.is_zero():
         raise ValueError("compose check needs nonzero inputs")
-    cm = dict(_carlitz_coeffs(m))
-    cn = dict(_carlitz_coeffs(n))
-    prod = dict(_carlitz_coeffs(m * n))
-    if _twisted_mul(cm, cn) != prod:
-        return False
-    if _twisted_mul(cn, cm) != prod:
+    fld = m.field
+    cm, cn, prod = _carlitz_sparse(m), _carlitz_sparse(n), _carlitz_sparse(m * n)
+    if _twisted_mul(fld, cm, cn) != prod or _twisted_mul(fld, cn, cm) != prod:
         return False
     s = m + n
-    expected_sum = dict(_carlitz_coeffs(s)) if not s.is_zero() else {}
-    return _twisted_add(cm, cn) == expected_sum
+    return _twisted_add(fld, cm, cn) == (_carlitz_sparse(s) if s else {})
 
 
 # -- gcd of additive polynomials in the variable u --
 
-def _lead_inverse(a: dict) -> int:
+def _lead_inverse(fld, a: dict) -> int:
     """The encoding of 1/beta for a's leading tau-coefficient beta in F_q^x."""
     lead = a[max(a)]
-    if lead.degree != 0:
-        raise ValueError(f"leading tau-coefficient {lead} is not a nonzero constant; "
-                         "the input is not a Carlitz polynomial")
-    return lead.field.inv_val(lead.coeffs[0])
+    if list(lead) != [0]:
+        raise ValueError("leading tau-coefficient is not a nonzero constant: not a Carlitz input")
+    return fld._inv_table[lead[0]]
 
 
-def _right_rem(a: dict, b: dict) -> dict:
-    """R with A = Q*B + R and deg_tau R < deg_tau B, in F_q[T]{tau}.
-
-    B's leading coefficient beta is a constant, so beta^(q^s) = beta and the
-    quotient term that cancels a_m*tau^m is (a_m/beta)*tau^(m-k): one scale,
-    then c*b_j^(q^s) at tau^(s+j) for the lower b_j, with no denominator.
-    """
+def _right_rem(fld, a: dict, b: dict) -> dict:
+    """R with A = Q*B + R and deg_tau R < deg_tau B.  B's lead beta is a
+    constant, fixed by tau, so the quotient term that cancels a_m*tau^m is
+    (a_m/beta)*tau^(m-k): one scale, then c*b_j^(q^s) at tau^(s+j)."""
     k = max(b)
-    neg_inv = b[k].field.neg_val(_lead_inverse(b))
+    add, mul = fld._add_table, fld._mul_table
+    neg_inv = mul[fld._neg_table[_lead_inverse(fld, b)]]
     low = [(j, bj) for j, bj in b.items() if j != k]
-    r = dict(a)
+    r = {i: dict(terms) for i, terms in a.items()}  # a may be a cached C_M
     for m in range(max(r, default=-1), k - 1, -1):
-        am = r.pop(m, None)
-        if am is None:
-            continue
-        c = am.scale(neg_inv)  # -(a_m/beta): the step adds c*tau^s*B
-        s = m - k
-        for j, bj in low:
-            term = c * _qpower_cached(bj, s)
-            t = s + j
-            if t in r:
-                term = r[t] + term
-                if term.is_zero():
-                    del r[t]
-                    continue
-            r[t] = term
-    return r
+        c = {e: neg_inv[x] for e, x in r.pop(m, {}).items() if x}
+        if c:  # -(a_m/beta): the step adds c*tau^s*B
+            s = m - k
+            for j, bj in low:
+                _mul_into(r.setdefault(s + j, {}), c, bj, fld.q**s, add, mul)
+    return _strip(r)
+
+
+def _gcd(fld, a: dict, b: dict) -> dict:
+    """Monic gcd in u by right Euclid: A = Q*B + R gives A(u) = Q(B(u)) + R(u)
+    and B(u) | Q(B(u)) (Ore 1933).  For Carlitz inputs each remainder is
+    C_(M mod N), with constant lead; any other lead raises ValueError."""
+    while b:
+        a, b = b, _right_rem(fld, a, b)
+    if not a:
+        return {}
+    row = fld._mul_table[_lead_inverse(fld, a)]
+    return {i: {e: row[c] for e, c in terms.items()} for i, terms in a.items()}
 
 
 def additive_gcd(a: dict, b: dict) -> tuple:
-    """Monic gcd of two Carlitz u-polynomials, as sorted (i, coeff) pairs.
-
-    A = Q*B + R in F_q[T]{tau} means A(u) = Q(B(u)) + R(u), and B(u) divides
-    Q(B(u)), so the right Euclid below is the gcd in u (Ore 1933).  For
-    Carlitz inputs every remainder is C_(M mod N), whose leading coefficient
-    is a constant; any other leading coefficient raises ValueError.
-    """
-    while b:
-        a, b = b, _right_rem(a, b)
-    if not a:
+    """``_gcd`` of two {i: Polynomial} maps, as sorted (i, Polynomial) pairs."""
+    coeffs = [*a.values(), *b.values()]
+    if not coeffs:
         return ()
-    inv = _lead_inverse(a)
-    return tuple(sorted((k, c.scale(inv)) for k, c in a.items()))
+    fld = coeffs[0].field
+    a, b = ({i: dict(enumerate(c.coeffs)) for i, c in x.items()} for x in (a, b))
+    return _to_polys(fld, _gcd(fld, _strip(a), _strip(b)))
 
 
 def carlitz_gcd_check(m: Polynomial, n: Polynomial, cap: int = DEFAULT_GCD_CAP) -> bool:
     """gcd_u(C_M, C_N) = C_gcd(M, N), via exact gcd in the variable u."""
     if m.is_zero() or n.is_zero():
         raise ValueError("gcd check needs nonzero inputs")
-    q = m.field.q
-    if q ** max(m.degree, n.degree) > cap:
-        raise CapExceededError(f"u-degree q^{max(m.degree, n.degree)} exceeds cap {cap}")
-    got = additive_gcd(dict(_carlitz_coeffs(m)), dict(_carlitz_coeffs(n)))
-    return got == _carlitz_coeffs(m.gcd(n))  # Polynomial.gcd is monic, so C_gcd is too
+    top = max(m.degree, n.degree)
+    if m.field.q**top > cap:
+        raise CapExceededError(f"u-degree q^{top} exceeds cap {cap}")
+    got = _gcd(m.field, _carlitz_sparse(m), _carlitz_sparse(n))
+    return got == _carlitz_sparse(m.gcd(n))  # Polynomial.gcd is monic, so C_gcd is too

@@ -249,6 +249,8 @@ def cmd_witt_eval(args) -> int:
 def cmd_carlitz(args) -> int:
     fld = field(args.p, args.s)
     m = parse_poly(fld, args.poly)
+    if m and fld.q**m.degree > args.cap:  # C_M has u-degree q^deg M
+        raise CapExceededError(f"u-degree q^{m.degree} exceeds cap {args.cap}")
     cp = carlitz_poly(m)
     payload = {"M": str(m), "coeffs": cp.serialize(), "u_degree": cp.u_degree()}
     if args.eval_at is not None:

@@ -24,7 +24,7 @@ from .rationals import RationalFunction
 from .witt import WittVector
 
 DEFAULT_SATURATION_ROUNDS = 8
-MAX_COUNT_BITS = 14_000  # about 4200 digits; every count is below q^(d*alpha)
+MAX_COUNT_BITS = 14_000  # about 4200 digits
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -44,9 +44,11 @@ class CountParams:
     def __post_init__(self):
         if self.alpha < 1 or self.n < 1 or self.d < 1 or self.s < 1:
             raise ValueError("alpha, n, d, s must all be positive")
-        if self.d * self.alpha * self.s * (self.p - 1).bit_length() > MAX_COUNT_BITS:
-            raise CapExceededError(f"counts below q^(d*alpha) = {self.p}^{self.s * self.d * self.alpha}"
-                                   f" may exceed the budget of {MAX_COUNT_BITS} bits")
+        # the counts are below q^(d*alpha); s_n and v_n also build powers of p up to p^n
+        if (self.d * self.alpha * self.s + self.n) * (self.p - 1).bit_length() > MAX_COUNT_BITS:
+            raise CapExceededError(f"q^(d*alpha) = {self.p}^{self.s * self.d * self.alpha} and "
+                                   f"p^n = {self.p}^{self.n} may exceed the budget of "
+                                   f"{MAX_COUNT_BITS} bits")
 
     @property
     def q(self) -> int:

@@ -9,6 +9,7 @@ from wittcount.carlitz import (
     carlitz_gcd_check,
     carlitz_poly,
     _carlitz_coeffs,
+    _twisted_mul,
 )
 from wittcount.fields import field
 from wittcount.polys import CapExceededError, Polynomial, parse_poly, polys_below
@@ -242,3 +243,43 @@ def test_scalar_action():
 def test_serialize():
     cp = carlitz_poly(P("T^2"))
     assert cp.serialize() == [[0, "T^2"], [1, "T^2+T"], [2, "1"]]
+
+
+def _random_twisted(rng, fld, max_tau=3, max_len=6):
+    """{i: Polynomial} with random, often non-constant, leads: no Carlitz shape."""
+    out = {}
+    for i in range(rng.randrange(max_tau + 1) + 1):
+        c = Polynomial(fld, [rng.randrange(fld.q) for _ in range(rng.randrange(max_len + 1))])
+        if not c.is_zero():
+            out[i] = c
+    return out
+
+
+@pytest.mark.parametrize("fld", [F2, F3, F4])
+def test_twisted_product_matches_polynomial_reference(fld):
+    # sum of a_i * b_j^(q^i) at tau^(i+j), in Polynomial arithmetic
+    def term_map(a):
+        return {i: {e: c for e, c in enumerate(p.coeffs) if c} for i, p in a.items()}
+
+    rng = random.Random(83)
+    for _ in range(150):
+        a, b = _random_twisted(rng, fld), _random_twisted(rng, fld)
+        expected = {}
+        for i, ai in a.items():
+            for j, bj in b.items():
+                expected[i + j] = expected.get(i + j, Polynomial.zero(fld)) + ai * bj.qpower(i)
+        expected = {k: c for k, c in expected.items() if not c.is_zero()}
+        assert _twisted_mul(fld, term_map(a), term_map(b)) == term_map(expected), (a, b)
+
+
+def test_cached_carlitz_forms_survive_gcd_and_checks():
+    for fld in (F2, F3, F4):
+        polys = all_nonzero_polys(fld, 2)
+        rng = random.Random(89)
+        pairs = [(rng.choice(polys), rng.choice(polys)) for _ in range(40)]
+        touched = {x for m, n in pairs for x in (m, n, m * n, m.gcd(n), m + n) if x}
+        before = {m: _carlitz_coeffs(m) for m in touched}
+        for m, n in pairs:
+            additive_gcd(dict(_carlitz_coeffs(m)), dict(_carlitz_coeffs(n)))
+            assert carlitz_compose_check(m, n) and carlitz_gcd_check(m, n)
+        assert {m: _carlitz_coeffs(m) for m in touched} == before

@@ -101,6 +101,15 @@ def test_carlitz_command(capsys):
     assert payload["u_degree"] == 4
 
 
+def test_carlitz_command_is_capped_by_u_degree(capsys):
+    code, out, err = run_cli(capsys, "carlitz", "--poly", "T^23")
+    assert (code, out, err) == (EXIT_INFEASIBLE, "", "error: u-degree q^23 exceeds cap 1048576\n")
+    code, out, _ = run_cli(capsys, "carlitz", "--p", "3", "--poly", "T^3", "--cap", "26")
+    assert (code, out) == (EXIT_INFEASIBLE, "")
+    code, out, _ = run_cli(capsys, "carlitz", "--poly", "T^20")  # q^20 is the default cap
+    assert code == EXIT_PASS and json.loads(out)["u_degree"] == 2**20
+
+
 def test_infinity_command(capsys):
     code, out, _ = run_cli(capsys, "infinity", "--beta", "(0, 1)")
     assert code == EXIT_PASS
@@ -328,6 +337,7 @@ def test_bad_input_is_one_usage_error_line(capsys, argv, err):
 
 @pytest.mark.parametrize("argv", [
     ("count", "--p", "2", "--d", "1", "--alpha", "100000", "--n", "1"),
+    ("count", "--p", "2", "--alpha", "2", "--n", "100000"),
     ("witt-eval", "--p", "5", "--op", "add", "--x", "(1, 0, 0, 0)", "--y", "(1, 0, 0, 0)"),
     ("witt-eval", "--p", "1009", "--op", "neg", "--x", "(1, 0)"),
 ])

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wittcount.counting import (
+    MAX_COUNT_BITS,
     CountParams,
     NotStabilizedError,
     VerificationReport,
@@ -301,3 +302,12 @@ def test_params_validation():
     with pytest.raises(ValueError):
         CountParams(2, 1, 0, 1, 1)
     assert CountParams(2, 2, 1, 1, 1).q == 4
+
+
+def test_params_budget_counts_the_length():
+    # (d*alpha*s + n) * ceil(log2 p) bits: s_n and v_n build powers up to p^n
+    assert CountParams(2, 1, 1, 2, MAX_COUNT_BITS - 2).n == MAX_COUNT_BITS - 2
+    with pytest.raises(CapExceededError):
+        CountParams(2, 1, 1, 2, MAX_COUNT_BITS - 1)
+    with pytest.raises(CapExceededError):
+        CountParams(3, 1, 1, 1, MAX_COUNT_BITS // 2)

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wittcount.fields import field
 from wittcount.polys import (
@@ -123,6 +125,30 @@ def test_factor_roundtrip():
                 assert p_.is_monic()
                 prod = prod * p_**e
             assert prod == f
+
+
+@st.composite
+def _polys(draw, max_len=9):
+    fld = draw(st.sampled_from((F2, F3, F4)))
+    return Polynomial(fld, draw(st.lists(st.integers(0, fld.q - 1), max_size=max_len)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(f=_polys(max_len=13))
+def test_text_roundtrip_property(f):
+    assert parse_poly(f.field, str(f)) == f
+
+
+@settings(max_examples=200, deadline=None)
+@given(f=_polys())
+def test_factor_reassembles_property(f):
+    if f.is_zero():
+        return
+    prod = Polynomial.const(f.field, f.leading())
+    for p_, e in factor(f):
+        assert p_.is_monic() and e >= 1
+        prod = prod * p_**e
+    assert prod == f
 
 
 def test_factor_known():

@@ -169,6 +169,13 @@ def test_partial_fractions_conditions():
             assert recombine(fld, pp, terms) == f
 
 
+@settings(max_examples=300, deadline=None)
+@given(pair=_fraction_pairs())
+def test_text_roundtrip_property(pair):
+    for f in pair:
+        assert parse_rational(f.field, str(f)) == f
+
+
 @settings(max_examples=60, deadline=None)
 @given(num_enc=st.integers(0, 2**8 - 1), den_enc=st.integers(1, 2**8 - 1))
 def test_partial_fractions_roundtrip_property(num_enc, den_enc):
