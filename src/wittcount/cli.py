@@ -251,10 +251,20 @@ def cmd_carlitz(args) -> int:
     m = parse_poly(fld, args.poly)
     if m and fld.q**m.degree > args.cap:  # C_M has u-degree q^deg M
         raise CapExceededError(f"u-degree q^{m.degree} exceeds cap {args.cap}")
+    x = None if args.eval_at is None else parse_poly(fld, args.eval_at)
+    if x is not None:
+        # coefficient operations: Horner builds the tau^k coefficient, of T-degree
+        # (d - k) q^k, a step per degree; x^(q^k) has at most deg x + 1 terms, so
+        # its power, product and sum take that many passes over the value
+        d, dx = m.degree, max(x.degree, 0)
+        work = sum(((d - k) * fld.q**k) ** 2 + (dx + 1) * ((d - k + dx) * fld.q**k + 1)
+                   for k in range(d + 1))
+        if work > args.cap:
+            raise CapExceededError(f"evaluating C_M at {x} takes about {work} coefficient "
+                                   f"operations, over the budget of cap {args.cap}")
     cp = carlitz_poly(m)
     payload = {"M": str(m), "coeffs": cp.serialize(), "u_degree": cp.u_degree()}
-    if args.eval_at is not None:
-        x = parse_poly(fld, args.eval_at)
+    if x is not None:
         payload["value"] = str(carlitz_eval(m, x))
     print(json.dumps(payload, sort_keys=True, indent=2))
     return EXIT_PASS

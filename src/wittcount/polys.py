@@ -277,16 +277,6 @@ class Polynomial:
             acc = add[x_row[acc]][c]
         return FqElem(f, acc)
 
-    def qpower(self, k: int) -> "Polynomial":
-        """self**(q^k): the q-power map is additive and fixes every c in F_q,
-        so only the exponents spread, by q^k."""
-        if k == 0 or self.is_zero():
-            return self
-        qk = self.field.q**k
-        out = [0] * ((len(self.coeffs) - 1) * qk + 1)
-        out[::qk] = self.coeffs
-        return _wrap(self.field, tuple(out))
-
     def frobenius(self) -> "Polynomial":
         """self**p (coefficientwise p-power, exponents spread by p)."""
         if self.is_zero():

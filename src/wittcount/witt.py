@@ -7,13 +7,13 @@ ghost map turns them into ordinary +, *, - over any torsion-free ring.
 All divisions by p in the solve are exact over the integers, which is
 asserted, and the resulting tables are re-verified symbolically.
 
-The same tables are evaluated in any commutative ring whose elements
-support ``+``, ``*``, ``**`` and multiplication by an int: over the plain
-integers, where the ghost map serves as a test oracle, they are used as
-they are; in characteristic p (field elements, rational functions) their
-coefficients are read mod p, so terms whose coefficient p divides are
-skipped.  Each ring maps an int into itself by its own ``* int``; this
-module knows no coefficient type.
+Each table is compiled once into a plan that one evaluator runs in any
+commutative ring with ``+``, ``-``, ``*``, ``**``, truth testing and ``* int``:
+over the plain integers, where the ghost map serves as a test oracle, the
+plan keeps the integer coefficients; in characteristic p (field elements,
+rational functions) they are reduced mod p, so terms that p divides are
+gone.  Each ring maps an int into itself by its own ``* int``; this module
+knows no coefficient type.
 """
 
 from __future__ import annotations
@@ -55,9 +55,6 @@ class _IPoly:
             else:
                 out.pop(e, None)
         return _IPoly(self.nvars, out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
 
     def scale(self, k):
         if k == 0:
@@ -104,35 +101,6 @@ class _IPoly:
     def __eq__(self, other):
         return self.nvars == other.nvars and self.terms == other.terms
 
-    def evaluate(self, values, p=None):
-        """Evaluate at ``values``; each integer coefficient acts by the values'
-        own ``* int``.  Given ``p``, the values have characteristic p: the
-        coefficients are read mod p, a term whose coefficient p divides is
-        skipped, and a coefficient 1 costs no multiply.  Powers are cached
-        per call.  There is no constant term: the Witt tables vanish at 0."""
-        power_cache = [{} for _ in range(self.nvars)]
-
-        def power(idx, e):
-            cache = power_cache[idx]
-            if e not in cache:
-                cache[e] = values[idx] ** e
-            return cache[e]
-
-        acc = None
-        for exps, coeff in self.terms.items():
-            if p is not None:
-                coeff %= p
-                if not coeff:
-                    continue
-            term = None
-            for idx, e in enumerate(exps):
-                if e:
-                    term = power(idx, e) if term is None else term * power(idx, e)
-            if coeff != 1:
-                term = term * coeff
-            acc = term if acc is None else acc + term
-        return values[0] * 0 if acc is None else acc
-
 
 def _ghost(polys, m, p):
     """g_m of a list of length-m polynomial components (1-indexed math, 0-indexed list)."""
@@ -148,7 +116,7 @@ def _solve_components(targets, p):
     for m in range(1, len(targets) + 1):
         acc = targets[m - 1]
         for i in range(1, m):
-            acc = acc - (comps[i - 1] ** (p ** (m - i))).scale(p ** (i - 1))
+            acc = acc + (comps[i - 1] ** (p ** (m - i))).scale(-(p ** (i - 1)))
         comps.append(acc.div_exact(p ** (m - 1)))
     return comps
 
@@ -220,6 +188,25 @@ def witt_tables(p: int, n: int) -> WittUniversalTables:
     return tables
 
 
+@functools.lru_cache(maxsize=None)
+def _plan(p: int, n: int, op: str, modular: bool) -> tuple:
+    """The table ``op`` of ``witt_tables(p, n)`` compiled for evaluation: per
+    output component, the terms ``(coeff, ((idx, e), ...))``, e >= 1.  For
+    ``modular`` (characteristic p) the coefficients are reduced mod p, the
+    zero ones dropped and, for p > 2, p - 1 stored as -1."""
+    plan = []
+    for poly in getattr(witt_tables(p, n), op):
+        terms = []
+        for exps, coeff in poly.terms.items():
+            if modular and not (coeff := coeff % p):
+                continue
+            if modular and p > 2 and coeff == p - 1:
+                coeff = -1
+            terms.append((coeff, tuple((idx, e) for idx, e in enumerate(exps) if e)))
+        plan.append(tuple(terms))
+    return tuple(plan)
+
+
 class WittVector:
     """A length-n Witt vector over integers, F_q, or F_q(T)."""
 
@@ -273,24 +260,46 @@ class WittVector:
     def __hash__(self):
         return hash((self.p, self.comps))
 
-    def _evaluate(self, polys, values):
-        p = None if isinstance(self.comps[0], int) else self.p
-        return WittVector(self.p, (poly.evaluate(values, p) for poly in polys))
+    def _evaluate(self, op, values):
+        """Run the plan of table ``op`` at ``values``.  Powers are shared across
+        the output components; a term with a zero factor is skipped (exact, as
+        the tables have no constant term) and a coefficient -1 is a subtraction."""
+        live = [v if v else None for v in values]
+        powers = {}  # (idx, e) -> x_idx^e, for nonzero x_idx only
+        out = []
+        for terms in _plan(self.p, self.n, op, not isinstance(self.comps[0], int)):
+            acc = None
+            for coeff, factors in terms:
+                term = None
+                for key in factors:
+                    if (v := powers.get(key)) is None:
+                        if (v := live[key[0]]) is None:
+                            break
+                        v = powers[key] = v if key[1] == 1 else v ** key[1]
+                    term = v if term is None else term * v
+                else:
+                    if coeff == -1:
+                        acc = -term if acc is None else acc - term
+                        continue
+                    if coeff != 1:
+                        term = term * coeff
+                    acc = term if acc is None else acc + term
+            out.append(values[0] * 0 if acc is None else acc)
+        return WittVector(self.p, out)
 
     def add(self, other: "WittVector") -> "WittVector":
         self._check(other)
-        return self._evaluate(witt_tables(self.p, self.n).sum_polys, self.comps + other.comps)
+        return self._evaluate("sum_polys", self.comps + other.comps)
 
     def neg(self) -> "WittVector":
-        # the negation polynomials take 2n variables; only the first n occur
-        return self._evaluate(witt_tables(self.p, self.n).neg_polys, self.comps * 2)
+        return self._evaluate("neg_polys", self.comps)  # only x_0..x_(n-1) occur
 
     def sub(self, other: "WittVector") -> "WittVector":
         return self.add(other.neg())
 
     def mul(self, other: "WittVector") -> "WittVector":
         self._check(other)
-        return self._evaluate(witt_tables(self.p, self.n).prod_polys, self.comps + other.comps)
+        return self._evaluate("prod_polys", self.comps + other.comps)
 
     __add__ = add
     __neg__ = neg

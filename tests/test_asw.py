@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wittcount.asw import (
     AswGenerator,
@@ -125,6 +127,31 @@ def test_normalize_idempotent_with_zero_certificate():
         again = witt_normalize(AswGenerator(nf.normalized_beta))
         assert again.normalized_beta == nf.normalized_beta
         assert again.certificate.is_zero()
+
+
+@st.composite
+def _small_generators(draw):
+    """Generators of length n <= 2 over F_2, F_3 or F_4 with poles of order
+    at most 2 at T and T + 1 (zero components included)."""
+    fld = draw(st.sampled_from((F2, F3, F4)))
+    comps = []
+    for _ in range(draw(st.integers(1, 2))):
+        den = parse_poly(fld, "T") ** draw(st.integers(0, 2)) * parse_poly(fld, "T+1") ** draw(
+            st.integers(0, 2))
+        num = Polynomial(fld, draw(st.lists(st.integers(0, fld.q - 1), max_size=den.degree + 2)))
+        comps.append(RationalFunction(num, den))
+    return AswGenerator(WittVector(fld.p, tuple(comps)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(generator=_small_generators())
+def test_normalize_idempotent_property(generator):
+    nf = witt_normalize(generator)
+    assert nf.certificate_holds()
+    again = witt_normalize(AswGenerator(nf.normalized_beta))
+    assert again.certificate.is_zero()
+    assert again.normalized_beta == nf.normalized_beta
+    assert again.certificate_holds()
 
 
 def test_normalize_certificates_random():

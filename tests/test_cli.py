@@ -99,6 +99,8 @@ def test_carlitz_command(capsys):
     assert payload["coeffs"] == [[0, "T^2"], [1, "T^2+T"], [2, "1"]]
     assert payload["value"] == "T+1"
     assert payload["u_degree"] == 4
+    code, out, _ = run_cli(capsys, "carlitz", "--poly", "T^10", "--eval-at", "T^2+1")
+    assert code == EXIT_PASS and "value" in json.loads(out)
 
 
 def test_carlitz_command_is_capped_by_u_degree(capsys):
@@ -340,6 +342,7 @@ def test_bad_input_is_one_usage_error_line(capsys, argv, err):
     ("count", "--p", "2", "--alpha", "2", "--n", "100000"),
     ("witt-eval", "--p", "5", "--op", "add", "--x", "(1, 0, 0, 0)", "--y", "(1, 0, 0, 0)"),
     ("witt-eval", "--p", "1009", "--op", "neg", "--x", "(1, 0)"),
+    ("carlitz", "--poly", "T^20", "--eval-at", "1"),  # the u-degree cap admits T^20
 ])
 def test_oversized_input_is_one_infeasible_line(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

@@ -10,6 +10,7 @@ from wittcount.witt import (
     MAX_TABLE_BITS,
     WittVector,
     _IPoly,
+    _plan,
     _table_bits,
     ghost_map,
     parse_witt,
@@ -18,6 +19,8 @@ from wittcount.witt import (
 
 F2 = field(2, 1)
 F4 = field(2, 2)
+F3 = field(3, 1)
+F5 = field(5, 1)
 F9 = field(3, 2)
 
 
@@ -298,3 +301,109 @@ def test_parse_witt_roundtrip():
     v = parse_witt(F2, 2, "(1/T, (T+1)/T^2)")
     assert v.comps[0] == parse_rational(F2, "1/T")
     assert str(v) == "(1/T, (T+1)/T^2)"
+
+
+def _reference_evaluate(poly, values):
+    """Term-by-term evaluation of an integer table as it stands: every term is
+    kept and its full integer coefficient acts by the values' own ``* int``."""
+    acc = values[0] * 0
+    for exps, coeff in poly.terms.items():
+        term = None
+        for idx, e in enumerate(exps):
+            if e:
+                term = values[idx] ** e if term is None else term * values[idx] ** e
+        acc = acc + term * coeff
+    return acc
+
+
+def _zero_patterns(n, draw, zero):
+    """Vectors with every zero pattern the plans shortcut: all zero, one
+    nonzero level, zero below level i, and nothing zero."""
+    out = [(zero,) * n]
+    for i in range(n):
+        out.append(tuple(draw() if j == i else zero for j in range(n)))
+        out.append(tuple(draw() if j >= i else zero for j in range(n)))
+    return out
+
+
+@pytest.mark.parametrize("fld,rational", [(F2, False), (F4, False), (F9, False), (F3, True)])
+def test_plans_match_the_reference_evaluator(fld, rational):
+    rng = random.Random(59 + fld.q)
+    if rational:
+        draw, zero = (lambda: _rand_rf(rng, fld)), RationalFunction.zero(fld)
+    else:
+        draw, zero = (lambda: fld.elem(rng.randrange(1, fld.q))), fld.zero()
+    for n in (1, 2, 3):
+        tables = witt_tables(fld.p, n)
+        vectors = [WittVector(fld.p, c) for c in _zero_patterns(n, draw, zero)]
+        vectors += [_rand_rf_vector(rng, fld, n) if rational else _rand_fq_vector(rng, fld, n)
+                    for _ in range(3)]
+        for x in vectors:
+            assert x.neg().comps == tuple(_reference_evaluate(f, x.comps) for f in tables.neg_polys)
+            for y in vectors:
+                values = x.comps + y.comps
+                assert x.add(y).comps == tuple(_reference_evaluate(f, values)
+                                               for f in tables.sum_polys), (x, y)
+                assert x.mul(y).comps == tuple(_reference_evaluate(f, values)
+                                               for f in tables.prod_polys), (x, y)
+
+
+def test_plans_are_compiled_once_and_reduced():
+    assert _plan(3, 3, "prod_polys", True) is _plan(3, 3, "prod_polys", True)
+    for p, n in ((2, 3), (3, 3), (5, 2)):
+        tables = witt_tables(p, n)
+        for op in ("sum_polys", "neg_polys", "prod_polys"):
+            full = [len(f.terms) for f in getattr(tables, op)]
+            assert [len(c) for c in _plan(p, n, op, False)] == full
+            signed = {1} if p == 2 else {-1, *range(1, p - 1)}
+            assert {c for comp in _plan(p, n, op, True) for c, _ in comp} <= signed
+    # mod p the product tables shrink, over all components 13 -> 7 terms at
+    # (2, 3) and 17 -> 8 at (3, 3)
+    assert [len(c) for c in _plan(2, 3, "prod_polys", True)] == [1, 2, 4]
+    assert [len(c) for c in _plan(3, 3, "prod_polys", True)] == [1, 2, 5]
+
+
+def _gr_mul(a, b, fld, mod):
+    """Product in GR(p^n, s) = (Z/mod)[t]/(lift of the field's modulus)."""
+    s = fld.s
+    prod = [0] * (2 * s - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod[i + j] += ai * bj
+    for k in range(2 * s - 2, s - 1, -1):  # the modulus is monic of degree s
+        for j in range(s):
+            prod[k - s + j] -= prod[k] * fld.modulus[j]
+    return [c % mod for c in prod[:s]]
+
+
+def _galois_image(x, fld):
+    """The isomorphism W_n(F_q) -> GR(p^n, s): (a_0, ..., a_(n-1)) goes to
+    sum p^i * omega(a_i^(p^-i)), where omega(a) = lift(a)^(q^(n-1)) is the
+    Teichmueller representative of a."""
+    p, n = fld.p, x.n
+    mod = p**n
+    image = [0] * fld.s
+    for i, a in enumerate(x.comps):
+        for _ in range(i):
+            a = a.pth_root()
+        base, omega, k = list(a.coeffs), [1] + [0] * (fld.s - 1), fld.q ** (n - 1)
+        while k:
+            if k & 1:
+                omega = _gr_mul(omega, base, fld, mod)
+            base, k = _gr_mul(base, base, fld, mod), k >> 1
+        image = [(u + p**i * w) % mod for u, w in zip(image, omega)]
+    return image
+
+
+@pytest.mark.parametrize("fld", [F2, F3, F4, F5, F9])
+def test_operations_match_the_galois_ring(fld):
+    # W_3(F_q) is isomorphic to GR(p^3, s), and the map shares nothing with
+    # the ghost recursion; over F_q with s > 1 there is no integer lift
+    rng = random.Random(61 + fld.q)
+    mod = fld.p**3
+    for _ in range(60):
+        x, y = _rand_fq_vector(rng, fld, 3), _rand_fq_vector(rng, fld, 3)
+        gx, gy = _galois_image(x, fld), _galois_image(y, fld)
+        assert _galois_image(x.add(y), fld) == [(a + b) % mod for a, b in zip(gx, gy)]
+        assert _galois_image(x.mul(y), fld) == _gr_mul(gx, gy, fld, mod)
+        assert _galois_image(x.neg(), fld) == [-a % mod for a in gx]
