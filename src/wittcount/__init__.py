@@ -50,7 +50,7 @@ from .polys import (
     phi,
 )
 from .rationals import RationalFunction, parse_rational, partial_fractions
-from .witt import WittVector, ghost_map, parse_witt, witt_tables
+from .witt import WittVector, parse_witt, witt_tables
 
 __version__ = "0.1.0"
 
@@ -60,7 +60,7 @@ __all__ = [
     "ResidueRing", "VerificationReport", "WittVector",
     "canonical_prime", "carlitz_compose_check", "carlitz_eval", "carlitz_gcd_check",
     "carlitz_poly", "conductor_exponent", "conductor_power", "factor", "field",
-    "ghost_map", "hasse_normalize", "infinity_behavior", "invert_variable",
+    "hasse_normalize", "infinity_behavior", "invert_variable",
     "is_single_ramified_form", "is_irreducible", "is_normal_form", "lemma42_ceil", "lemma42_floor",
     "ln1_bound", "monic_irreducibles", "oracle_as_classes", "oracle_asw_classes",
     "oracle_cyclic_subgroups", "parse_poly", "parse_rational", "parse_witt",

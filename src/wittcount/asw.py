@@ -101,28 +101,21 @@ class AswNormalForm:
         return self.source_beta.add(self.certificate.wp()) == self.normalized_beta
 
     def validate(self):
-        """Assert the normal-form conditions on the component data."""
-        p = self.p
-        fld = self.field
-        for block in self.primes:
-            for q_i, lam in block.levels:
-                if lam == 0:
-                    if not q_i.is_zero():
-                        raise NotNormalFormError("nonzero numerator at a level with zero pole order")
-                else:
-                    if lam % p == 0:
-                        raise NotNormalFormError(f"pole order {lam} divisible by {p}")
+        """Raise NotNormalFormError unless the component data is a normal form."""
+        for level, g in enumerate(self.mu):
+            terms = []
+            for block in self.primes:
+                q_i, lam = block.levels[level]
+                if (lam == 0) != q_i.is_zero():
+                    raise NotNormalFormError("numerator and pole order are not zero together")
+                if lam:
                     if q_i.gcd(block.prime).degree != 0:
                         raise NotNormalFormError("numerator shares a factor with its prime")
                     if q_i.degree >= lam * block.prime.degree:
                         raise NotNormalFormError("numerator degree too large")
-        for f_i in self.mu:
-            if f_i.is_constant():
-                c = f_i.constant_coeff()
-                if c and fld.in_wp_image_val(c):
-                    raise NotNormalFormError("constant part lies in the a^p - a image")
-            elif f_i.degree % p == 0:
-                raise NotNormalFormError(f"polynomial part degree {f_i.degree} divisible by {p}")
+                    terms.append((block.prime, lam, q_i))
+            if (fault := _level_fault(g, terms)) is not None:
+                raise NotNormalFormError(fault)
         return self
 
     def to_record(self) -> dict:
@@ -148,34 +141,42 @@ class AswNormalForm:
         constants their higher-level pole orders need not stay coprime
         to p (only the componentwise data in ``primes`` does).
         """
-        fld = self.field
-        p, n = self.p, self.n
-        zero = RationalFunction.zero(fld)
-        prime_polys = [b.prime for b in self.primes]
-        block_comps = {i: [zero] * n for i in range(len(prime_polys))}
-        mu_comps = [zero] * n
-        index_of = {pp: i for i, pp in enumerate(prime_polys)}
-        for level in range(n):
-            cross = self._partial_sum(block_comps, mu_comps).comps[level]
-            target = self.normalized_beta.comps[level] - cross
+        zero = RationalFunction.zero(self.field)
+        index_of = {b.prime: i for i, b in enumerate(self.primes, 1)}
+
+        def split(target):
             poly_part, terms = partial_fractions(target)
+            parts = [RationalFunction(poly_part)] + [zero] * len(self.primes)
             for term in terms:
                 if term[0] not in index_of:
                     raise AssertionError("block peeling produced an unexpected prime")
-                block_comps[index_of[term[0]]][level] = pole_part(term)
-            mu_comps[level] = RationalFunction(poly_part)
-        deltas = [WittVector(p, block_comps[i]) for i in range(len(prime_polys))]
-        mu_vec = WittVector(p, mu_comps)
-        if self._partial_sum(block_comps, mu_comps) != self.normalized_beta:
+                parts[index_of[term[0]]] = pole_part(term)
+            return parts
+
+        (mu_vec, *deltas), total = _peel(self.normalized_beta, 1 + len(self.primes), split)
+        if total != self.normalized_beta:
             raise AssertionError("block decomposition failed to reassemble the generator")
         return deltas, mu_vec
 
-    def _partial_sum(self, block_comps, mu_comps):
-        p = self.p
-        acc = WittVector(p, mu_comps)
-        for comps in block_comps.values():
-            acc = acc.add(WittVector(p, comps))
+
+def _peel(beta: WittVector, count: int, split):
+    """Solve beta = v_1 (+) ... (+) v_count level by level: ``split`` cuts
+    what the lower levels leave of a component into the count components
+    of that level.  Returns the vectors and their Witt sum."""
+    p, n = beta.p, beta.n
+    zero = RationalFunction.zero(beta.comps[0].field)
+    comps = [[zero] * n for _ in range(count)]
+
+    def total():
+        acc = WittVector(p, comps[0])
+        for c in comps[1:]:
+            acc = acc.add(WittVector(p, c))
         return acc
+
+    for level in range(n):
+        for c, part in zip(comps, split(beta.comps[level] - total().comps[level])):
+            c[level] = part
+    return [WittVector(p, c) for c in comps], total()
 
 
 def _pth_root_mod(v: Polynomial, prime: Polynomial) -> Polynomial:
@@ -193,6 +194,14 @@ def hasse_normalize(beta: RationalFunction):
     wp(b T^(deg/p)), b^p = -leading; a leftover constant is moved to the
     smallest-encoded representative of its coset modulo a^p - a.
     """
+    g, terms, correction = _hasse_parts(beta)
+    return _assemble(g, terms), correction
+
+
+def _hasse_parts(beta: RationalFunction):
+    """:func:`hasse_normalize` as partial fractions: (g, terms, c) where
+    beta + wp(c) is the polynomial part g plus the (P, e, Q) terms, each a
+    proper fraction Q/P^e, sorted as :func:`partial_fractions` sorts them."""
     fld = beta.field
     p = fld.p
     correction = RationalFunction.zero(fld)
@@ -201,19 +210,14 @@ def hasse_normalize(beta: RationalFunction):
     normal_terms = []
     for prime, e, q_num in terms:
         frac = pole_part((prime, e, q_num))
-        while True:
-            if frac.is_zero():
-                e = 0
-                break
-            e = frac.den.degree // prime.degree
-            if e % p != 0:
-                break
+        while e > 0 and e % p == 0:
             u = _pth_root_mod(-(frac.num % prime), prime)
             step = RationalFunction(u, prime ** (e // p))
             correction = correction + step
             frac = frac + step.wp()
+            e = frac.den.degree // prime.degree  # 0 once frac cancels
         if e > 0:
-            normal_terms.append(frac)
+            normal_terms.append((prime, e, frac.num))
 
     g = poly_part
     while not g.is_constant() and g.degree % p == 0:
@@ -230,71 +234,67 @@ def hasse_normalize(beta: RationalFunction):
             assert a is not None
             correction = correction + RationalFunction.const(fld, a)
             g = Polynomial.const(fld, rep)
-
-    normalized = RationalFunction(g)
-    for frac in normal_terms:
-        normalized = normalized + frac
-    return normalized, correction
+    return g, normal_terms, correction
 
 
-def _component_is_normal(beta: RationalFunction) -> bool:
-    fld = beta.field
+def _assemble(g: Polynomial, terms) -> RationalFunction:
+    """g plus the fractions Q/P^e of the (P, e, Q) terms."""
+    out = RationalFunction(g)
+    for term in terms:
+        out = out + pole_part(term)
+    return out
+
+
+def _level_fault(g: Polynomial, terms):
+    """Why one level, the polynomial part g plus the (P, e, Q) terms, is not
+    in normal form, or None when it is."""
+    fld = g.field
     p = fld.p
-    poly_part, terms = partial_fractions(beta)
     for _, e, _ in terms:
         if e % p == 0:
-            return False
-    if poly_part.is_constant():
-        c = poly_part.constant_coeff()
-        return not (c and fld.in_wp_image_val(c))
-    return poly_part.degree % p != 0
+            return f"pole order {e} divisible by {p}"
+    if not g.is_constant():
+        return f"polynomial part degree {g.degree} divisible by {p}" if g.degree % p == 0 else None
+    c = g.constant_coeff()
+    return "constant part lies in the a^p - a image" if c and fld.in_wp_image_val(c) else None
 
 
 def is_normal_form(beta: WittVector) -> bool:
-    return all(_component_is_normal(c) for c in beta.comps)
+    return all(_level_fault(*partial_fractions(c)) is None for c in beta.comps)
 
 
-def _single_level_vector(fld, p, n, level, value):
-    comps = [RationalFunction.zero(fld)] * n
-    comps[level] = value
-    return WittVector(p, comps)
-
-
-def witt_normalize(gen: AswGenerator, bound: int = MAX_WITT_LENGTH) -> AswNormalForm:
+def witt_normalize(gen: AswGenerator) -> AswNormalForm:
     """Level-by-level Schmid normalization with a checkable certificate.
 
     At each level the component is Hasse-normalized and the correction is
     applied through full Witt arithmetic as wp of a single-level vector;
     lower levels are provably untouched (asserted), higher levels absorb
-    the carry terms and are normalized in their own turn.
+    the carry terms and are normalized in their own turn.  So each level's
+    Hasse decomposition is already its final one, and ``mu`` and the prime
+    blocks are read off it.
     """
     beta = gen.beta
     n = beta.n
-    if n > bound:
-        raise ValueError(f"Witt length {n} exceeds bound {bound}")
+    if n > MAX_WITT_LENGTH:
+        raise ValueError(f"Witt length {n} exceeds bound {MAX_WITT_LENGTH}")
     fld = gen.field
     p = beta.p
+    zero = RationalFunction.zero(fld)
     running = beta
-    corrections = []
-    for level in range(n):
-        comp_norm, c_i = hasse_normalize(running.comps[level])
-        if not c_i.is_zero():
-            v = _single_level_vector(fld, p, n, level, c_i)
-            corrections.append(v)
-            running = running.add(v.wp())
-            if running.comps[level] != comp_norm:
-                raise AssertionError("level isolation failed during normalization")
-    certificate = WittVector.zero(p, n, like=RationalFunction.zero(fld))
-    for v in corrections:
-        certificate = certificate.add(v)
-
+    certificate = WittVector.zero(p, n, like=zero)
     prime_levels = {}
     mu = []
     for level in range(n):
-        poly_part, terms = partial_fractions(running.comps[level])
-        mu.append(poly_part)
+        g, terms, c_i = _hasse_parts(running.comps[level])
+        mu.append(g)
         for prime, e, q_num in terms:
             prime_levels.setdefault(prime, {})[level] = (q_num, e)
+        if not c_i.is_zero():
+            v = WittVector(p, [c_i if i == level else zero for i in range(n)])
+            certificate = certificate.add(v)
+            running = running.add(v.wp())
+            if running.comps[level] != _assemble(g, terms):
+                raise AssertionError("level isolation failed during normalization")
     zero_poly = Polynomial.zero(fld)
     blocks = []
     for prime in sorted(prime_levels, key=lambda pp: (pp.degree, pp.to_int())):
@@ -319,25 +319,20 @@ def split_constants(gen: AswGenerator):
     """
     beta = gen.beta
     fld = gen.field
-    p, n = beta.p, beta.n
+    p = beta.p
     if not is_normal_form(beta):
         raise NotNormalFormError("split_constants requires a normalized generator")
-    zero = RationalFunction.zero(fld)
-    eps_comps = [zero] * n
-    gam_comps = [zero] * n
-    for level in range(n):
-        cross = WittVector(p, eps_comps).add(WittVector(p, gam_comps)).comps[level]
-        target = beta.comps[level] - cross
+
+    def split(target):
         poly_part, proper = target.poly_and_proper_parts()
         if not poly_part.is_constant():
             raise NotNormalFormError("split_constants requires constant polynomial parts")
-        eps_comps[level] = RationalFunction(poly_part)
-        gam_comps[level] = proper
-    recombined = WittVector(p, eps_comps).add(WittVector(p, gam_comps))
-    if recombined != beta:
+        return RationalFunction(poly_part), proper
+
+    (eps, gam), total = _peel(beta, 2, split)
+    if total != beta:
         raise AssertionError("constant split failed to reassemble the generator")
-    eps = WittVector(p, [FqElem(fld, c.num.constant_coeff()) for c in eps_comps])
-    return eps, WittVector(p, gam_comps)
+    return WittVector(p, [FqElem(fld, c.num.constant_coeff()) for c in eps.comps]), gam
 
 
 def conductor_exponent(lambdas, p: int) -> int:

@@ -304,8 +304,7 @@ def _random_generator(rng, fld, n, max_order=12):
 
 
 def _certificate_holds(gen):
-    nf = witt_normalize(gen)
-    nf.validate()
+    nf = witt_normalize(gen)  # validated on return
     again = witt_normalize(AswGenerator(nf.normalized_beta))
     return (nf.certificate_holds() and is_normal_form(nf.normalized_beta)
             and again.certificate.is_zero() and again.normalized_beta == nf.normalized_beta)

@@ -85,8 +85,6 @@ def _add_common(parser: argparse.ArgumentParser):
                         help="override the canonical prime P (polynomial text)")
     parser.add_argument("--cap", type=int, default=_env("cap", DEFAULT_ENUM_CAP),
                         help="enumeration cap (ring elements)")
-    parser.add_argument("--witt-max", type=int, default=_env("witt_max", MAX_WITT_LENGTH),
-                        help="maximum Witt vector length")
     parser.add_argument("--saturation-rounds", type=int,
                         default=_env("saturation_rounds", DEFAULT_SATURATION_ROUNDS),
                         help="maximum saturation rounds for the class oracle")
@@ -197,7 +195,7 @@ def cmd_normalize(args) -> int:
     except ValueError as exc:
         print(f"error: cannot parse Witt vector: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    nf = witt_normalize(AswGenerator(beta), bound=args.witt_max)
+    nf = witt_normalize(AswGenerator(beta))
     record = nf.to_record()
     conductors = {}
     for block in nf.primes:
@@ -223,8 +221,8 @@ def cmd_witt_eval(args) -> int:
     fld = field(args.p, args.s)
     x = parse_witt(fld, args.p, args.x)
     y = parse_witt(fld, args.p, args.y) if args.y else None
-    if x.n > args.witt_max:
-        print(f"error: Witt length {x.n} exceeds bound {args.witt_max}", file=sys.stderr)
+    if x.n > MAX_WITT_LENGTH:
+        print(f"error: Witt length {x.n} exceeds bound {MAX_WITT_LENGTH}", file=sys.stderr)
         return EXIT_USAGE
     op = args.op
     if op in ("add", "sub", "mul"):
@@ -273,7 +271,7 @@ def cmd_carlitz(args) -> int:
 def cmd_infinity(args) -> int:
     fld = field(args.p, args.s)
     beta = parse_witt(fld, args.p, args.beta)
-    nf = witt_normalize(AswGenerator(beta), bound=args.witt_max)
+    nf = witt_normalize(AswGenerator(beta))
     b = infinity_behavior(nf)
     print(json.dumps({"s": b.s, "t": b.t, "e": b.e, "f": b.f, "g": b.g, "label": b.label},
                      sort_keys=True))

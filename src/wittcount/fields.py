@@ -258,12 +258,6 @@ class FiniteField:
         """Image of an ordinary integer (i.e. n mod p embedded in F_q)."""
         return FqElem(self, n % self.p)
 
-    def from_coeffs(self, coeffs) -> "FqElem":
-        coeffs = list(coeffs)
-        if len(coeffs) != self.s:
-            raise ValueError(f"expected {self.s} coefficients, got {len(coeffs)}")
-        return FqElem(self, self._undigits([c % self.p for c in coeffs]))
-
     def zero(self) -> "FqElem":
         return FqElem(self, 0)
 

@@ -56,6 +56,8 @@ class Polynomial:
     @staticmethod
     def const(fld: FiniteField, val) -> "Polynomial":
         if isinstance(val, FqElem):
+            if val.field is not fld:
+                raise ValueError("constant from a different field")
             val = val.val
         return Polynomial(fld, (val % fld.q,))
 

@@ -81,18 +81,21 @@ class RationalFunction:
     # -- arithmetic --
 
     def _coerce(self, other):
+        fld = self.field
         if isinstance(other, RationalFunction):
-            if other.field is not self.field:
+            if other.field is not fld:
                 raise ValueError("rational functions over different fields")
             return other
-        if isinstance(other, Polynomial):
-            return RationalFunction(other)
-        if isinstance(other, FqElem):
-            return RationalFunction(Polynomial.const(self.field, other))
         if isinstance(other, int):
             # ordinary integers act through the ring map n -> n mod p
-            return RationalFunction(Polynomial.const(self.field, other % self.field.p))
-        return None
+            other = Polynomial.const(fld, other % fld.p)
+        elif isinstance(other, FqElem):
+            other = Polynomial.const(fld, other)  # rejects another field's element
+        elif not isinstance(other, Polynomial):
+            return None
+        elif other.field is not fld:
+            raise ValueError("rational function and polynomial over different fields")
+        return RationalFunction._raw(other, Polynomial.one(fld))
 
     def _add(self, c: Polynomial, d: Polynomial) -> "RationalFunction":
         """self + c/d, c/d reduced with d monic, reduced by construction

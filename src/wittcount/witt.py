@@ -345,10 +345,6 @@ class WittVector:
         return f"WittVector(p={self.p}, {self})"
 
 
-def ghost_map(x: WittVector) -> tuple:
-    return x.ghost()
-
-
 def parse_witt(fld, p: int, text: str) -> WittVector:
     """Parse "(c_1, ..., c_n)" with rational-function components."""
     from .rationals import parse_rational

@@ -4,9 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wittcount import asw
 from wittcount.asw import (
     AswGenerator,
+    AswNormalForm,
     NotNormalFormError,
+    PrimeBlock,
     conductor_exponent,
     conductor_power,
     hasse_normalize,
@@ -167,9 +170,42 @@ def test_normalize_certificates_random():
 
 
 def test_normalize_respects_length_bound():
-    comps = tuple(RationalFunction.zero(F2) for _ in range(3))
+    comps = tuple(RationalFunction.zero(F2) for _ in range(5))
     with pytest.raises(ValueError):
-        witt_normalize(AswGenerator(WittVector(2, comps)), bound=2)
+        witt_normalize(AswGenerator(WittVector(2, comps)))
+
+
+@pytest.mark.parametrize("fld, text", [(F2, "1/T^2"), (F2, "T^2"), (F4, "1")])
+def test_non_normal_levels_are_rejected(fld, text):
+    # pole order divisible by p, polynomial degree divisible by p, and a
+    # constant in wp(F_4) = {0, 1}: each breaks one normal-form condition
+    beta = R(text, fld)
+    assert not is_normal_form(WittVector(fld.p, (beta,)))
+    poly_part, terms = partial_fractions(beta)
+    hand_built = AswNormalForm(
+        n=1,
+        primes=tuple(PrimeBlock(prime=p_, levels=((q_, e),)) for p_, e, q_ in terms),
+        mu=(poly_part,),
+        certificate=WittVector(fld.p, (RationalFunction.zero(fld),)),
+        normalized_beta=WittVector(fld.p, (beta,)),
+        source_beta=WittVector(fld.p, (beta,)),
+    )
+    with pytest.raises(NotNormalFormError):
+        hand_built.validate()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_normalize_decomposes_each_level_once(monkeypatch, n):
+    calls = []
+
+    def counted(f):
+        calls.append(f)
+        return partial_fractions(f)
+
+    monkeypatch.setattr(asw, "partial_fractions", counted)
+    nf = witt_normalize(gen(F2, *["1/(T^3+T)"] * n))
+    assert len(calls) == n
+    assert nf.certificate_holds()
 
 
 def test_mu_readoff():

@@ -145,7 +145,6 @@ def test_integer_encoding_digits():
     f9 = field(3, 2)
     x = f9.elem(7)  # digits (1, 2): 1 + 2*3
     assert x.coeffs == (1, 2)
-    assert f9.from_coeffs((1, 2)).val == 7
 
 
 def test_element_is_not_equal_to_an_int():

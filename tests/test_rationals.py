@@ -53,6 +53,19 @@ def test_arithmetic():
     assert str(a**-1) == "T"
 
 
+def test_operands_from_another_field_are_rejected():
+    t = RationalFunction.T(F2)
+    with pytest.raises(ValueError):
+        t + F4.elem(3)
+    with pytest.raises(ValueError):
+        t * F3.elem(2)
+    with pytest.raises(ValueError):
+        t * Polynomial.zero(F3)
+    with pytest.raises(ValueError):
+        Polynomial.const(F2, F3.elem(1))
+    assert t + F2.elem(1) == R("T+1") and t * 3 == t and (t - Polynomial.T(F2)).is_zero()
+
+
 def test_field_axioms_random():
     rng = random.Random(4)
 
