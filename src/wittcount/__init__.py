@@ -41,7 +41,6 @@ from .fields import FiniteField, FqElem, field
 from .polys import (
     CapExceededError,
     Polynomial,
-    ResidueRing,
     canonical_prime,
     factor,
     is_irreducible,
@@ -57,7 +56,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AswGenerator", "AswNormalForm", "CapExceededError", "CarlitzPoly", "CountParams",
     "FiniteField", "FqElem", "InfinityBehavior", "Polynomial", "RationalFunction",
-    "ResidueRing", "VerificationReport", "WittVector",
+    "VerificationReport", "WittVector",
     "canonical_prime", "carlitz_compose_check", "carlitz_eval", "carlitz_gcd_check",
     "carlitz_poly", "conductor_exponent", "conductor_power", "factor", "field",
     "hasse_normalize", "infinity_behavior", "invert_variable",

@@ -64,36 +64,43 @@ _VACUOUS = object()  # a sweep case with nothing to compare; left out of the cou
 
 
 def _sweep(check_id, params, cfg, cases):
-    """One aggregate record over ``cases``, pairs (label, check) of a name and
-    a zero-argument callable.  A case fails when its check returns False or
-    raises; one returning ``_VACUOUS`` is tallied in a ``vacuous:N`` note
-    instead of being counted.  The record names its first five failures,
-    with the exception of a case that raised.  Building the cases follows
-    :func:`_oracle`'s policy: over its cap or not stabilized, the record is
-    ``skipped``; any other exception fails it with an ``error:`` note."""
+    """One aggregate record over ``cases``, pairs (label, check) of a label
+    ``(template, *args)`` and a zero-argument callable.  A case fails when its
+    check returns False or raises; one returning ``_VACUOUS`` is tallied in a
+    ``vacuous:N`` note instead of being counted.  The record names its first
+    five failures, with the exception of a case that raised; only their
+    labels are formatted, by ``template.format(*args)``.  Building the cases
+    follows :func:`_oracle`'s policy: over its cap or not stabilized, the
+    record is ``skipped``; any other exception fails it with an ``error:``
+    note."""
     started = cfg.clock()
-    count = vacuous = 0
+    count = vacuous = failed = 0
     failures, notes = [], []
     try:
         for label, check in cases:
+            error = None
             try:
                 result = check()
             except Exception as exc:  # a raising check fails its case; the sweep goes on
-                result, label = False, f"{label} {type(exc).__name__}: {exc}"
+                result, error = False, exc
             if result is _VACUOUS:
                 vacuous += 1
                 continue
             count += 1
             if result is False:
-                failures.append(label)
+                failed += 1
+                if failed <= 5:
+                    text = label[0].format(*label[1:])
+                    failures.append(text if error is None
+                                    else f"{text} {type(error).__name__}: {error}")
     except (CapExceededError, NotStabilizedError) as exc:  # raised by ``cases`` itself
         return VerificationReport.skipped(check_id, params, str(exc))
     except Exception as exc:
         notes.append((f"error:{type(exc).__name__}: {exc}", False))
     if vacuous:
         notes.append((f"vacuous:{vacuous}", True))
-    notes += [(f"fail:{f}", False) for f in failures[:5]]
-    return VerificationReport.compare(check_id, params, count, count - len(failures),
+    notes += [(f"fail:{f}", False) for f in failures]
+    return VerificationReport.compare(check_id, params, count, count - failed,
                                       started=started, identity_checks=notes)
 
 
@@ -157,7 +164,7 @@ def checks_t1_identity(cfg: CheckConfig):
     out = []
     for p, s in QS_WIDE:
         for d in (1, 2, 3):
-            cases = ((f"alpha={alpha}", partial(t1, alpha, CountParams(p, s, d, alpha, 1)))
+            cases = ((("alpha={}", alpha), partial(t1, alpha, CountParams(p, s, d, alpha, 1)))
                      for alpha in range(1, 201))
             out.append(_sweep(f"c02-t1v1/q{p**s}/d{d}", {"q": p**s, "d": d, "alpha": "1..200"},
                               cfg, cases))
@@ -189,7 +196,7 @@ def checks_s_n_identity(cfg: CheckConfig):
     out = []
     for p, s in QS_WIDE:
         for d in (1, 2, 3):
-            cases = ((f"n={n},alpha={alpha}", partial(s_n, CountParams(p, s, d, alpha, n)))
+            cases = ((("n={},alpha={}", n, alpha), partial(s_n, CountParams(p, s, d, alpha, n)))
                      for n in (1, 2, 3, 4) for alpha in range(1, 201))
             out.append(_sweep(f"c04-sn/q{p**s}/d{d}",
                               {"q": p**s, "d": d, "n": "1..4", "alpha": "1..200"}, cfg, cases))
@@ -209,7 +216,8 @@ def checks_ratio_identity(cfg: CheckConfig):
     out = []
     for p, s in QS_WIDE:
         for d in (1, 2, 3):
-            cases = ((f"n={n},alpha={alpha}", partial(_ratio_case, CountParams(p, s, d, alpha, n)))
+            cases = ((("n={},alpha={}", n, alpha),
+                      partial(_ratio_case, CountParams(p, s, d, alpha, n)))
                      for n in (2, 3, 4) for alpha in range(1, 201))
             out.append(_sweep(f"c05-ratio/q{p**s}/d{d}", {"q": p**s, "d": d}, cfg, cases))
     return out
@@ -220,7 +228,7 @@ def checks_ratio_identity(cfg: CheckConfig):
 def checks_floor_ceil_lemmas(cfg: CheckConfig):
     out = []
     for p in (2, 3, 5):
-        cases = ((f"alpha={alpha},s={s}", partial(lemma, alpha, s, p))
+        cases = ((("alpha={},s={}", alpha, s), partial(lemma, alpha, s, p))
                  for alpha in range(-1000, 1001) for s in range(1, 11)
                  for lemma in (lemma42_floor, lemma42_ceil))
         out.append(_sweep(f"c06-lemma42/p{p}", {"p": p, "alpha": "-1000..1000", "s": "1..10"},
@@ -273,7 +281,8 @@ def checks_witt_ring_laws(cfg: CheckConfig, triples=1000):
     ]
     for name, fld, n, make in domains:
         rng = random.Random(f"{cfg.seed}/{name}")  # str seeding is stable across runs
-        cases = ((f"triple#{k}", partial(_ring_laws_hold, *(make(rng, fld, n) for _ in range(3))))
+        cases = ((("triple#{}", k),
+                  partial(_ring_laws_hold, *(make(rng, fld, n) for _ in range(3))))
                  for k in range(triples))
         out.append(_sweep(f"c07-ringlaws/{name}", {"domain": name, "triples": triples},
                           cfg, cases))
@@ -316,7 +325,7 @@ def checks_normalizer_certificates(cfg: CheckConfig, count=500):
     for p, s in QS_SMALL:
         fld = field(p, s)
         rng = random.Random(cfg.seed * 7919 + fld.q)
-        cases = ((f"gen#{k}/n{1 + k % 3}",
+        cases = ((("gen#{}/n{}", k, 1 + k % 3),
                   partial(_certificate_holds, _random_generator(rng, fld, 1 + k % 3)))
                  for k in range(per_field))
         out.append(_sweep(f"c08-normcert/q{fld.q}", {"q": fld.q, "count": per_field},
@@ -354,7 +363,7 @@ def checks_conductor(cfg: CheckConfig):
     out = []
     for p in (2, 3, 5):
         # conductor_exponent compares its closed form with the recursion
-        cases = ((str(lams), partial(conductor_exponent, lams, p))
+        cases = ((("{}", lams), partial(conductor_exponent, lams, p))
                  for n in (1, 2, 3, 4) for lams in _conductor_grid(p, n))
         out.append(_sweep(f"c09-conductor/p{p}", {"p": p, "entries": "<=20", "n": "1..4"},
                           cfg, cases))
@@ -400,7 +409,7 @@ def _trichotomy_cases(cfg):
                 poly = Polynomial(fld, [rng.randrange(fld.q), 1])  # degree 1, coprime to p
                 cases.append((frac + RationalFunction(poly), "ramified"))
                 for beta, expected in cases:
-                    yield (f"q{fld.q}/lam{lam}:{beta} not {expected}",
+                    yield (("q{}/lam{}:{} not {}", fld.q, lam, beta, expected),
                            partial(_infinity_label_is, beta, expected))
 
 
@@ -435,7 +444,7 @@ def checks_infinity_classifier(cfg: CheckConfig):
     return [
         _sweep("c10-trichotomy", {"grid": "criterion-2 extended"}, cfg, _trichotomy_cases(cfg)),
         _sweep("c10-efg-product", {"forms": total}, cfg,
-               ((f"form#{k}", partial(_efg_product_holds, cfg.seed, k)) for k in range(total))),
+               ((("form#{}", k), partial(_efg_product_holds, cfg.seed, k)) for k in range(total))),
     ]
 
 
@@ -449,21 +458,21 @@ def checks_carlitz(cfg: CheckConfig):
         pairs = [(m, n) for i, m in enumerate(polys) for n in polys[i:]]
         # the constructor asserts shape/degree/derivative data
         out.append(_sweep(f"c11-shape/q{q}", {"q": q, "deg": "<=3"}, cfg,
-                          ((str(m), partial(carlitz_poly, m)) for m in polys)))
+                          ((("{}", m), partial(carlitz_poly, m)) for m in polys)))
         for name, check in (("compose", carlitz_compose_check), ("gcd", carlitz_gcd_check)):
             out.append(_sweep(f"c11-{name}/q{q}", {"q": q, "pairs": len(pairs)}, cfg,
-                              ((f"{m};{n}", partial(check, m, n)) for m, n in pairs)))
+                              ((("{};{}", m, n), partial(check, m, n)) for m, n in pairs)))
     return out
 
 
 # -- supporting identities surfaced in verify-all --
 
 def checks_supporting(cfg: CheckConfig):
-    telescope = ((f"q{p**s}/d{d}/r{r}/s{s_top}",
+    telescope = ((("q{}/d{}/r{}/s{}", p**s, d, r, s_top),
                   partial(telescoped_phi_sum, CountParams(p, s, d, 1, 1), r, s_top))
                  for p, s in ((2, 1), (3, 1)) for d in (1, 2)
                  for r in range(1, 13) for s_top in range(r, 13))
-    ln1 = ((f"q{p**s}/d{d}/a{alpha}", partial(ln1_bound, CountParams(p, s, d, alpha, 1)))
+    ln1 = ((("q{}/d{}/a{}", p**s, d, alpha), partial(ln1_bound, CountParams(p, s, d, alpha, 1)))
            for p, s in QS_WIDE for d in (1, 2) for alpha in range(2, 30))
     return [_sweep("c12-phi-telescope", {"r<=s": "<=12"}, cfg, telescope),
             _sweep("c12-ln1-bound", {"alpha": "2..29"}, cfg, ln1)]

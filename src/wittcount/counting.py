@@ -9,17 +9,32 @@ p-power images of each half are computed once, with the generic
 generator-class oracles enumerate normal-form generators and partition
 them under the scaling-plus-wp equivalence, with the correction pole bound
 saturated until the class count stabilizes.
+
+Every value the class oracles add has denominators that are powers of the
+one prime P, so they add in W_n(F_q[T]) instead: :func:`_lift` multiplies a
+vector by the Teichmuller unit [P^E] = (P^E, 0, ..., 0), which scales
+component i by P^(E p^i) (Serre, *Local Fields*, II 6).  [P^E] is a unit,
+so x + y = z exactly when [P^E]x + [P^E]y = [P^E]z; the lift commutes with
+``int_mul``, and [P^E]wp(c) = [P^E]F(c) - [P^E]c.  The sum, negation and
+product polynomials are isobaric (x_i weighs p^i), so a pole order at most
+E p^i at every level i is kept by Witt add, neg and ``int_mul``.  The
+candidates need E >= ceil((alpha-1)/p^(n-1)) and wp(c) at pole bound b
+needs E >= p b; then every sum is a ``Polynomial`` sum, with no gcd, and
+is looked up among the lifted candidates.  The lift raises rather than
+truncate when E is too small.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .fields import field
-from .polys import CapExceededError, DEFAULT_ENUM_CAP, Polynomial, canonical_prime, phi, polys_below
+from .polys import (CapExceededError, DEFAULT_ENUM_CAP, Polynomial, canonical_prime,
+                    is_irreducible, phi, polys_below)
 from .rationals import RationalFunction
 from .witt import WittVector
 
@@ -248,6 +263,8 @@ def _resolve_prime(params: CountParams, prime: Polynomial = None) -> Polynomial:
         raise ValueError("override prime lies in the wrong field")
     if prime.degree != params.d:
         raise ValueError(f"override prime has degree {prime.degree}, expected {params.d}")
+    if not is_irreducible(prime):
+        raise ValueError(f"override prime {prime} is not irreducible")
     return prime.monic()
 
 
@@ -289,11 +306,51 @@ class _DSU:
 
 
 def _coprime_numerators(fld, prime, lam, cap):
-    """All Q with deg Q < lam*deg P and gcd(Q, P) = 1, in encoding order."""
+    """All Q with deg Q < lam*deg P that the prime P does not divide, in encoding order."""
     deg = lam * prime.degree
     if fld.q**deg > cap:
         raise CapExceededError(f"numerator enumeration of size {fld.q**deg} exceeds cap {cap}")
-    return [cand for cand in polys_below(fld, deg) if cand and cand.gcd(prime).degree == 0]
+    return [cand for cand in polys_below(fld, deg) if cand % prime]
+
+
+def _pole_parts(fld, prime, lams, cap):
+    """(lam, Q/P^lam) for each lam in ``lams`` and Q of :func:`_coprime_numerators`;
+    lam = 0 gives (0, 0).  Over lam = 0..b these are the h/P^b, deg h < b deg P."""
+    for lam in lams:
+        if not lam:
+            yield 0, RationalFunction.zero(fld)
+            continue
+        pe = _prime_power(prime, lam)
+        for q_num in _coprime_numerators(fld, prime, lam, cap):
+            yield lam, RationalFunction._raw(q_num, pe)  # reduced: the prime P divides no Q
+
+
+@functools.lru_cache(maxsize=256)
+def _prime_power(prime, e):
+    return prime**e
+
+
+def _lift(vec: WittVector, prime: Polynomial, e_bound: int) -> WittVector:
+    """[P^E] vec, E = ``e_bound``, for a vector over F_q(T) whose denominators
+    are powers of the prime P: component i times P^(E p^i), over F_q[T].
+
+    Raises ``ValueError`` when a denominator is not a power of P or a pole
+    order at level i exceeds E p^i; it never truncates."""
+    comps = []
+    for i, c in enumerate(vec.comps):
+        top = e_bound * vec.p**i
+        e = c.den.degree // prime.degree
+        if c.den != _prime_power(prime, e):
+            raise ValueError(f"denominator {c.den} is not a power of {prime}")
+        if e > top:
+            raise ValueError(f"pole order {e} at level {i} exceeds E p^i = {top}")
+        comps.append(c.num * _prime_power(prime, top - e))
+    return WittVector(vec.p, comps)
+
+
+def _lifted_wp(vec: WittVector, prime: Polynomial, e_bound: int) -> WittVector:
+    """[P^E] wp(vec) = [P^E] F(vec) - [P^E] vec, a Witt difference over F_q[T]."""
+    return _lift(vec.frobenius(), prime, e_bound).sub(_lift(vec, prime, e_bound))
 
 
 def _valid_lambdas(p, alpha, weight, allow_zero):
@@ -332,37 +389,41 @@ def _as_classes(params, prime, cap):
 
 @functools.lru_cache(maxsize=32)
 def _as_classes_cached(p, s, prime_coeffs, alpha, cap):
-    """(class count, classes by pole order) of one ring; the caller copies the dict."""
+    """(class count, classes by pole order) of one ring; the caller copies the dict.
+
+    Works on the lifts by [P^E], E = alpha - 1: a candidate Q/P^lam is
+    Q P^(E-lam), and the correction wp(h/P^gamma0) is
+    h^p P^(E-p gamma0) - h P^(E-gamma0)."""
     fld = field(p, s)
     prime = Polynomial(fld, prime_coeffs)
-    cands = []
-    for lam in _valid_lambdas(p, alpha, 0, allow_zero=False):
-        for q_num in _coprime_numerators(fld, prime, lam, cap):
-            cands.append((lam, RationalFunction(q_num, prime**lam)))
-        if len(cands) > cap:
+    e_bound = alpha - 1
+    lams, lifted = [], []
+    for lam, beta in _pole_parts(fld, prime, _valid_lambdas(p, alpha, 0, allow_zero=False), cap):
+        lams.append(lam)
+        lifted.append(_lift(WittVector(p, (beta,)), prime, e_bound).comps[0])
+        if len(lams) > cap:
             raise CapExceededError(f"more than {cap} candidate generators")
-    index = {rf: i for i, (lam, rf) in enumerate(cands)}
-    dsu = _DSU(len(cands))
-    wp_images = {}  # gamma0 -> wp(h/P^gamma0) for every h with deg h < gamma0 * d
-    for i, (lam, beta) in enumerate(cands):
+    index = {f.coeffs: i for i, f in enumerate(lifted)}
+    dsu = _DSU(len(lifted))
+    wp_images = {}  # gamma0 -> the lifted wp(h/P^gamma0) for every h with deg h < gamma0 * d
+    for i, lam in enumerate(lams):
         gamma0 = lam // p
         if gamma0 not in wp_images:
-            pe = prime**gamma0
-            wp_images[gamma0] = [RationalFunction(h, pe).wp()
-                                 for h in polys_below(fld, gamma0 * prime.degree)]
+            wp_images[gamma0] = [_lifted_wp(WittVector(p, (c,)), prime, e_bound).comps[0]
+                                 for _, c in _pole_parts(fld, prime, range(gamma0 + 1), cap)]
         for j in range(1, p):
-            scaled = beta * j
+            scaled = lifted[i] * j
             for wpc in wp_images[gamma0]:
                 image = scaled + wpc
-                other = index.get(image)
+                other = index.get(image.coeffs)
                 if other is None:
-                    raise AssertionError(f"transform left the normal-form set: {image}")
+                    raise AssertionError(f"transform left the normal-form set: "
+                                         f"({image})/({prime})^{e_bound}")
                 dsu.union(i, other)
     by_lambda = {}
-    roots = {i for i in range(len(cands)) if dsu.find(i) == i}
+    roots = {i for i in range(len(lams)) if dsu.find(i) == i}
     for i in roots:
-        lam = cands[i][0]
-        by_lambda[lam] = by_lambda.get(lam, 0) + 1
+        by_lambda[lams[i]] = by_lambda.get(lams[i], 0) + 1
     return len(roots), by_lambda
 
 
@@ -398,21 +459,11 @@ def oracle_asw_classes_detail(params: CountParams, prime: Polynomial = None,
     if n > 3:
         raise ValueError("class enumeration is limited to n <= 3")
     prime = _resolve_prime(params, prime)
-    zero = RationalFunction.zero(fld)
 
-    level_choices = []
-    for level in range(n):
-        lams = _valid_lambdas(p, alpha, n - 1 - level, allow_zero=level > 0)
-        choices = []
-        for lam in lams:
-            if lam == 0:
-                choices.append(zero)
-            else:
-                pe = prime**lam
-                choices.extend(RationalFunction(q_num, pe)
-                               for q_num in _coprime_numerators(fld, prime, lam, cap))
-        level_choices.append(choices)
-
+    level_choices = [
+        [beta for _, beta in _pole_parts(fld, prime, _valid_lambdas(
+            p, alpha, n - 1 - level, allow_zero=level > 0), cap)]
+        for level in range(n)]
     total = 1
     for choices in level_choices:
         total *= len(choices)
@@ -420,14 +471,7 @@ def oracle_asw_classes_detail(params: CountParams, prime: Polynomial = None,
         raise CapExceededError(f"{total} candidate vectors exceed cap {cap}")
     if total == 0:
         return AswClassesResult(count=0, candidates=0, bounds_tried=(), counts_per_bound=())
-
-    cands = []
-    stack = [[]]
-    for choices in level_choices:
-        stack = [partial + [c] for partial in stack for c in choices]
-    for comps in stack:
-        cands.append(WittVector(p, comps))
-    index = {wv: i for i, wv in enumerate(cands)}
+    cands = [WittVector(p, comps) for comps in itertools.product(*level_choices)]
 
     multipliers = [m for m in range(1, p**n) if m % p]
     start_bound = _ceil_div(alpha, p)
@@ -439,17 +483,20 @@ def oracle_asw_classes_detail(params: CountParams, prime: Polynomial = None,
                                    f"Witt sums, over cap {cap}")
 
     check_round_work(start_bound)
-    scaled = [[wv.int_mul(m) for m in multipliers] for wv in cands]
+    scaled = [[wv.int_mul(m) for m in multipliers] for wv in cands]  # lifted in each round
 
     dsu = _DSU(len(cands))
     bounds, counts = [], []
     for round_idx in range(max_rounds):
         bound = start_bound + round_idx
         check_round_work(bound)
-        for c_vec in _correction_vectors(fld, p, n, prime, bound):
-            wpc = c_vec.wp()
-            for i in range(len(cands)):
-                for base in scaled[i]:
+        e_bound = max(_ceil_div(alpha - 1, p ** (n - 1)), p * bound)
+        index = {_lift(wv, prime, e_bound): i for i, wv in enumerate(cands)}
+        lifted = [[_lift(wv, prime, e_bound) for wv in row] for row in scaled]
+        for c_vec in _correction_vectors(fld, p, n, prime, bound, cap):
+            wpc = _lifted_wp(c_vec, prime, e_bound)
+            for i, row in enumerate(lifted):
+                for base in row:
                     other = index.get(base.add(wpc))
                     if other is not None:
                         dsu.union(i, other)
@@ -463,13 +510,10 @@ def oracle_asw_classes_detail(params: CountParams, prime: Polynomial = None,
         f"(bounds {bounds}); rerun with a larger round budget")
 
 
-def _correction_vectors(fld, p, n, prime, bound):
-    pe = prime**bound
-    pool = [RationalFunction(h, pe) for h in polys_below(fld, bound * prime.degree)]
-    stack = [[]]
-    for _ in range(n):
-        stack = [partial + [c] for partial in stack for c in pool]
-    for comps in stack:
+def _correction_vectors(fld, p, n, prime, bound, cap):
+    """Every length-n vector with components h/P^bound, deg h < bound deg P."""
+    pool = [c for _, c in _pole_parts(fld, prime, range(bound + 1), cap)]
+    for comps in itertools.product(pool, repeat=n):
         yield WittVector(p, comps)
 
 

@@ -1,4 +1,4 @@
-"""Polynomials over F_q, residue rings F_q[T]/(N), and the Euler function Phi.
+"""Polynomials over F_q, their factorisation, and the Euler function Phi.
 
 Coefficients are stored as raw integer encodings (see ``fields``), lowest
 degree first, with no trailing zeros; the zero polynomial has an empty
@@ -482,62 +482,3 @@ def phi(n: Polynomial) -> int:
         d = p_.degree
         total *= q ** (d * (e - 1)) * (q**d - 1)
     return total
-
-
-# -- residue rings --
-
-class ResidueRing:
-    """F_q[T]/(N) with elements represented by polynomials of degree < deg N."""
-
-    def __init__(self, modulus: Polynomial):
-        if modulus.is_zero():
-            raise ValueError("zero modulus")
-        self.modulus = modulus.monic()
-        self.field = modulus.field
-
-    @property
-    def size(self) -> int:
-        return self.field.q ** max(self.modulus.degree, 0)
-
-    def reduce(self, f: Polynomial) -> Polynomial:
-        return f % self.modulus
-
-    def is_unit(self, f: Polynomial) -> bool:
-        return self.reduce(f).gcd(self.modulus).degree == 0
-
-    def elements(self, cap: int = DEFAULT_ENUM_CAP):
-        if self.size > cap:
-            raise CapExceededError(f"residue enumeration of size {self.size} exceeds cap {cap}")
-        yield from polys_below(self.field, self.modulus.degree)
-
-    def units(self, cap: int = DEFAULT_ENUM_CAP):
-        """All units in increasing encoding order; yields exactly phi(N) of them."""
-        for f in self.elements(cap=cap):
-            if f.gcd(self.modulus).degree == 0:
-                yield f
-
-    def elem_order(self, a: Polynomial) -> int:
-        """Multiplicative order, found by stripping prime factors of phi(N)."""
-        a = self.reduce(a)
-        if not self.is_unit(a):
-            raise ValueError(f"{a} is not a unit modulo {self.modulus}")
-        one = Polynomial.one(self.field)
-        e = phi(self.modulus)
-        for prime in _int_prime_factors(e):
-            while e % prime == 0 and a.modpow(e // prime, self.modulus) == one:
-                e //= prime
-        return e
-
-
-def _int_prime_factors(n: int):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out

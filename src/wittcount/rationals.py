@@ -281,14 +281,6 @@ def partial_fractions(f: RationalFunction):
     return poly_part, terms
 
 
-def recombine(fld: FiniteField, poly_part: Polynomial, terms) -> RationalFunction:
-    """Inverse of :func:`partial_fractions` (used as its round-trip oracle)."""
-    acc = RationalFunction(poly_part)
-    for p_, e, q_i in terms:
-        acc = acc + RationalFunction(q_i, p_**e)
-    return acc
-
-
 def pole_part(term) -> RationalFunction:
     p_, e, q_i = term
     return RationalFunction._raw(q_i, p_**e)  # a partial_fractions term: Q != 0 prime to monic P

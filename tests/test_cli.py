@@ -283,6 +283,26 @@ def test_failing_sweep_names_at_most_five_cases(capsys, monkeypatch):
         assert named == [f"!! fail:alpha=-1000,s={s}" for s in range(1, 6)]
 
 
+def test_failing_carlitz_pair_is_named(capsys, monkeypatch):
+    # a sweep formats the labels of the failures it names, and only those
+    def gcd_check(m, n):
+        if m == n and str(m) == "T":
+            raise ValueError("injected")
+        return m != n
+
+    monkeypatch.setattr("wittcount.checks.carlitz_compose_check", lambda m, n: True)
+    monkeypatch.setattr("wittcount.checks.carlitz_gcd_check", gcd_check)
+    code, out, _ = run_cli(capsys, "verify-all", "--only", "criterion-11")
+    assert code == EXIT_FAIL
+    lines = [line.strip() for line in out.splitlines()]
+    start = next(i for i, line in enumerate(lines) if line.startswith("c11-gcd/q2"))
+    assert lines[start].split()[1:4] == ["120", "105", "fail"]  # 15 diagonal pairs fail
+    assert lines[start + 1:start + 6] == [
+        "!! fail:1;1", "!! fail:T;T ValueError: injected", "!! fail:T+1;T+1",
+        "!! fail:T^2;T^2", "!! fail:T^2+1;T^2+1"]
+    assert lines[start + 6].startswith("c11-gcd/q3")  # at most five are named
+
+
 def test_verify_sweeps_golden_digest(capsys):
     # the identity sweeps of criteria 2, 4, 5, 6 and the supporting group
     code, out, _ = run_cli(capsys, "verify-all", "--only", "criterion-2-identity",
@@ -332,6 +352,10 @@ def test_sweep_cases_fault_is_a_failure(capsys, monkeypatch):
     (("normalize", "--beta", "(0, 0, 0, 0, 0)"), "error: Witt length 5 exceeds bound 4\n"),
     (("normalize", "--beta", "(1/0)"), "error: cannot parse Witt vector: zero denominator in '1/0'\n"),
     (("witt-eval", "--op", "neg", "--x", "(1/0)"), "error: zero denominator in '1/0'\n"),
+    (("count", "--p", "2", "--d", "2", "--alpha", "2", "--n", "1", "--prime", "T^2+1", "--oracle"),
+     "error: override prime T^2+1 is not irreducible\n"),
+    (("count", "--p", "2", "--d", "2", "--alpha", "2", "--n", "1", "--prime", "T^2", "--oracle"),
+     "error: override prime T^2 is not irreducible\n"),
 ])
 def test_bad_input_is_one_usage_error_line(capsys, argv, err):
     assert run_cli(capsys, *argv) == (EXIT_USAGE, "", err)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,10 +23,16 @@ from wittcount.counting import (
     telescoped_phi_sum,
     v_n,
     w,
+    _lift,
+    _lifted_wp,
 )
 from wittcount.fields import field
-from wittcount.polys import (CapExceededError, Polynomial, ResidueRing, canonical_prime,
-                             monic_irreducibles)
+from wittcount.polys import (CapExceededError, Polynomial, canonical_prime, monic_irreducibles,
+                             parse_poly)
+from wittcount.rationals import RationalFunction
+from wittcount.witt import WittVector
+
+from oracles import ResidueRing
 
 
 def params(p, s, d, alpha, n):
@@ -242,15 +250,88 @@ def test_asw_classes_frozen_examples():
 
 
 def test_asw_classes_match_v_n():
-    for alpha in (2, 3, 4):
+    for alpha in (2, 3, 4, 6):
         par = params(2, 1, 1, alpha, 2)
         assert oracle_asw_classes(par) == v_n(par)
 
 
 def test_asw_classes_n1_matches_as_classes():
-    for alpha in range(1, 6):
-        assert oracle_asw_classes(params(2, 1, 1, alpha, 1)) == \
-            oracle_as_classes(params(2, 1, 1, alpha, 1))
+    for p in (2, 3):
+        for alpha in range(1, 7):
+            par = params(p, 1, 1, alpha, 1)
+            assert oracle_asw_classes(par) == oracle_as_classes(par) == t1(alpha, par)
+
+
+def test_class_oracles_with_other_primes():
+    # non-canonical primes of degree 1 and 2: every lift is by a power of that prime
+    for p, s, d, alpha, text in ((2, 1, 2, 3, "T^2+T+1"), (3, 1, 1, 4, "T+2"),
+                                 (2, 1, 1, 6, "T+1")):
+        prime = parse_poly(field(p, s), text)
+        par = params(p, s, d, alpha, 1)
+        assert oracle_as_classes(par, prime=prime) == t1(alpha, par)
+        assert oracle_asw_classes(par, prime=prime) == t1(alpha, par)
+    for alpha in (5, 6):
+        par = params(2, 1, 1, alpha, 2)
+        assert oracle_asw_classes(par, prime=parse_poly(field(2, 1), "T+1")) == v_n(par)
+
+
+@pytest.mark.parametrize("oracle", [oracle_cyclic_subgroups, oracle_as_classes,
+                                    oracle_asw_classes])
+@pytest.mark.parametrize("text", ["T^2+1", "T^2"])
+def test_oracles_reject_a_reducible_prime(oracle, text):
+    # T^2 + 1 = (T + 1)^2 over F_2; the lift and the unit count need P irreducible
+    with pytest.raises(ValueError, match="not irreducible"):
+        oracle(params(2, 1, 2, 2, 1), prime=parse_poly(field(2, 1), text))
+
+
+def _random_p_power_vector(rng, prime, n, bound):
+    """Length-n vector whose level-i component is N/P^e, e <= bound * p^i,
+    deg N < (e + 2) deg P: a polynomial part is allowed."""
+    fld, p = prime.field, prime.field.p
+    comps = []
+    for i in range(n):
+        e = rng.randrange(bound * p**i + 1)
+        num = Polynomial(fld, [rng.randrange(fld.q) for _ in range((e + 2) * prime.degree)])
+        comps.append(RationalFunction(num, prime**e))
+    return WittVector(p, comps)
+
+
+@pytest.mark.parametrize("p, s, n, d", [(2, 1, 3, 1), (2, 1, 2, 2), (3, 1, 2, 1), (3, 1, 3, 1),
+                                        (2, 2, 2, 1), (2, 2, 3, 1)])
+def test_lift_commutes_with_witt_arithmetic(p, s, n, d):
+    fld = field(p, s)
+    prime = monic_irreducibles(fld, d)[-1]
+    rng = random.Random(f"lift/{fld.q}/{n}/{d}")
+    bound = 2
+    for _ in range(6):
+        x = _random_p_power_vector(rng, prime, n, bound)
+        y = _random_p_power_vector(rng, prime, n, bound)
+        lx, ly = _lift(x, prime, bound), _lift(y, prime, bound)
+        assert all(isinstance(c, Polynomial) for c in lx.comps)
+        assert lx.add(ly) == _lift(x.add(y), prime, bound)
+        assert lx.neg() == _lift(x.neg(), prime, bound)
+        for m in (2, p + 1, -1):
+            assert lx.int_mul(m) == _lift(x.int_mul(m), prime, bound)
+        # wp(x) has pole order up to p * bound at level 0
+        assert _lifted_wp(x, prime, p * bound) == _lift(x.wp(), prime, p * bound)
+
+
+def test_lift_never_truncates():
+    fld = field(2, 1)
+    prime = parse_poly(fld, "T+1")
+    x = WittVector(2, (RationalFunction(Polynomial.one(fld), prime**3),
+                       RationalFunction(Polynomial.one(fld), prime**5)))
+    lifted = _lift(x, prime, 3)  # level 1 scales by P^(3*2) >= P^5
+    assert lifted.comps == (Polynomial.one(fld), prime)
+    with pytest.raises(ValueError, match="pole order 3 at level 0"):
+        _lift(x, prime, 2)
+    y = WittVector(2, (RationalFunction.zero(fld), RationalFunction(Polynomial.one(fld), prime**5)))
+    assert _lift(y, prime, 3).comps == (Polynomial.zero(fld), prime)
+    with pytest.raises(ValueError, match="pole order 5 at level 1"):
+        _lift(y, prime, 2)
+    other = WittVector(2, (RationalFunction(Polynomial.one(fld), parse_poly(fld, "T")),))
+    with pytest.raises(ValueError, match="not a power"):
+        _lift(other, prime, 5)
 
 
 def test_asw_classes_stabilization_reporting():

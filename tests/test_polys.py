@@ -9,7 +9,6 @@ from wittcount.polys import (
     NEG_INF,
     CapExceededError,
     Polynomial,
-    ResidueRing,
     canonical_prime,
     factor,
     is_irreducible,
@@ -18,6 +17,8 @@ from wittcount.polys import (
     phi,
     polys_below,
 )
+
+from oracles import ResidueRing
 
 F2 = field(2, 1)
 F3 = field(3, 1)
