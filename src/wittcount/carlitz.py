@@ -6,6 +6,14 @@ sum c_i tau^i of the twisted ring F_q[T]{tau}, where tau*c = c^q*tau and
 composition is the product.  The coefficient of tau^k has degree
 (deg M - k)*q^k but few terms, so C_M is stored here as {i: {e: c}} (tau-degree,
 T-exponent, nonzero F_q encoding); ``CarlitzPoly`` holds them as Polynomials.
+
+C_M is built by direct C_T steps, C_(T*N + m_0) = (T + tau) C_N + m_0, and
+cached once per M; the generic product never builds it, so the compose check
+compares that product with a C_MN made without it.  One kernel, ``_mul_into``,
+adds term-pair products; each caller builds the multiplication-table rows of
+a left factor's tau-coefficient once and reuses them for every right
+coefficient.  ``_strip`` deletes cancelled zeros in place, so it is only ever
+given fresh maps.
 """
 
 from __future__ import annotations
@@ -59,17 +67,23 @@ def _to_polys(fld, x: dict) -> tuple:
 
 
 def _strip(x: dict) -> dict:
-    """Drop zero coefficients, then empty tau-coefficients."""
-    x = {i: {e: c for e, c in terms.items() if c} for i, terms in x.items()}
-    return {i: terms for i, terms in x.items() if terms}
+    """Delete zero coefficients, then empty tau-coefficients, in place: x must
+    be a fresh map, never a cached C_M."""
+    for i, terms in list(x.items()):
+        if 0 in terms.values():  # one C-level scan skips the slots without zeros
+            for e in [e for e, c in terms.items() if not c]:
+                del terms[e]
+        if not terms:
+            del x[i]
+    return x
 
 
-def _mul_into(out: dict, a: dict, b: dict, stride: int, add, mul) -> None:
-    """out += a * b(T^stride) on term maps; sums that cancel stay as zeros."""
-    spread = [(f * stride, d) for f, d in b.items()]
-    for e, c in a.items():
-        row = mul[c]
-        for f, d in spread:
+def _mul_into(out: dict, rows: list, b: dict, stride: int, add) -> None:
+    """out += a * b(T^stride), a given as rows (e, mul[c]) of its terms c*T^e;
+    sums that cancel stay as zeros."""
+    for f, d in b.items():
+        f *= stride
+        for e, row in rows:
             x = e + f
             out[x] = add[out.get(x, 0)][row[d]]
 
@@ -80,8 +94,9 @@ def _twisted_mul(fld, a: dict, b: dict) -> dict:
     add, mul, q = fld._add_table, fld._mul_table, fld.q
     out = {}
     for i, ai in a.items():
+        rows, stride = [(e, mul[c]) for e, c in ai.items()], q**i
         for j, bj in b.items():
-            _mul_into(out.setdefault(i + j, {}), ai, bj, q**i, add, mul)
+            _mul_into(out.setdefault(i + j, {}), rows, bj, stride, add)
     return _strip(out)
 
 
@@ -102,12 +117,20 @@ def _carlitz_sparse(m: Polynomial) -> dict:
         raise ValueError("the Carlitz polynomial of zero is not defined")
     if m.is_constant():
         return {0: {0: m.coeffs[0]}}
-    # M = T*N + m_0, and C_(T*N) = C_T o C_N in the twisted ring
-    n_part = _carlitz_sparse(Polynomial(m.field, m.coeffs[1:]))
-    out = _twisted_mul(m.field, {0: {1: 1}, 1: {0: 1}}, n_part)
+    # M = T*N + m_0, and C_(T*N) = (T + tau) C_N: its tau^k coefficient is
+    # T*n_k + n_(k-1)(T^q), since n^q = n(T^q) over F_q
+    fld = m.field
+    add, q = fld._add_table, fld.q
+    n_part = _carlitz_sparse(Polynomial(fld, m.coeffs[1:]))
+    out = {k: {e + 1: c for e, c in nk.items()} for k, nk in n_part.items()}
+    for k, nk in n_part.items():
+        acc = out.setdefault(k + 1, {})
+        for f, d in nk.items():
+            f *= q
+            acc[f] = add[acc.get(f, 0)][d]
     if m.coeffs[0]:
         out[0][0] = m.coeffs[0]  # T*N has no constant term
-    return out
+    return _strip(out)
 
 
 def _carlitz_coeffs(m: Polynomial) -> tuple:
@@ -190,11 +213,11 @@ def _right_rem(fld, a: dict, b: dict) -> dict:
     low = [(j, bj) for j, bj in b.items() if j != k]
     r = {i: dict(terms) for i, terms in a.items()}  # a may be a cached C_M
     for m in range(max(r, default=-1), k - 1, -1):
-        c = {e: neg_inv[x] for e, x in r.pop(m, {}).items() if x}
-        if c:  # -(a_m/beta): the step adds c*tau^s*B
+        rows = [(e, mul[neg_inv[x]]) for e, x in r.pop(m, {}).items() if x]
+        if rows:  # c = -(a_m/beta): the step adds c*tau^s*B
             s = m - k
             for j, bj in low:
-                _mul_into(r.setdefault(s + j, {}), c, bj, fld.q**s, add, mul)
+                _mul_into(r.setdefault(s + j, {}), rows, bj, fld.q**s, add)
     return _strip(r)
 
 

@@ -29,6 +29,7 @@ from .counting import (
     CountParams,
     NotStabilizedError,
     VerificationReport,
+    monic_prime,
     oracle_asw_classes,
     oracle_cyclic_subgroups,
     s_n,
@@ -195,6 +196,9 @@ def cmd_normalize(args) -> int:
     except ValueError as exc:
         print(f"error: cannot parse Witt vector: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    prime = _prime_from_args(args, fld)
+    if prime is not None:
+        prime = monic_prime(prime)  # the verdict compares monic primes
     nf = witt_normalize(AswGenerator(beta))
     record = nf.to_record()
     conductors = {}
@@ -206,7 +210,6 @@ def cmd_normalize(args) -> int:
         else:
             conductors[str(block.prime)] = {"note": "not ramified from level 1"}
     record["conductors"] = conductors if conductors else "unramified at every finite prime"
-    prime = _prime_from_args(args, fld)
     if prime is None and len(nf.primes) == 1:
         prime = nf.primes[0].prime
     if prime is not None:

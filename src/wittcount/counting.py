@@ -263,7 +263,12 @@ def _resolve_prime(params: CountParams, prime: Polynomial = None) -> Polynomial:
         raise ValueError("override prime lies in the wrong field")
     if prime.degree != params.d:
         raise ValueError(f"override prime has degree {prime.degree}, expected {params.d}")
-    if not is_irreducible(prime):
+    return monic_prime(prime)
+
+
+def monic_prime(prime: Polynomial) -> Polynomial:
+    """The monic form of an override prime; ValueError unless it is irreducible."""
+    if prime.is_zero() or not is_irreducible(prime):
         raise ValueError(f"override prime {prime} is not irreducible")
     return prime.monic()
 

@@ -9,6 +9,10 @@ from wittcount.carlitz import (
     carlitz_gcd_check,
     carlitz_poly,
     _carlitz_coeffs,
+    _carlitz_sparse,
+    _gcd,
+    _right_rem,
+    _twisted_add,
     _twisted_mul,
 )
 from wittcount.fields import field
@@ -283,3 +287,40 @@ def test_cached_carlitz_forms_survive_gcd_and_checks():
             additive_gcd(dict(_carlitz_coeffs(m)), dict(_carlitz_coeffs(n)))
             assert carlitz_compose_check(m, n) and carlitz_gcd_check(m, n)
         assert {m: _carlitz_coeffs(m) for m in touched} == before
+
+
+@pytest.mark.parametrize("fld,max_deg", [(F2, 4), (F3, 4), (F4, 3)])
+def test_direct_carlitz_step_matches_the_twisted_product(fld, max_deg):
+    # C_(T*N + m_0) = C_T * C_N + m_0 with the generic product, for every N
+    c_t = {0: {1: 1}, 1: {0: 1}}
+    for n in all_nonzero_polys(fld, max_deg):
+        for m0 in range(fld.q):
+            expected = _twisted_mul(fld, c_t, _carlitz_sparse(n))
+            if m0:
+                expected[0][0] = m0
+            assert _carlitz_sparse(Polynomial(fld, (m0, *n.coeffs))) == expected, (n, m0)
+
+
+def _fully_stripped(x):
+    return all(terms and all(terms.values()) for terms in x.values())
+
+
+@pytest.mark.parametrize("fld", [F2, F3, F4])
+def test_every_term_map_is_fully_stripped(fld):
+    def term_map(a):
+        return {i: {e: c for e, c in enumerate(p.coeffs) if c} for i, p in a.items()}
+
+    rng = random.Random(97)
+    polys = all_nonzero_polys(fld, 3)
+    pairs = [(rng.choice(polys), rng.choice(polys)) for _ in range(60)]
+    pairs += [(m, -m) for m in polys[:20]]  # C_M + C_(-M) = 0; at p = 2 these are (M, M)
+    for m, n in pairs:
+        cm, cn = _carlitz_sparse(m), _carlitz_sparse(n)
+        a, b = term_map(_random_twisted(rng, fld)), term_map(_random_twisted(rng, fld))
+        results = [cm, cn, _twisted_mul(fld, cm, cn), _twisted_mul(fld, a, b),
+                   _twisted_add(fld, cm, cn), _twisted_add(fld, a, b), _twisted_add(fld, a, a),
+                   _right_rem(fld, cm, cn), _right_rem(fld, a, cn), _gcd(fld, cm, cn),
+                   _gcd(fld, _twisted_mul(fld, cm, cn), cn)]
+        assert all(map(_fully_stripped, results)), (m, n)
+        if (m + n).is_zero():
+            assert _twisted_add(fld, cm, cn) == {}

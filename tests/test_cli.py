@@ -356,9 +356,26 @@ def test_sweep_cases_fault_is_a_failure(capsys, monkeypatch):
      "error: override prime T^2+1 is not irreducible\n"),
     (("count", "--p", "2", "--d", "2", "--alpha", "2", "--n", "1", "--prime", "T^2", "--oracle"),
      "error: override prime T^2 is not irreducible\n"),
+    (("normalize", "--beta", "(1/(T^2+1))", "--prime", "T^2+1"),
+     "error: override prime T^2+1 is not irreducible\n"),
+    (("normalize", "--beta", "(1/T)", "--prime", "T^2"),
+     "error: override prime T^2 is not irreducible\n"),
+    (("normalize", "--beta", "(1/T)", "--prime", "0"), "error: override prime 0 is not irreducible\n"),
+    (("normalize", "--p", "3", "--beta", "(1/T)", "--prime", "2"),
+     "error: override prime 2 is not irreducible\n"),
+    (("normalize", "--beta", "(1/T)", "--prime", "2"), "error: coefficient 2 out of range for GF(2)\n"),
 ])
 def test_bad_input_is_one_usage_error_line(capsys, argv, err):
     assert run_cli(capsys, *argv) == (EXIT_USAGE, "", err)
+
+
+def test_normalize_reads_a_unit_multiple_prime_as_monic(capsys):
+    # 2*T and T are the same prime of F_3[T], so the records agree
+    args = ("normalize", "--p", "3", "--beta", "(1/T)", "--prime")
+    code, out, _ = run_cli(capsys, *args, "2*T")
+    assert code == EXIT_PASS
+    assert json.loads(out)["single_ramified"] == {"prime": "T", "verdict": True}
+    assert run_cli(capsys, *args, "T") == (EXIT_PASS, out, "")
 
 
 @pytest.mark.parametrize("argv", [

@@ -12,6 +12,7 @@ from wittcount.counting import (
     ln1_bound,
     lemma42_ceil,
     lemma42_floor,
+    monic_prime,
     oracle_as_classes,
     oracle_as_classes_by_conductor,
     oracle_asw_classes,
@@ -282,6 +283,14 @@ def test_oracles_reject_a_reducible_prime(oracle, text):
     # T^2 + 1 = (T + 1)^2 over F_2; the lift and the unit count need P irreducible
     with pytest.raises(ValueError, match="not irreducible"):
         oracle(params(2, 1, 2, 2, 1), prime=parse_poly(field(2, 1), text))
+
+
+def test_monic_prime_reads_a_unit_multiple_as_monic():
+    fld = field(3, 1)
+    assert monic_prime(parse_poly(fld, "2*T+2")) == parse_poly(fld, "T+1")
+    for text in ("0", "2", "T^2", "T^2+2*T+1"):  # zero, a unit, T^2, (T+1)^2
+        with pytest.raises(ValueError, match="not irreducible"):
+            monic_prime(parse_poly(fld, text))
 
 
 def _random_p_power_vector(rng, prime, n, bound):
