@@ -201,7 +201,10 @@ def hasse_normalize(beta: RationalFunction):
 def _hasse_parts(beta: RationalFunction):
     """:func:`hasse_normalize` as partial fractions: (g, terms, c) where
     beta + wp(c) is the polynomial part g plus the (P, e, Q) terms, each a
-    proper fraction Q/P^e, sorted as :func:`partial_fractions` sorts them."""
+    proper fraction Q/P^e, sorted as :func:`partial_fractions` sorts them.
+    beta is decomposed once, and a pole order e = kp is peeled in F_q[T]:
+    Q/P^e + wp(u/P^k) = (Q + u^p - u*P^(e-k))/P^e stays proper, and P is
+    divided out of its numerator, which it divides as u^p = -Q mod P."""
     fld = beta.field
     p = fld.p
     correction = RationalFunction.zero(fld)
@@ -209,15 +212,15 @@ def _hasse_parts(beta: RationalFunction):
 
     normal_terms = []
     for prime, e, q_num in terms:
-        frac = pole_part((prime, e, q_num))
-        while e > 0 and e % p == 0:
-            u = _pth_root_mod(-(frac.num % prime), prime)
-            step = RationalFunction(u, prime ** (e // p))
-            correction = correction + step
-            frac = frac + step.wp()
-            e = frac.den.degree // prime.degree  # 0 once frac cancels
-        if e > 0:
-            normal_terms.append((prime, e, frac.num))
+        while q_num and e % p == 0:
+            u = _pth_root_mod(-(q_num % prime), prime)
+            # u/P^k is reduced: u is a nonzero residue, as Q is prime to P
+            correction = correction + RationalFunction._raw(u, prime ** (e // p))
+            q_num = q_num + u.frobenius() - u * prime ** (e - e // p)
+            while q_num and not (qr := divmod(q_num, prime))[1]:
+                q_num, e = qr[0], e - 1
+        if q_num:
+            normal_terms.append((prime, e, q_num))
 
     g = poly_part
     while not g.is_constant() and g.degree % p == 0:
@@ -266,12 +269,14 @@ def is_normal_form(beta: WittVector) -> bool:
 def witt_normalize(gen: AswGenerator) -> AswNormalForm:
     """Level-by-level Schmid normalization with a checkable certificate.
 
-    At each level the component is Hasse-normalized and the correction is
-    applied through full Witt arithmetic as wp of a single-level vector;
-    lower levels are provably untouched (asserted), higher levels absorb
-    the carry terms and are normalized in their own turn.  So each level's
-    Hasse decomposition is already its final one, and ``mu`` and the prime
-    blocks are read off it.
+    At each level the component is Hasse-normalized and the correction c_i
+    is applied through full Witt arithmetic as wp of the single-level
+    vector V^i[c_i]; lower levels are provably untouched (asserted), higher
+    levels absorb the carry terms and are normalized in their own turn.  So
+    each level's Hasse decomposition is already its final one, and ``mu``
+    and the prime blocks are read off it.  The certificate, the Witt sum of
+    the V^i[c_i], is (c_0, ..., c_(n-1)) itself: a vector that is zero from
+    level L on plus one that is zero below L is their concatenation.
     """
     beta = gen.beta
     n = beta.n
@@ -281,17 +286,17 @@ def witt_normalize(gen: AswGenerator) -> AswNormalForm:
     p = beta.p
     zero = RationalFunction.zero(fld)
     running = beta
-    certificate = WittVector.zero(p, n, like=zero)
+    corrections = []
     prime_levels = {}
     mu = []
     for level in range(n):
         g, terms, c_i = _hasse_parts(running.comps[level])
+        corrections.append(c_i)
         mu.append(g)
         for prime, e, q_num in terms:
             prime_levels.setdefault(prime, {})[level] = (q_num, e)
         if not c_i.is_zero():
             v = WittVector(p, [c_i if i == level else zero for i in range(n)])
-            certificate = certificate.add(v)
             running = running.add(v.wp())
             if running.comps[level] != _assemble(g, terms):
                 raise AssertionError("level isolation failed during normalization")
@@ -304,7 +309,7 @@ def witt_normalize(gen: AswGenerator) -> AswNormalForm:
         n=n,
         primes=tuple(blocks),
         mu=tuple(mu),
-        certificate=certificate,
+        certificate=WittVector(p, corrections),
         normalized_beta=running,
         source_beta=beta,
     ).validate()

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from .asw import AswGenerator, conductor_exponent, infinity_behavior, is_single_ramified_form, witt_normalize
@@ -189,8 +190,30 @@ def cmd_count(args) -> int:
     return _exit_code(records)
 
 
+_T_POWER_RE = re.compile(r"T(?:\^(\d+))?")
+
+
+def _bound_witt_work(args, fld, *texts):
+    """Raise CapExceededError, before any polynomial is built, when Witt vector
+    texts would take more than --cap coefficient operations to normalize or
+    combine.  With D the highest power of T written and n the length, poles
+    and degrees carry into the top level up to p^(n-1)*D, where a product,
+    reduction or gcd takes about (p^(n-1)*D)^2 operations.  Splitting a
+    denominator into primes takes the most of them: for each degree d up to
+    D, a power T^(q^d) modulo it, d*log2(q) products.  So the estimate is
+    (p^(n-1)*D)^2 * D^2 * ceil(log2 q)."""
+    texts = ["".join(text.split()) for text in texts if text]
+    d = max([1] + [int(e or 1) for text in texts for e in _T_POWER_RE.findall(text)])
+    n = min(max(text.count(",") for text in texts) + 1, MAX_WITT_LENGTH)
+    work = (args.p ** (n - 1) * d) ** 2 * d**2 * (fld.q - 1).bit_length()
+    if work > args.cap:
+        raise CapExceededError(f"a length-{n} Witt vector with T-degrees up to {d} takes about "
+                               f"{work} coefficient operations, over the budget of cap {args.cap}")
+
+
 def cmd_normalize(args) -> int:
     fld = field(args.p, args.s)
+    _bound_witt_work(args, fld, args.beta)
     try:
         beta = parse_witt(fld, args.p, args.beta)
     except ValueError as exc:
@@ -222,6 +245,7 @@ def cmd_normalize(args) -> int:
 
 def cmd_witt_eval(args) -> int:
     fld = field(args.p, args.s)
+    _bound_witt_work(args, fld, args.x, args.y)
     x = parse_witt(fld, args.p, args.x)
     y = parse_witt(fld, args.p, args.y) if args.y else None
     if x.n > MAX_WITT_LENGTH:
@@ -273,6 +297,7 @@ def cmd_carlitz(args) -> int:
 
 def cmd_infinity(args) -> int:
     fld = field(args.p, args.s)
+    _bound_witt_work(args, fld, args.beta)
     beta = parse_witt(fld, args.p, args.beta)
     nf = witt_normalize(AswGenerator(beta))
     b = infinity_behavior(nf)

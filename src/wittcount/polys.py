@@ -140,7 +140,7 @@ class Polynomial:
                 out[i] = add[out[i]][c]
         if len(b) < len(a):
             return _wrap(f, tuple(out))
-        return _wrap_stripped(f, out)  # equal lengths: the tops may cancel
+        return _wrap(f, _stripped(out))  # equal lengths: the tops may cancel
 
     def __sub__(self, other):
         return self + (-other)
@@ -186,35 +186,16 @@ class Polynomial:
 
     def __divmod__(self, other):
         self._check(other)
-        f = self.field
-        b = other.coeffs
-        if not b:
-            raise ZeroDivisionError("polynomial division by zero")
-        db = len(b) - 1
-        if len(self.coeffs) <= db:
-            return _wrap(f, ()), self
-        add, mul, neg = f._add_table, f._mul_table, f._neg_table
-        lead_row = mul[f._inv_table[b[-1]]]
-        low = b[:db]  # the divisor's top term cancels the remainder's
-        rem = list(self.coeffs)
-        quot = [0] * (len(rem) - db)
-        for shift in range(len(quot) - 1, -1, -1):
-            top = rem[shift + db]
-            if top:
-                factor = lead_row[top]
-                quot[shift] = factor
-                row = mul[neg[factor]]  # rem -= factor * T^shift * other
-                for k, d in enumerate(low, shift):
-                    if d:
-                        rem[k] = add[rem[k]][row[d]]
-        del rem[db:]
-        return _wrap(f, tuple(quot)), _wrap_stripped(f, rem)
+        quot, rem = _divmod(self.field, self.coeffs, other.coeffs)
+        return _wrap(self.field, quot), _wrap(self.field, rem)
 
     def __floordiv__(self, other):
-        return divmod(self, other)[0]
+        self._check(other)
+        return _wrap(self.field, _divmod(self.field, self.coeffs, other.coeffs)[0])
 
     def __mod__(self, other):
-        return divmod(self, other)[1]
+        self._check(other)
+        return _wrap(self.field, _divmod(self.field, self.coeffs, other.coeffs)[1])
 
     def __pow__(self, e: int):
         if e < 0:
@@ -241,10 +222,10 @@ class Polynomial:
 
     def gcd(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic()
+        a, b = self.coeffs, other.coeffs
+        while b:
+            a, b = b, _divmod(self.field, a, b)[1]
+        return _wrap(self.field, a).monic()
 
     def modpow(self, e: int, mod: "Polynomial") -> "Polynomial":
         result = Polynomial.one(self.field) % mod
@@ -259,15 +240,15 @@ class Polynomial:
     def modinv(self, mod: "Polynomial") -> "Polynomial":
         """Inverse modulo ``mod`` via the extended Euclidean algorithm."""
         f = self.field
-        r0, r1 = mod, self % mod
+        r0, r1 = mod.coeffs, (self % mod).coeffs
         t0, t1 = Polynomial.zero(f), Polynomial.one(f)
-        while not r1.is_zero():
-            q, r = divmod(r0, r1)
+        while r1:
+            q, r = _divmod(f, r0, r1)
             r0, r1 = r1, r
-            t0, t1 = t1, t0 - q * t1
-        if r0.degree != 0:
+            t0, t1 = t1, t0 - _wrap(f, q) * t1
+        if len(r0) != 1:
             raise ZeroDivisionError("element is not invertible modulo the given polynomial")
-        return t0.scale(f.inv_val(r0.coeffs[0])) % mod
+        return t0.scale(f.inv_val(r0[0])) % mod
 
     def eval(self, x):
         """Horner evaluation at an FqElem (or raw encoding)."""
@@ -331,11 +312,36 @@ def _wrap(fld: FiniteField, coeffs: tuple) -> Polynomial:
     return poly
 
 
-def _wrap_stripped(fld: FiniteField, cs: list) -> Polynomial:
-    """Drop the trailing zeros of a fresh list and wrap it."""
+def _stripped(cs: list) -> tuple:
+    """A fresh coefficient list without its trailing zeros, as a tuple."""
     while cs and not cs[-1]:
         cs.pop()
-    return _wrap(fld, tuple(cs))
+    return tuple(cs)
+
+
+def _divmod(fld: FiniteField, a: tuple, b: tuple):
+    """Long division of coefficient tuples: (quot, rem), both stripped."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    db = len(b) - 1
+    if len(a) <= db:
+        return (), a
+    add, mul, neg = fld._add_table, fld._mul_table, fld._neg_table
+    lead_row = mul[fld._inv_table[b[-1]]]
+    low = b[:db]  # the divisor's top term cancels the remainder's
+    rem = list(a)
+    quot = [0] * (len(rem) - db)
+    for shift in range(len(quot) - 1, -1, -1):
+        top = rem[shift + db]
+        if top:
+            factor = lead_row[top]
+            quot[shift] = factor
+            row = mul[neg[factor]]  # rem -= factor * T^shift * b
+            for k, d in enumerate(low, shift):
+                if d:
+                    rem[k] = add[rem[k]][row[d]]
+    del rem[db:]
+    return tuple(quot), _stripped(rem)
 
 
 _TERM_RE = re.compile(r"^(?:(\d+)\*)?T(?:\^(\d+))?$|^(\d+)$")

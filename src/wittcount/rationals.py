@@ -8,6 +8,8 @@ otherwise, each side parenthesised when it contains a ``+``, for instance
 
 from __future__ import annotations
 
+import functools
+
 from .fields import FiniteField, FqElem
 from .polys import Polynomial, factor, parse_poly
 
@@ -263,22 +265,23 @@ def partial_fractions(f: RationalFunction):
     """Decompose f as (polynomial part, [(P, e, Q)]) with exact reconstruction.
 
     Each P is monic irreducible, e is the exact pole order (gcd(Q, P) = 1)
-    and deg Q < deg P^e.  Terms are sorted by (deg P, encoding of P).
+    and deg Q < deg P^e.  Terms are sorted by (deg P, encoding of P), as
+    :func:`factor` sorts them.  Each denominator's plan is computed once; then
+    a Q costs a product and a reduction, or nothing for a single prime power.
     """
-    fld = f.field
-    poly_part, frac = f.poly_and_proper_parts()
-    if frac.is_zero():
-        return poly_part, []
-    rem_num, den = frac.num, frac.den
-    terms = []
-    for p_, e in factor(den):
-        pe = p_**e
-        cofactor = den // pe
-        q_i = rem_num * cofactor.modinv(pe) % pe
-        if not q_i.is_zero():
-            terms.append((p_, e, q_i))
-    terms.sort(key=lambda t: (t[0].degree, t[0].to_int()))
-    return poly_part, terms
+    poly_part, frac = f.poly_and_proper_parts()  # frac = 0/1 has the empty plan
+    return poly_part, [(p_, e, frac.num if inv is None else frac.num * inv % pe)
+                       for p_, e, pe, inv in _plan(frac.den)]  # num is a unit mod den
+
+
+@functools.lru_cache(maxsize=4096)
+def _plan(den: Polynomial) -> tuple:
+    """(P, e, P^e, (den/P^e)^-1 mod P^e) per prime power of the monic den,
+    with the inverse None when den is that prime power."""
+    factors = factor(den)
+    if len(factors) == 1:
+        return ((*factors[0], den, None),)
+    return tuple((p_, e, pe, (den // pe).modinv(pe)) for p_, e in factors for pe in [p_**e])
 
 
 def pole_part(term) -> RationalFunction:

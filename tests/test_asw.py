@@ -23,7 +23,7 @@ from wittcount.asw import (
 )
 from wittcount.fields import field
 from wittcount.polys import Polynomial, canonical_prime, parse_poly
-from wittcount.rationals import RationalFunction, parse_rational, partial_fractions
+from wittcount.rationals import RationalFunction, parse_rational, partial_fractions, pole_part
 from wittcount.witt import WittVector
 
 F2 = field(2, 1)
@@ -167,6 +167,115 @@ def test_normalize_certificates_random():
                 assert nf.certificate_holds()
                 nf.validate()
                 assert is_normal_form(nf.normalized_beta)
+
+
+def _accumulated_certificate(beta):
+    """The normalizer loop with the certificate as a running Witt sum of the
+    single-level vectors V^i[c_i]: the reference for the certificate."""
+    p, n = beta.p, beta.n
+    zero = RationalFunction.zero(beta.comps[0].field)
+    running, certificate = beta, WittVector.zero(p, n, like=zero)
+    for level in range(n):
+        c_i = asw._hasse_parts(running.comps[level])[2]
+        v = WittVector(p, [c_i if i == level else zero for i in range(n)])
+        certificate = certificate.add(v)
+        running = running.add(v.wp())
+    return certificate
+
+
+def test_certificate_is_the_accumulated_witt_sum():
+    rng = random.Random(109)  # the generators of test_normalize_certificates_random
+    for fld in (F2, F3):
+        for n in (1, 2, 3):
+            for _ in range(12):
+                beta = WittVector(fld.p, tuple(_rand_rf(rng, fld) for _ in range(n)))
+                assert witt_normalize(AswGenerator(beta)).certificate == _accumulated_certificate(beta)
+
+
+def _rational_peel(beta):
+    """_hasse_parts with every pole step taken in F_q(T): add wp(u/P^k) to
+    the pole part as a RationalFunction and read e off its denominator."""
+    fld = beta.field
+    p = fld.p
+    correction = RationalFunction.zero(fld)
+    poly_part, terms = partial_fractions(beta)
+    normal_terms = []
+    for prime, e, q_num in terms:
+        frac = pole_part((prime, e, q_num))
+        while e > 0 and e % p == 0:
+            u = asw._pth_root_mod(-(frac.num % prime), prime)
+            step = RationalFunction(u, prime ** (e // p))
+            correction = correction + step
+            frac = frac + step.wp()
+            e = frac.den.degree // prime.degree
+        if e > 0:
+            normal_terms.append((prime, e, frac.num))
+    g = poly_part
+    while not g.is_constant() and g.degree % p == 0:
+        b = fld.pth_root_val(fld.neg_val(g.leading()))
+        step_poly = Polynomial(fld, (0,) * (g.degree // p) + (b,))
+        correction = correction + RationalFunction(step_poly)
+        g = g + step_poly.frobenius() - step_poly
+    if g.is_constant() and g.constant_coeff():
+        v = g.constant_coeff()
+        rep = fld.wp_coset_rep_val(v)
+        if rep != v:
+            correction = correction + RationalFunction.const(fld, fld.wp_solve_val(fld.sub_val(rep, v)))
+            g = Polynomial.const(fld, rep)
+    return g, normal_terms, correction
+
+
+def test_pole_peel_matches_the_rational_peel():
+    rng = random.Random(127)
+    for fld in (F2, F3, F4):
+        p = fld.p
+        primes = [parse_poly(fld, "T"), parse_poly(fld, "T+1"), canonical_prime(fld, 2)]
+
+        def rand_num(degree_below):
+            return Polynomial(fld, [rng.randrange(fld.q) for _ in range(degree_below)])
+
+        def pole(prime, e):
+            while True:
+                if (num := rand_num(e * prime.degree)).gcd(prime).degree == 0:
+                    return RationalFunction(num, prime**e)
+
+        betas = []
+        for e in (p, 2 * p, p**2, p**3):
+            for prime in primes:
+                betas.append(pole(prime, e) + RationalFunction(rand_num(4)))
+            others = rng.sample(primes, 2)
+            betas.append(pole(others[0], e) + pole(others[1], rng.choice((1, e, p**2))))
+            for k in (e // p, e):  # wp(u/P^k) cancels in full, next to another term
+                prime, other = rng.sample(primes, 2)
+                u = rand_num(prime.degree)
+                if u:
+                    betas.append(RationalFunction(u, prime**k).wp() + pole(other, e))
+        for beta in betas:
+            got, want = asw._hasse_parts(beta), _rational_peel(beta)
+            assert got == want, beta
+            assert asw._level_fault(got[0], got[1]) is None
+            assert asw._assemble(got[0], got[1]) == beta + got[2].wp()
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_witt_sum_of_disjoint_supports_is_the_concatenation(p):
+    rng = random.Random(p)
+    fld = field(p, 1)
+    for n in (1, 2, 3):
+        for L in range(n + 1):
+            for _ in range(10):
+                xs = [rng.randrange(-50, 50) for _ in range(n)]
+                ys = [rng.randrange(-50, 50) for _ in range(n)]
+                low = WittVector(p, xs[:L] + [0] * (n - L))
+                high = WittVector(p, [0] * L + ys[L:])
+                concat = WittVector(p, xs[:L] + ys[L:])
+                assert concat.ghost() == tuple(a + b for a, b in zip(low.ghost(), high.ghost()))
+                assert low.add(high) == concat
+                rfs = [_rand_rf(rng, fld, max_pole=4) for _ in range(n)]
+                zero = RationalFunction.zero(fld)
+                low = WittVector(p, rfs[:L] + [zero] * (n - L))
+                high = WittVector(p, [zero] * L + rfs[L:])
+                assert low.add(high) == WittVector(p, rfs)
 
 
 def test_normalize_respects_length_bound():

@@ -384,8 +384,35 @@ def test_normalize_reads_a_unit_multiple_prime_as_monic(capsys):
     ("witt-eval", "--p", "5", "--op", "add", "--x", "(1, 0, 0, 0)", "--y", "(1, 0, 0, 0)"),
     ("witt-eval", "--p", "1009", "--op", "neg", "--x", "(1, 0)"),
     ("carlitz", "--poly", "T^20", "--eval-at", "1"),  # the u-degree cap admits T^20
+    ("normalize", "--beta", "(1/T^33)"),
+    ("normalize", "--beta", "(1/T^100000000)"),
+    ("normalize", "--p", "3", "--beta", "(1/T^26, T^ 27)"),
+    ("infinity", "--beta", "(0, 0, T^17)"),
+    ("witt-eval", "--op", "add", "--x", "(1/T, 0)", "--y", "(1/(T^23+1), 0)"),
+    ("normalize", "--beta", "(1/T^2)", "--cap", "15"),
 ])
 def test_oversized_input_is_one_infeasible_line(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (EXIT_INFEASIBLE, "")
     assert err.startswith("error: ") and err.count("\n") == 1 and "budget" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("normalize", "--beta", "(1/T^32)"),  # (p^0 * 32)^2 * 32^2 * log2(2) is the default cap
+    ("normalize", "--p", "3", "--beta", "(1/T^26)"),
+    ("infinity", "--beta", "(0, 0, T^16)"),
+    ("witt-eval", "--op", "add", "--x", "(1/T, 0)", "--y", "(1/(T^22+1), 0)"),
+    ("normalize", "--beta", "(1/T^2)", "--cap", "16"),
+])
+def test_witt_work_at_the_cap_runs(capsys, argv):
+    assert run_cli(capsys, *argv)[0] == EXIT_PASS
+
+
+def test_witt_work_is_bounded_before_parsing(capsys, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("parsed an input over the cap")
+
+    monkeypatch.setattr("wittcount.cli.parse_witt", unreachable)
+    for argv in (("normalize", "--beta", "(T^100000000)"), ("infinity", "--beta", "(1/T^40)"),
+                 ("witt-eval", "--op", "neg", "--x", "(0, T^100000000)")):
+        assert run_cli(capsys, *argv)[:2] == (EXIT_INFEASIBLE, "")

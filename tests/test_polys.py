@@ -385,6 +385,19 @@ def test_kernels_match_schoolbook_reference(p, s):
                 ref_quot, ref_rem = ref.poly_divmod(ca, cb)
                 assert quot * b + rem == a and rem.degree < b.degree
                 results["quot"], results["rem"] = (quot, ref_quot), (rem, ref_rem)
+                results["//"], results["%"] = (a // b, ref_quot), (a % b, ref_rem)
+            if b.degree >= 1:
+                power = [1]  # a^e mod b by repeated multiplication
+                for e in range(6):
+                    results[f"modpow{e}"] = (a.modpow(e, b), ref.poly_divmod(power, cb)[1])
+                    power = ref.poly_divmod(ref.poly_mul(power, ca), cb)[1]
+                if ref.poly_gcd(ca, cb) == [1]:
+                    inv = a.modinv(b)  # the unique inverse of degree < deg b
+                    assert inv.degree < b.degree and _no_trailing_zero(inv), (a, b)
+                    assert ref.poly_divmod(ref.poly_mul(ca, list(inv.coeffs)), cb)[1] == [1]
+                else:
+                    with pytest.raises(ZeroDivisionError):
+                        a.modinv(b)
             for name, (got, want) in results.items():
                 assert list(got.coeffs) == want, (name, a, b)
                 assert _no_trailing_zero(got), (name, a, b)

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wittcount import rationals
 from wittcount.fields import field
-from wittcount.polys import Polynomial, parse_poly
+from wittcount.polys import Polynomial, monic_irreducibles, parse_poly
 from wittcount.rationals import (
     RationalFunction,
     parse_rational,
@@ -181,6 +182,47 @@ def test_partial_fractions_conditions():
                 assert q_.gcd(p_).degree == 0
                 assert q_.degree < e * p_.degree
             assert recombine(pp, terms) == f
+
+
+def _plan_cases(fld, rng):
+    """(prime powers, two fractions over their product): single prime powers
+    with e >= 2, then products of two and of three prime powers."""
+    primes = monic_irreducibles(fld, 1)[:3] + monic_irreducibles(fld, 2)[:2]
+    shapes = [[(p_, e)] for p_ in primes for e in (2, 3, 5)]
+    for size in (2, 3, 3):
+        shapes += [[(p_, rng.randrange(1, 4)) for p_ in rng.sample(primes, size)]
+                   for _ in range(4)]
+    for powers in shapes:
+        den = Polynomial.one(fld)
+        for p_, e in powers:
+            den = den * p_**e
+        fractions = []
+        while len(fractions) < 2:
+            num = Polynomial(fld, [rng.randrange(fld.q) for _ in range(den.degree + 3)])
+            if num.gcd(den).degree == 0:
+                fractions.append(RationalFunction(num, den))
+        yield sorted(powers, key=lambda pe: (pe[0].degree, pe[0].to_int())), fractions
+
+
+def test_partial_fraction_plans():
+    rng = random.Random(43)
+    for fld in (F2, F3, F4):
+        for powers, (f, g) in _plan_cases(fld, rng):
+            rationals._plan.cache_clear()
+            cold = partial_fractions(f)
+            pp, terms = cold[0], list(cold[1])
+            assert [(p_, e) for p_, e, _ in terms] == powers
+            for p_, e, q_ in terms:
+                assert q_ and q_.gcd(p_).degree == 0 and q_.degree < e * p_.degree
+            if len(powers) == 1:  # Q is the proper numerator itself
+                assert terms[0][2] == f.poly_and_proper_parts()[1].num
+            assert recombine(pp, terms) == f
+            cold[1].clear()  # a caller's edit reaches neither the plan nor the next result
+            assert partial_fractions(f) == (pp, terms)  # warm: the plan is cached
+            warm = partial_fractions(g)
+            assert rationals._plan.cache_info().hits == 2
+            rationals._plan.cache_clear()
+            assert partial_fractions(g) == warm and recombine(*warm) == g
 
 
 @settings(max_examples=300, deadline=None)
