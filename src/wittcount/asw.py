@@ -269,14 +269,17 @@ def is_normal_form(beta: WittVector) -> bool:
 def witt_normalize(gen: AswGenerator) -> AswNormalForm:
     """Level-by-level Schmid normalization with a checkable certificate.
 
-    At each level the component is Hasse-normalized and the correction c_i
-    is applied through full Witt arithmetic as wp of the single-level
-    vector V^i[c_i]; lower levels are provably untouched (asserted), higher
-    levels absorb the carry terms and are normalized in their own turn.  So
-    each level's Hasse decomposition is already its final one, and ``mu``
-    and the prime blocks are read off it.  The certificate, the Witt sum of
-    the V^i[c_i], is (c_0, ..., c_(n-1)) itself: a vector that is zero from
-    level L on plus one that is zero below L is their concatenation.
+    At each level L the component is Hasse-normalized and its correction
+    c_L is added as wp(V^L[c_L]) = V^L(wp([c_L])), F and V commuting in
+    characteristic p.  V^L is additive, so the sum is running[:L] followed
+    by running[L:] (+) wp([c_L]) in W_(n-L): the lower levels are untouched
+    by construction, not asserted, level L is checked against its Hasse
+    decomposition, and higher levels absorb the carry terms and are
+    normalized in their own turn.  So each level's Hasse decomposition is
+    already its final one, and ``mu`` and the prime blocks are read off it.
+    The certificate, the Witt sum of the V^i[c_i], is (c_0, ..., c_(n-1))
+    itself: a vector that is zero from level L on plus one that is zero
+    below L is their concatenation.
     """
     beta = gen.beta
     n = beta.n
@@ -296,8 +299,9 @@ def witt_normalize(gen: AswGenerator) -> AswNormalForm:
         for prime, e, q_num in terms:
             prime_levels.setdefault(prime, {})[level] = (q_num, e)
         if not c_i.is_zero():
-            v = WittVector(p, [c_i if i == level else zero for i in range(n)])
-            running = running.add(v.wp())
+            v = WittVector._raw(p, (c_i,) + (zero,) * (n - 1 - level))
+            tail = WittVector._raw(p, running.comps[level:]).add(v.wp())
+            running = WittVector._raw(p, running.comps[:level] + tail.comps)
             if running.comps[level] != _assemble(g, terms):
                 raise AssertionError("level isolation failed during normalization")
     zero_poly = Polynomial.zero(fld)

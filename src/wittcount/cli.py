@@ -157,16 +157,30 @@ def _params_from_args(args) -> CountParams:
     return CountParams(p=args.p, s=args.s, d=args.d, alpha=args.alpha, n=args.n)
 
 
-def _prime_from_args(args, fld):
+_T_POWER_RE = re.compile(r"T(?:\^(\d+))?")
+
+
+def _text_degree(text: str) -> int:
+    """The highest power of T written in polynomial text (0 for none): a bound
+    on its degree, read before any polynomial is built."""
+    return max([0] + [int(e or 1) for e in _T_POWER_RE.findall("".join(text.split()))])
+
+
+def _prime_from_args(args, fld, degree=None):
+    """The monic --prime, or None; ValueError unless it is irreducible and,
+    when ``degree`` is given, written with that degree (checked first, on the
+    text) and of it."""
     if args.prime is None:
         return None
-    return parse_poly(fld, args.prime)
+    if degree is not None and (top := _text_degree(args.prime)) != degree:
+        raise ValueError(f"override prime is written with degree {top}, expected {degree}")
+    return monic_prime(parse_poly(fld, args.prime), degree)
 
 
 def cmd_count(args) -> int:
     par = _params_from_args(args)
     fld = field(par.p, par.s)
-    prime = _prime_from_args(args, fld)
+    prime = _prime_from_args(args, fld, par.d)  # checked with or without --oracle
     records = [
         VerificationReport("count/v_n", par.as_dict(), v_n(par)),
         VerificationReport("count/w", par.as_dict(), w(par.alpha, par)),
@@ -190,9 +204,6 @@ def cmd_count(args) -> int:
     return _exit_code(records)
 
 
-_T_POWER_RE = re.compile(r"T(?:\^(\d+))?")
-
-
 def _bound_witt_work(args, fld, *texts):
     """Raise CapExceededError, before any polynomial is built, when Witt vector
     texts would take more than --cap coefficient operations to normalize or
@@ -202,8 +213,8 @@ def _bound_witt_work(args, fld, *texts):
     denominator into primes takes the most of them: for each degree d up to
     D, a power T^(q^d) modulo it, d*log2(q) products.  So the estimate is
     (p^(n-1)*D)^2 * D^2 * ceil(log2 q)."""
-    texts = ["".join(text.split()) for text in texts if text]
-    d = max([1] + [int(e or 1) for text in texts for e in _T_POWER_RE.findall(text)])
+    texts = [text for text in texts if text]
+    d = max([1] + [_text_degree(text) for text in texts])
     n = min(max(text.count(",") for text in texts) + 1, MAX_WITT_LENGTH)
     work = (args.p ** (n - 1) * d) ** 2 * d**2 * (fld.q - 1).bit_length()
     if work > args.cap:
@@ -213,15 +224,13 @@ def _bound_witt_work(args, fld, *texts):
 
 def cmd_normalize(args) -> int:
     fld = field(args.p, args.s)
-    _bound_witt_work(args, fld, args.beta)
+    _bound_witt_work(args, fld, args.beta, args.prime)
     try:
         beta = parse_witt(fld, args.p, args.beta)
     except ValueError as exc:
         print(f"error: cannot parse Witt vector: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    prime = _prime_from_args(args, fld)
-    if prime is not None:
-        prime = monic_prime(prime)  # the verdict compares monic primes
+    prime = _prime_from_args(args, fld)  # the verdict compares monic primes
     nf = witt_normalize(AswGenerator(beta))
     record = nf.to_record()
     conductors = {}
@@ -273,20 +282,22 @@ def cmd_witt_eval(args) -> int:
 
 def cmd_carlitz(args) -> int:
     fld = field(args.p, args.s)
-    m = parse_poly(fld, args.poly)
-    if m and fld.q**m.degree > args.cap:  # C_M has u-degree q^deg M
-        raise CapExceededError(f"u-degree q^{m.degree} exceeds cap {args.cap}")
-    x = None if args.eval_at is None else parse_poly(fld, args.eval_at)
-    if x is not None:
+    # both bounds read the degrees d of M and dx of x off the text
+    d = _text_degree(args.poly)
+    if d >= args.cap.bit_length() or fld.q**d > args.cap:  # C_M has u-degree q^deg M
+        raise CapExceededError(f"u-degree q^{d} exceeds cap {args.cap}")
+    if args.eval_at is not None:
         # coefficient operations: Horner builds the tau^k coefficient, of T-degree
         # (d - k) q^k, a step per degree; x^(q^k) has at most deg x + 1 terms, so
         # its power, product and sum take that many passes over the value
-        d, dx = m.degree, max(x.degree, 0)
+        dx = _text_degree(args.eval_at)
         work = sum(((d - k) * fld.q**k) ** 2 + (dx + 1) * ((d - k + dx) * fld.q**k + 1)
                    for k in range(d + 1))
         if work > args.cap:
-            raise CapExceededError(f"evaluating C_M at {x} takes about {work} coefficient "
-                                   f"operations, over the budget of cap {args.cap}")
+            raise CapExceededError(f"evaluating C_M at {args.eval_at} takes about {work} "
+                                   f"coefficient operations, over the budget of cap {args.cap}")
+    m = parse_poly(fld, args.poly)
+    x = None if args.eval_at is None else parse_poly(fld, args.eval_at)
     cp = carlitz_poly(m)
     payload = {"M": str(m), "coeffs": cp.serialize(), "u_degree": cp.u_degree()}
     if x is not None:

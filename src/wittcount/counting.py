@@ -261,13 +261,14 @@ def _resolve_prime(params: CountParams, prime: Polynomial = None) -> Polynomial:
         return canonical_prime(fld, params.d)
     if prime.field is not fld:
         raise ValueError("override prime lies in the wrong field")
-    if prime.degree != params.d:
-        raise ValueError(f"override prime has degree {prime.degree}, expected {params.d}")
-    return monic_prime(prime)
+    return monic_prime(prime, params.d)
 
 
-def monic_prime(prime: Polynomial) -> Polynomial:
-    """The monic form of an override prime; ValueError unless it is irreducible."""
+def monic_prime(prime: Polynomial, degree: int = None) -> Polynomial:
+    """The monic form of an override prime; ValueError unless it is irreducible
+    and, when ``degree`` is given, of that degree."""
+    if degree is not None and prime.degree != degree:
+        raise ValueError(f"override prime has degree {prime.degree}, expected {degree}")
     if prime.is_zero() or not is_irreducible(prime):
         raise ValueError(f"override prime {prime} is not irreducible")
     return prime.monic()

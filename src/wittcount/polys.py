@@ -2,8 +2,11 @@
 
 Coefficients are stored as raw integer encodings (see ``fields``), lowest
 degree first, with no trailing zeros; the zero polynomial has an empty
-coefficient tuple and degree ``NEG_INF``.  The arithmetic kernels index the
-field's rows (``fields``) directly and skip zero coefficients.
+coefficient tuple and degree ``NEG_INF``.  Each operation has one kernel on
+coefficient tuples, ``_sum``, ``_mul``, ``_divmod`` and the monic ``_gcd``,
+which index the field's rows (``fields``) directly and skip zero
+coefficients; the ``Polynomial`` operators are thin wrappers around them, and
+``rationals`` calls them on its numerators and denominators directly.
 
 Text format: terms ``c*T^k`` joined by ``+``, where ``c`` is the integer
 encoding of the coefficient and a coefficient of 1 is omitted, e.g.
@@ -37,11 +40,8 @@ class Polynomial:
     __slots__ = ("field", "coeffs")
 
     def __init__(self, fld: FiniteField, coeffs=()):
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
         self.field = fld
-        self.coeffs = tuple(cs)
+        self.coeffs = _stripped(list(coeffs))
 
     # -- constructors --
 
@@ -129,18 +129,7 @@ class Polynomial:
 
     def __add__(self, other):
         self._check(other)
-        f = self.field
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        add = f._add_table
-        out = list(a)
-        for i, c in enumerate(b):
-            if c:
-                out[i] = add[out[i]][c]
-        if len(b) < len(a):
-            return _wrap(f, tuple(out))
-        return _wrap(f, _stripped(out))  # equal lengths: the tops may cancel
+        return _wrap(self.field, _sum(self.field, self.coeffs, other.coeffs))
 
     def __sub__(self, other):
         return self + (-other)
@@ -153,30 +142,12 @@ class Polynomial:
         if isinstance(other, int):
             other = Polynomial.const(self.field, self.field.from_int(other).val)
         self._check(other)
-        f = self.field
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return _wrap(f, ())
-        if len(a) - a.count(0) > len(b) - b.count(0):
-            a, b = b, a  # the outer loop runs over the sparser factor
-        add, mul = f._add_table, f._mul_table
-        out = [0] * (len(a) + len(b) - 1)
-        for i, c in enumerate(a):
-            if c:
-                row = mul[c]
-                for k, d in enumerate(b, i):
-                    if d:
-                        out[k] = add[out[k]][row[d]]
-        return _wrap(f, tuple(out))  # F_q has no zero divisors
+        return _wrap(self.field, _mul(self.field, self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
     def scale(self, c: int) -> "Polynomial":
-        f = self.field
-        if not c:
-            return _wrap(f, ())
-        row = f._mul_table[c]
-        return _wrap(f, tuple([row[x] for x in self.coeffs]))
+        return _wrap(self.field, _mul(self.field, (c,) if c else (), self.coeffs))
 
     def shift(self, k: int) -> "Polynomial":
         """Multiply by T^k."""
@@ -222,10 +193,7 @@ class Polynomial:
 
     def gcd(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        a, b = self.coeffs, other.coeffs
-        while b:
-            a, b = b, _divmod(self.field, a, b)[1]
-        return _wrap(self.field, a).monic()
+        return _wrap(self.field, _gcd(self.field, self.coeffs, other.coeffs))
 
     def modpow(self, e: int, mod: "Polynomial") -> "Polynomial":
         result = Polynomial.one(self.field) % mod
@@ -269,13 +237,6 @@ class Polynomial:
         out[::f.p] = map(f._frob_table.__getitem__, self.coeffs)
         return _wrap(f, tuple(out))
 
-    def derivative(self) -> "Polynomial":
-        f = self.field
-        out = []
-        for i in range(1, len(self.coeffs)):
-            out.append(f.mul_val(self.coeffs[i], i % f.p))
-        return Polynomial(f, out)
-
     # -- text format --
 
     def __str__(self):
@@ -317,6 +278,49 @@ def _stripped(cs: list) -> tuple:
     while cs and not cs[-1]:
         cs.pop()
     return tuple(cs)
+
+
+def _sum(fld: FiniteField, a: tuple, b: tuple) -> tuple:
+    """Sum of coefficient tuples, stripped."""
+    if len(a) < len(b):
+        a, b = b, a
+    add = fld._add_table
+    out = list(a)
+    for i, c in enumerate(b):
+        if c:
+            out[i] = add[out[i]][c]
+    if len(b) < len(a):
+        return tuple(out)
+    return _stripped(out)  # equal lengths: the tops may cancel
+
+
+def _mul(fld: FiniteField, a: tuple, b: tuple) -> tuple:
+    """Product of coefficient tuples, stripped, as F_q has no zero divisors.
+    A constant factor is one row lookup per coefficient, and 1 costs none."""
+    if not a or not b:
+        return ()
+    if len(b) == 1:
+        a, b = b, a
+    if len(a) == 1:
+        return b if a[0] == 1 else tuple(map(fld._mul_table[a[0]].__getitem__, b))
+    if len(a) - a.count(0) > len(b) - b.count(0):
+        a, b = b, a  # the outer loop runs over the sparser factor
+    add, mul = fld._add_table, fld._mul_table
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        if c:
+            row = mul[c]
+            for k, d in enumerate(b, i):
+                if d:
+                    out[k] = add[out[k]][row[d]]
+    return tuple(out)
+
+
+def _gcd(fld: FiniteField, a: tuple, b: tuple) -> tuple:
+    """Monic gcd of coefficient tuples by Euclid's algorithm; () for 0 and 0."""
+    while b:
+        a, b = b, _divmod(fld, a, b)[1]
+    return a if not a or a[-1] == 1 else _mul(fld, (fld._inv_table[a[-1]],), a)
 
 
 def _divmod(fld: FiniteField, a: tuple, b: tuple):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 
 from .fields import FiniteField, FqElem
-from .polys import Polynomial, factor, parse_poly
+from .polys import Polynomial, _divmod, _gcd, _mul, _sum, _wrap, factor, parse_poly
 
 
 class RationalFunction:
@@ -24,20 +24,11 @@ class RationalFunction:
             raise ZeroDivisionError("rational function with zero denominator")
         if num.field is not den.field:
             raise ValueError("numerator and denominator over different fields")
-        if num.is_zero():
-            num, den = num, Polynomial.one(num.field)
-        elif den.degree == 0:
-            if den.coeffs[0] != 1:
-                num = num.scale(den.field.inv_val(den.coeffs[0]))
-            den = Polynomial.one(num.field)
-        else:
-            g = num.gcd(den)
-            if g.degree > 0:
-                num, den = num // g, den // g
-            lead = den.leading()
-            if lead != 1:
-                inv = den.field.inv_val(lead)
-                num, den = num.scale(inv), den.scale(inv)
+        if den.degree > 0 and (g := num.gcd(den)).degree > 0:  # monic den when num = 0
+            num, den = num // g, den // g
+        if (lead := den.leading()) != 1:
+            inv = den.field.inv_val(lead)
+            num, den = num.scale(inv), den.scale(inv)
         self.num = num
         self.den = den
 
@@ -72,7 +63,7 @@ class RationalFunction:
         return self.num.field
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return not self.num.coeffs
 
     def is_poly(self) -> bool:
         return self.den.degree == 0
@@ -99,39 +90,43 @@ class RationalFunction:
             raise ValueError("rational function and polynomial over different fields")
         return RationalFunction._raw(other, Polynomial.one(fld))
 
-    def _add(self, c: Polynomial, d: Polynomial) -> "RationalFunction":
-        """self + c/d, c/d reduced with d monic, reduced by construction
-        (Henrici): with g = gcd(b, d), t = a*(d/g) + c*(b/g) is prime to b/g
-        and to d/g, so only gcd(t, g) can cancel."""
-        a, b = self.num, self.den
-        if b.degree == 0 or d.degree == 0 or (g := b.gcd(d)).degree == 0:
-            return RationalFunction._raw(a * d + c * b, b * d)
-        b1 = b // g
-        t = a * (d // g) + c * b1
-        if t.is_zero():
-            return RationalFunction.zero(t.field)
-        g2 = t.gcd(g)
-        if g2.degree > 0:
-            t, d = t // g2, d // g2
-        return RationalFunction._raw(t, b1 * d)
+    def _add(self, c: tuple, d: tuple) -> "RationalFunction":
+        """self + c/d, for coefficient tuples with c/d reduced and d monic,
+        reduced by construction (Henrici): with g = gcd(b, d), t = a*(d/g) +
+        c*(b/g) is prime to b/g and to d/g, so only gcd(t, g) can cancel.
+        The steps run on the tuple kernels of ``polys``, and only the result
+        is wrapped; over denominators 1 it is a plain sum."""
+        f = self.num.field
+        a, b = self.num.coeffs, self.den.coeffs
+        if len(b) == 1 or len(d) == 1 or len(g := _gcd(f, b, d)) == 1:
+            return RationalFunction._raw(_wrap(f, _sum(f, _mul(f, a, d), _mul(f, c, b))),
+                                         _wrap(f, _mul(f, b, d)))
+        b1 = _divmod(f, b, g)[0]
+        t = _sum(f, _mul(f, a, _divmod(f, d, g)[0]), _mul(f, c, b1))
+        if not t:
+            return RationalFunction.zero(f)
+        if len(g2 := _gcd(f, t, g)) > 1:
+            t, d = _divmod(f, t, g2)[0], _divmod(f, d, g2)[0]
+        return RationalFunction._raw(_wrap(f, t), _wrap(f, _mul(f, b1, d)))
 
-    def _mul(self, c: Polynomial, d: Polynomial) -> "RationalFunction":
-        """self * c/d, c/d reduced with d monic: cancelling gcd(a, d) and
-        gcd(c, b) first leaves the product reduced."""
-        a, b = self.num, self.den
-        if a.is_zero() or c.is_zero():
-            return RationalFunction.zero(a.field)
-        if a.degree > 0 < d.degree and (g1 := a.gcd(d)).degree > 0:
-            a, d = a // g1, d // g1
-        if c.degree > 0 < b.degree and (g2 := c.gcd(b)).degree > 0:
-            c, b = c // g2, b // g2
-        return RationalFunction._raw(a * c, b * d)
+    def _mul(self, c: tuple, d: tuple) -> "RationalFunction":
+        """self * c/d, for coefficient tuples with c/d reduced and d monic:
+        cancelling gcd(a, d) and gcd(c, b) first leaves the product reduced."""
+        f = self.num.field
+        a, b = self.num.coeffs, self.den.coeffs
+        if not a or not c:
+            return RationalFunction.zero(f)
+        if len(a) > 1 < len(d) and len(g1 := _gcd(f, a, d)) > 1:
+            a, d = _divmod(f, a, g1)[0], _divmod(f, d, g1)[0]
+        if len(c) > 1 < len(b) and len(g2 := _gcd(f, c, b)) > 1:
+            c, b = _divmod(f, c, g2)[0], _divmod(f, b, g2)[0]
+        return RationalFunction._raw(_wrap(f, _mul(f, a, c)), _wrap(f, _mul(f, b, d)))
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._add(o.num, o.den)
+        return self._add(o.num.coeffs, o.den.coeffs)
 
     __radd__ = __add__
 
@@ -139,7 +134,7 @@ class RationalFunction:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._add(-o.num, o.den)
+        return self._add((-o.num).coeffs, o.den.coeffs)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -154,7 +149,7 @@ class RationalFunction:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._mul(o.num, o.den)
+        return self._mul(o.num.coeffs, o.den.coeffs)
 
     __rmul__ = __mul__
 
@@ -165,7 +160,7 @@ class RationalFunction:
         if o.is_zero():
             raise ZeroDivisionError("division by zero rational function")
         inv = self.field.inv_val(o.num.leading())
-        return self._mul(o.den.scale(inv), o.num.scale(inv))
+        return self._mul(o.den.scale(inv).coeffs, o.num.scale(inv).coeffs)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -193,7 +188,7 @@ class RationalFunction:
         return hash((self.num, self.den))
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self.num.coeffs)
 
     def frobenius(self) -> "RationalFunction":
         """self**p; numerator and denominator stay coprime and the

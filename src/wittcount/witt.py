@@ -228,6 +228,13 @@ class WittVector:
         self.p = p
         self.comps = comps
 
+    @staticmethod
+    def _raw(p: int, comps: tuple) -> "WittVector":
+        """Skip the checks; caller must guarantee nonempty comps of one domain."""
+        wv = object.__new__(WittVector)
+        wv.p, wv.comps = p, comps
+        return wv
+
     @property
     def n(self) -> int:
         return len(self.comps)
@@ -263,7 +270,8 @@ class WittVector:
     def _evaluate(self, op, values):
         """Run the plan of table ``op`` at ``values``.  Powers are shared across
         the output components; a term with a zero factor is skipped (exact, as
-        the tables have no constant term) and a coefficient -1 is a subtraction."""
+        the tables have no constant term) and a coefficient -1 is a subtraction.
+        No component is empty, so one with every term skipped is a zero input."""
         live = [v if v else None for v in values]
         powers = {}  # (idx, e) -> x_idx^e, for nonzero x_idx only
         out = []
@@ -284,8 +292,8 @@ class WittVector:
                     if coeff != 1:
                         term = term * coeff
                     acc = term if acc is None else acc + term
-            out.append(values[0] * 0 if acc is None else acc)
-        return WittVector(self.p, out)
+            out.append(values[live.index(None)] if acc is None else acc)
+        return WittVector._raw(self.p, tuple(out))
 
     def add(self, other: "WittVector") -> "WittVector":
         self._check(other)
@@ -322,7 +330,7 @@ class WittVector:
     def frobenius(self) -> "WittVector":
         if isinstance(self.comps[0], int):
             raise ValueError("Frobenius needs a characteristic-p coefficient domain")
-        return WittVector(self.p, (c**self.p for c in self.comps))
+        return WittVector._raw(self.p, tuple(c**self.p for c in self.comps))
 
     def wp(self) -> "WittVector":
         """The operator x -> Frobenius(x) - x (componentwise p-power, Witt minus)."""

@@ -192,6 +192,41 @@ def test_certificate_is_the_accumulated_witt_sum():
                 assert witt_normalize(AswGenerator(beta)).certificate == _accumulated_certificate(beta)
 
 
+def _full_length_normalize(beta):
+    """The normalizer loop with each wp(V^L[c_L]) added over the full length
+    n: the reference for the level update.  Returns the normalized vector, the
+    certificate, the prime blocks and the polynomial parts."""
+    p, n = beta.p, beta.n
+    fld = beta.comps[0].field
+    zero, zero_poly = RationalFunction.zero(fld), Polynomial.zero(fld)
+    running, corrections, prime_levels, mu = beta, [], {}, []
+    for level in range(n):
+        g, terms, c_i = asw._hasse_parts(running.comps[level])
+        corrections.append(c_i)
+        mu.append(g)
+        for prime, e, q_num in terms:
+            prime_levels.setdefault(prime, {})[level] = (q_num, e)
+        if not c_i.is_zero():
+            v = WittVector(p, [c_i if i == level else zero for i in range(n)])
+            running = running.add(v.wp())
+    primes = tuple(PrimeBlock(prime=prime, levels=tuple(prime_levels[prime].get(level, (zero_poly, 0))
+                                                        for level in range(n)))
+                   for prime in sorted(prime_levels, key=lambda pp: (pp.degree, pp.to_int())))
+    return running, WittVector(p, corrections), primes, tuple(mu)
+
+
+def test_level_update_matches_the_full_length_sum():
+    rng = random.Random(109)  # the generators of test_normalize_certificates_random
+    betas = [WittVector(fld.p, tuple(_rand_rf(rng, fld) for _ in range(n)))
+             for fld in (F2, F3) for n in (1, 2, 3) for _ in range(12)]
+    rng = random.Random(131)  # and more of length 3, at p = 2, 3 and q = 4
+    betas += [WittVector(fld.p, tuple(_rand_rf(rng, fld) for _ in range(3)))
+              for fld in (F2, F3, F4) for _ in range(12)]
+    for beta in betas:
+        nf = witt_normalize(AswGenerator(beta))
+        assert (nf.normalized_beta, nf.certificate, nf.primes, nf.mu) == _full_length_normalize(beta)
+
+
 def _rational_peel(beta):
     """_hasse_parts with every pole step taken in F_q(T): add wp(u/P^k) to
     the pole part as a RationalFunction and read e off its denominator."""

@@ -364,6 +364,11 @@ def test_sweep_cases_fault_is_a_failure(capsys, monkeypatch):
     (("normalize", "--p", "3", "--beta", "(1/T)", "--prime", "2"),
      "error: override prime 2 is not irreducible\n"),
     (("normalize", "--beta", "(1/T)", "--prime", "2"), "error: coefficient 2 out of range for GF(2)\n"),
+    (("count", "--p", "2", "--d", "2", "--alpha", "2", "--n", "1", "--prime", "T^2+1"),
+     "error: override prime T^2+1 is not irreducible\n"),  # checked without --oracle too
+    (("count", "--p", "2", "--d", "2", "--alpha", "2", "--prime", "T^2+T^2+T"),
+     "error: override prime has degree 1, expected 2\n"),
+    (("carlitz", "--poly", "0", "--eval-at", "T"), "error: the Carlitz polynomial of zero is not defined\n"),
 ])
 def test_bad_input_is_one_usage_error_line(capsys, argv, err):
     assert run_cli(capsys, *argv) == (EXIT_USAGE, "", err)
@@ -416,3 +421,23 @@ def test_witt_work_is_bounded_before_parsing(capsys, monkeypatch):
     for argv in (("normalize", "--beta", "(T^100000000)"), ("infinity", "--beta", "(1/T^40)"),
                  ("witt-eval", "--op", "neg", "--x", "(0, T^100000000)")):
         assert run_cli(capsys, *argv)[:2] == (EXIT_INFEASIBLE, "")
+
+
+@pytest.mark.parametrize("argv,code", [
+    (("carlitz", "--p", "2", "--poly", "T^1000000"), EXIT_INFEASIBLE),
+    (("carlitz", "--p", "2", "--poly", "T^100000000"), EXIT_INFEASIBLE),
+    (("carlitz", "--poly", "T^3", "--eval-at", "T^100000000"), EXIT_INFEASIBLE),
+    (("count", "--p", "2", "--d", "1", "--alpha", "2", "--prime", "T^2+1"), EXIT_USAGE),
+    (("count", "--p", "2", "--d", "1", "--alpha", "2", "--prime", "T^100000000"), EXIT_USAGE),
+    (("count", "--p", "2", "--d", "2", "--alpha", "2", "--prime", "T+1", "--oracle"), EXIT_USAGE),
+    (("normalize", "--beta", "(1/T)", "--prime", "T^100000000"), EXIT_INFEASIBLE),
+])
+def test_polynomial_text_is_bounded_before_parsing(capsys, monkeypatch, argv, code):
+    def unreachable(*args):
+        raise AssertionError("parsed a polynomial over its bound")
+
+    for name in ("wittcount.cli.parse_poly", "wittcount.rationals.parse_poly"):
+        monkeypatch.setattr(name, unreachable)
+    code_out, out, err = run_cli(capsys, *argv)
+    assert (code_out, out) == (code, "")
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -9,6 +9,9 @@ from wittcount.polys import (
     NEG_INF,
     CapExceededError,
     Polynomial,
+    _gcd,
+    _mul,
+    _sum,
     canonical_prime,
     factor,
     is_irreducible,
@@ -17,6 +20,7 @@ from wittcount.polys import (
     phi,
     polys_below,
 )
+from wittcount.rationals import RationalFunction
 
 from oracles import ResidueRing
 
@@ -401,6 +405,42 @@ def test_kernels_match_schoolbook_reference(p, s):
             for name, (got, want) in results.items():
                 assert list(got.coeffs) == want, (name, a, b)
                 assert _no_trailing_zero(got), (name, a, b)
+            _check_tuple_kernels(fld, ref, rng, a, b)
+            if b:
+                _check_rational_operators(a, b)
+
+
+def _check_tuple_kernels(fld, ref, rng, a, b):
+    """_sum, _mul and _gcd called directly: constant and unit factors, sums
+    that cancel, gcds of non-monic inputs, every result a stripped tuple."""
+    ta, tb = a.coeffs, b.coeffs
+    ca, cb = list(ta), list(tb)
+    unit, c = rng.randrange(1, fld.q), rng.randrange(1, fld.q)
+    results = {"sum": (_sum(fld, ta, tb), ref.poly_add(ca, cb)),
+               "cancel": (_sum(fld, ta, tuple(ref.poly_neg(ca))), []),
+               "mul": (_mul(fld, ta, tb), ref.poly_mul(ca, cb)),
+               "gcd": (_gcd(fld, ta, tb), ref.poly_gcd(ca, cb)),
+               "gcd-non-monic": (_gcd(fld, _mul(fld, (unit,), ta), _mul(fld, (c,), tb)),
+                                 ref.poly_gcd(ca, cb))}
+    for k in (1, c):
+        results[f"{k}*a"] = (_mul(fld, (k,), ta), ref.poly_mul([k], ca))
+        results[f"a*{k}"] = (_mul(fld, ta, (k,)), ref.poly_mul(ca, [k]))
+    for name, (got, want) in results.items():
+        assert type(got) is tuple and list(got) == want, (name, a, b)
+        assert not got or got[-1], (name, a, b)
+
+
+def _check_rational_operators(a, b):
+    """+, - and * of fractions with one or both denominators 1, against the
+    normalising constructor on the cross-multiplied fraction."""
+    one = Polynomial.one(a.field)
+    frac = RationalFunction(a + Polynomial.T(a.field), b)
+    for (n1, d1), (n2, d2) in (((a, one), (b, one)), ((a, one), (frac.num, frac.den)),
+                               ((frac.num, frac.den), (a, one))):
+        x, y = RationalFunction(n1, d1), RationalFunction(n2, d2)
+        assert x + y == RationalFunction(n1 * d2 + n2 * d1, d1 * d2), (a, b)
+        assert x - y == RationalFunction(n1 * d2 - n2 * d1, d1 * d2), (a, b)
+        assert x * y == RationalFunction(n1 * n2, d1 * d2), (a, b)
 
 
 def test_divisor_longer_than_dividend():

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from wittcount import polys, rationals
 from wittcount.fields import field
 from wittcount.polys import CapExceededError, Polynomial
 from wittcount.rationals import RationalFunction, parse_rational
@@ -74,17 +75,27 @@ def test_rational_add_takes_few_gcds(monkeypatch):
     expected = wv2("1/(T+1)", "T/(T^3+T^2+T+1)")
     witt_tables(2, 2)
     calls = []
-    gcd = Polynomial.gcd
+    gcd = polys._gcd
 
-    def counting_gcd(a, b):
+    def counting_gcd(fld, a, b):
         calls.append(1)
-        return gcd(a, b)
+        return gcd(fld, a, b)
 
-    monkeypatch.setattr(Polynomial, "gcd", counting_gcd)
+    # the kernel, wherever it is called from
+    monkeypatch.setattr(polys, "_gcd", counting_gcd)
+    monkeypatch.setattr(rationals, "_gcd", counting_gcd)
     assert x.add(y) == expected
     # two per sum of fractions whose denominators share a factor; none for
     # powers, for the product of numerators 1 or for the normalised inputs
     assert len(calls) == 6
+
+
+def test_no_plan_component_is_empty():
+    # an evaluated component with every term skipped is one of the zero inputs
+    for p, n in ((2, 3), (3, 3), (5, 2), (2, 4)):
+        for op in ("sum_polys", "neg_polys", "prod_polys"):
+            for modular in (False, True):
+                assert all(_plan(p, n, op, modular)), (p, n, op, modular)
 
 
 def test_ipoly_pow_multiplies_only_what_the_exponent_needs(monkeypatch):
