@@ -21,7 +21,6 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .fields import FqElem
 from .polys import CapExceededError, Polynomial
 from .rationals import RationalFunction
 
@@ -35,15 +34,8 @@ class CarlitzPoly:
     m: Polynomial
     coeffs: tuple  # tuple of (i, Polynomial), sorted by i, zero coefficients omitted
 
-    def coeff_map(self) -> dict:
-        return dict(self.coeffs)
-
-    @property
-    def tau_degree(self) -> int:
-        return self.coeffs[-1][0]
-
     def u_degree(self) -> int:
-        return self.m.field.q ** self.tau_degree
+        return self.m.field.q ** self.coeffs[-1][0]
 
     def serialize(self) -> list:
         return [[i, str(c)] for i, c in self.coeffs]
@@ -145,39 +137,23 @@ def carlitz_poly(m: Polynomial) -> CarlitzPoly:
     return CarlitzPoly(m=m, coeffs=coeffs)
 
 
-def _const_like(x, fld, encoding: int):
-    if isinstance(x, Polynomial):
-        return Polynomial.const(fld, encoding)
-    if isinstance(x, RationalFunction):
-        return RationalFunction(Polynomial.const(fld, encoding))
-    if isinstance(x, FqElem):
-        return FqElem(fld, encoding)
-    raise TypeError(f"unsupported evaluation domain {type(x).__name__}")
-
-
-def carlitz_eval(m: Polynomial, x, t_image=None):
-    """Evaluate C_M at x in any F_q[T]-algebra with +, *, ** arithmetic.
-
-    ``t_image`` is the image of T in the target algebra; it defaults to T
-    itself when x is a polynomial or rational function over the same field.
-    """
-    fld = m.field
-    if t_image is None:
-        if not isinstance(x, (Polynomial, RationalFunction)):
-            raise ValueError("t_image is required for this evaluation domain")
-        t_image = type(x).T(fld)
-
-    def map_coeff(c: Polynomial):
-        acc = _const_like(x, fld, 0)
-        for enc in reversed(c.coeffs):
-            acc = acc * t_image + _const_like(x, fld, enc)
-        return acc
-
-    acc, power, last_i = _const_like(x, fld, 0), x, 0
-    for i, c in carlitz_poly(m).coeffs:
-        power = power ** (fld.q ** (i - last_i))
-        last_i = i
-        acc = acc + map_coeff(c) * power
+def carlitz_eval(m: Polynomial, x):
+    """C_M(x) for a polynomial or rational function x, by the digits of M from
+    the top down: C_(T*N + m_0)(x) = T*C_N(x) + C_N(x)^q + m_0*x, where ^q is
+    s Frobenius steps, so no step multiplies two long operands."""
+    if m.is_zero():
+        raise ValueError("the Carlitz polynomial of zero is not defined")
+    if not isinstance(x, (Polynomial, RationalFunction)):
+        raise TypeError(f"unsupported evaluation domain {type(x).__name__}")
+    fld, kind = m.field, type(x)
+    t, acc = kind.T(fld), kind.zero(fld)
+    for c in reversed(m.coeffs):
+        power = acc
+        for _ in range(fld.s):
+            power = power.frobenius()
+        acc = t * acc + power
+        if c:
+            acc = acc + x * kind.const(fld, c)
     return acc
 
 
@@ -231,16 +207,6 @@ def _gcd(fld, a: dict, b: dict) -> dict:
         return {}
     row = fld._mul_table[_lead_inverse(fld, a)]
     return {i: {e: row[c] for e, c in terms.items()} for i, terms in a.items()}
-
-
-def additive_gcd(a: dict, b: dict) -> tuple:
-    """``_gcd`` of two {i: Polynomial} maps, as sorted (i, Polynomial) pairs."""
-    coeffs = [*a.values(), *b.values()]
-    if not coeffs:
-        return ()
-    fld = coeffs[0].field
-    a, b = ({i: dict(enumerate(c.coeffs)) for i, c in x.items()} for x in (a, b))
-    return _to_polys(fld, _gcd(fld, _strip(a), _strip(b)))
 
 
 def carlitz_gcd_check(m: Polynomial, n: Polynomial, cap: int = DEFAULT_GCD_CAP) -> bool:

@@ -287,15 +287,12 @@ def cmd_carlitz(args) -> int:
     if d >= args.cap.bit_length() or fld.q**d > args.cap:  # C_M has u-degree q^deg M
         raise CapExceededError(f"u-degree q^{d} exceeds cap {args.cap}")
     if args.eval_at is not None:
-        # coefficient operations: Horner builds the tau^k coefficient, of T-degree
-        # (d - k) q^k, a step per degree; x^(q^k) has at most deg x + 1 terms, so
-        # its power, product and sum take that many passes over the value
-        dx = _text_degree(args.eval_at)
-        work = sum(((d - k) * fld.q**k) ** 2 + (dx + 1) * ((d - k + dx) * fld.q**k + 1)
-                   for k in range(d + 1))
-        if work > args.cap:
-            raise CapExceededError(f"evaluating C_M at {args.eval_at} takes about {work} "
-                                   f"coefficient operations, over the budget of cap {args.cap}")
+        # C_M(x) has at most (deg x + 1) q^d coefficients, and each of the d + 1
+        # digit steps takes a few linear passes over the value
+        size = (_text_degree(args.eval_at) + 1) * fld.q**d
+        if size > args.cap:
+            raise CapExceededError(f"C_M at {args.eval_at} has up to {size} coefficients, "
+                                   f"over the budget of cap {args.cap}")
     m = parse_poly(fld, args.poly)
     x = None if args.eval_at is None else parse_poly(fld, args.eval_at)
     cp = carlitz_poly(m)

@@ -355,7 +355,7 @@ def parse_poly(fld: FiniteField, text: str) -> Polynomial:
     text = text.replace(" ", "")
     if not text:
         raise ValueError("empty polynomial text")
-    acc = Polynomial.zero(fld)
+    coeffs = {}  # T-exponent to encoding, so each term costs one table add
     for term in text.split("+"):
         m = _TERM_RE.match(term)
         if not m:
@@ -368,8 +368,8 @@ def parse_poly(fld: FiniteField, text: str) -> Polynomial:
             k = int(exp_s) if exp_s else 1
         if c >= fld.q:
             raise ValueError(f"coefficient {c} out of range for GF({fld.q})")
-        acc = acc + Polynomial(fld, (0,) * k + (c,))
-    return acc
+        coeffs[k] = fld._add_table[coeffs.get(k, 0)][c]
+    return Polynomial(fld, [coeffs.get(e, 0) for e in range(max(coeffs) + 1)])
 
 
 # -- enumeration --

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from wittcount.carlitz import (
-    additive_gcd,
     carlitz_compose_check,
     carlitz_eval,
     carlitz_gcd_check,
@@ -12,10 +11,11 @@ from wittcount.carlitz import (
     _carlitz_sparse,
     _gcd,
     _right_rem,
+    _to_polys,
     _twisted_add,
     _twisted_mul,
 )
-from wittcount.fields import field
+from wittcount.fields import FqElem, field
 from wittcount.polys import CapExceededError, Polynomial, parse_poly, polys_below
 from wittcount.rationals import RationalFunction
 
@@ -44,15 +44,15 @@ def test_identity_action():
 
 def test_base_case():
     cp = carlitz_poly(P("T"))
-    assert cp.coeff_map() == {0: P("T"), 1: P("1")}
+    assert dict(cp.coeffs) == {0: P("T"), 1: P("1")}
 
 
 def test_degree_two_frozen():
     # T^2*u + (T + T^q)*u^q + u^(q^2), derived by composing the base case
     cp = carlitz_poly(P("T^2"))
-    assert cp.coeff_map() == {0: P("T^2"), 1: P("T^2+T"), 2: P("1")}
+    assert dict(cp.coeffs) == {0: P("T^2"), 1: P("T^2+T"), 2: P("1")}
     cp3 = carlitz_poly(parse_poly(F3, "T^2"))
-    assert cp3.coeff_map() == {
+    assert dict(cp3.coeffs) == {
         0: parse_poly(F3, "T^2"),
         1: parse_poly(F3, "T^3+T"),
         2: parse_poly(F3, "1"),
@@ -65,9 +65,9 @@ def test_shape_and_derivative_invariants():
             cp = carlitz_poly(m)  # construction asserts the invariants
             assert cp.u_degree() == fld.q**m.degree
             # formal u-derivative: only the u-linear term survives in char p
-            assert cp.coeff_map()[0] == m
+            assert dict(cp.coeffs)[0] == m
             if m.is_monic():
-                assert cp.coeff_map()[m.degree] == Polynomial.one(fld)
+                assert dict(cp.coeffs)[m.degree] == Polynomial.one(fld)
 
 
 def test_eval_frozen_examples():
@@ -103,6 +103,34 @@ def test_eval_in_rational_functions():
     x = RationalFunction(Polynomial.one(F2), P("T"))
     value = carlitz_eval(P("T"), x)
     assert value == RationalFunction.T(F2) * x + x**2
+
+
+def test_eval_rejects_other_domains_and_zero():
+    for x in (1, FqElem(F2, 1), P("T").coeffs):
+        with pytest.raises(TypeError):
+            carlitz_eval(P("T"), x)
+    with pytest.raises(ValueError, match="Carlitz polynomial of zero"):
+        carlitz_eval(Polynomial.zero(F2), P("T"))
+
+
+@pytest.mark.parametrize("rational", [False, True])
+@pytest.mark.parametrize("p,s", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)])
+def test_eval_matches_the_tau_expansion(p, s, rational):
+    # sum c_i(T) * x^(q^i) with x^(q^i) by repeated squaring: the digit steps'
+    # Frobenius powers are checked at q = p^s with s > 1, which the module
+    # action alone cannot see (it holds for any operator in place of C_T);
+    # the c_i are checked against e_k(M)/D_k below
+    fld = field(p, s)
+    rng = random.Random(f"eval/{fld.q}/{rational}")
+    for _ in range(20):
+        m = Polynomial.from_int(fld, rng.randrange(1, fld.q**3))
+        x = Polynomial.from_int(fld, rng.randrange(fld.q**3))
+        if rational:
+            x = RationalFunction(x, Polynomial.from_int(fld, rng.randrange(fld.q, fld.q**3)))
+        expected = type(x).zero(fld)
+        for i, c in _to_polys(fld, _carlitz_sparse(m)):
+            expected = expected + x ** (fld.q**i) * c
+        assert carlitz_eval(m, x) == expected, (m, x)
 
 
 def test_compose_check_frozen():
@@ -165,7 +193,7 @@ def test_additive_gcd_matches_dense_euclid(fld, max_deg):
     rng = random.Random(71)
     pairs = [(rng.choice(polys), rng.choice(polys)) for _ in range(30)]
     for m, n in pairs:
-        sparse = additive_gcd(dict(_carlitz_coeffs(m)), dict(_carlitz_coeffs(n)))
+        sparse = _to_polys(fld, _gcd(fld, _carlitz_sparse(m), _carlitz_sparse(n)))
         dense = _dense_gcd_u(
             _dense_from_sparse(dict(_carlitz_coeffs(m)), fld),
             _dense_from_sparse(dict(_carlitz_coeffs(n)), fld),
@@ -176,21 +204,20 @@ def test_additive_gcd_matches_dense_euclid(fld, max_deg):
 
 
 def test_additive_gcd_rejects_a_non_constant_lead():
-    t = P("T")
+    t = {1: 1}  # T*u + T*u^q
     with pytest.raises(ValueError):
-        additive_gcd(dict(_carlitz_coeffs(P("T^2"))), {0: t, 1: t})
+        _gcd(F2, _carlitz_sparse(P("T^2")), {0: t, 1: t})
     with pytest.raises(ValueError):
-        additive_gcd({0: t, 1: t}, {})
+        _gcd(F2, {0: t, 1: t}, {})
 
 
 def test_additive_gcd_is_monic_over_polynomials():
     # non-monic inputs, so the last remainder's lead is not 1 before scaling
     for m, n in (("2*T^2", "2*T"), ("2*T^2+2", "T^2+1"), ("T+1", "2*T^2+1")):
         m, n = parse_poly(F3, m), parse_poly(F3, n)
-        got = additive_gcd(dict(_carlitz_coeffs(m)), dict(_carlitz_coeffs(n)))
-        assert all(type(c) is Polynomial for _, c in got)
-        assert got[-1][1] == Polynomial.one(F3)
-        assert got == _carlitz_coeffs(m.gcd(n))
+        got = _gcd(F3, _carlitz_sparse(m), _carlitz_sparse(n))
+        assert got[max(got)] == {0: 1}
+        assert got == _carlitz_sparse(m.gcd(n))
 
 
 def _e(k, x):
@@ -284,7 +311,7 @@ def test_cached_carlitz_forms_survive_gcd_and_checks():
         touched = {x for m, n in pairs for x in (m, n, m * n, m.gcd(n), m + n) if x}
         before = {m: _carlitz_coeffs(m) for m in touched}
         for m, n in pairs:
-            additive_gcd(dict(_carlitz_coeffs(m)), dict(_carlitz_coeffs(n)))
+            _gcd(fld, _carlitz_sparse(m), _carlitz_sparse(n))
             assert carlitz_compose_check(m, n) and carlitz_gcd_check(m, n)
         assert {m: _carlitz_coeffs(m) for m in touched} == before
 

@@ -103,6 +103,18 @@ def test_carlitz_command(capsys):
     assert code == EXIT_PASS and "value" in json.loads(out)
 
 
+def test_carlitz_evaluation_is_bounded_by_its_output_size(capsys):
+    # (deg x + 1) * q^(deg M) coefficients: 5 * 2^16 is under the default cap
+    code, out, _ = run_cli(capsys, "carlitz", "--poly", "T^16+T^3+1", "--eval-at", "T^4+T+1")
+    assert code == EXIT_PASS
+    assert json.loads(out)["value"].startswith("T^262144+")  # the leading term comes first
+    code, out, _ = run_cli(capsys, "carlitz", "--poly", "T^20", "--eval-at", "1")  # at the cap
+    assert code == EXIT_PASS and json.loads(out)["value"] == "T+1"  # C_T fixes T+1 over F_2
+    x = "+".join(f"T^{2**20 - k}" for k in range(1, 2001))  # parsed in one pass over its terms
+    code, out, _ = run_cli(capsys, "carlitz", "--poly", "1", "--eval-at", x)
+    assert code == EXIT_PASS and json.loads(out)["value"] == x
+
+
 def test_carlitz_command_is_capped_by_u_degree(capsys):
     code, out, err = run_cli(capsys, "carlitz", "--poly", "T^23")
     assert (code, out, err) == (EXIT_INFEASIBLE, "", "error: u-degree q^23 exceeds cap 1048576\n")
@@ -388,7 +400,7 @@ def test_normalize_reads_a_unit_multiple_prime_as_monic(capsys):
     ("count", "--p", "2", "--alpha", "2", "--n", "100000"),
     ("witt-eval", "--p", "5", "--op", "add", "--x", "(1, 0, 0, 0)", "--y", "(1, 0, 0, 0)"),
     ("witt-eval", "--p", "1009", "--op", "neg", "--x", "(1, 0)"),
-    ("carlitz", "--poly", "T^20", "--eval-at", "1"),  # the u-degree cap admits T^20
+    ("carlitz", "--poly", "T^20", "--eval-at", "T"),  # 2 * 2^20 coefficients; u-degree admits T^20
     ("normalize", "--beta", "(1/T^33)"),
     ("normalize", "--beta", "(1/T^100000000)"),
     ("normalize", "--p", "3", "--beta", "(1/T^26, T^ 27)"),

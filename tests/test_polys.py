@@ -80,6 +80,9 @@ def test_text_roundtrip():
     assert str(Polynomial.zero(F2)) == "0"
     assert parse_poly(F2, "0").is_zero()
     assert str(P("3*T^2+2*T+1", F4)) == "3*T^2+2*T+1"
+    # repeated and unordered terms add in F_q
+    assert P("T+1+T^3+2*T^3+T", F3) == P("2*T+1", F3)
+    assert P("T^2+3*T+T^2+2*T", F4) == P("T", F4)  # 3 + 2 = 1 in the encodings of F_4
 
 
 def test_parse_rejects_garbage():
