@@ -3,10 +3,10 @@
 The closed forms (v_n, w, t_1, s_n and the integer lemmas behind them) are
 pure arbitrary-precision arithmetic.  Each one is paired with an exhaustive
 oracle.  Cyclic-subgroup counting enumerates all of F_q[T]/(P^alpha) as
-pairs x = h + l of a high and a low half; x -> x^p is additive, so the
-p-power images of each half are computed once, with the generic
-``Polynomial`` arithmetic, and every pair is compared exactly.  The
-generator-class oracles enumerate normal-form generators and partition
+pairs x = h + l of a high and a low half; x -> x^p is additive, so each
+half's p-power columns are built by additivity from the images of its
+monomials, and every residue is counted once, exactly, through a tally of
+the low half.  The generator-class oracles enumerate normal-form generators and partition
 them under the scaling-plus-wp equivalence, with the correction pole bound
 saturated until the class count stabilizes.
 
@@ -29,11 +29,12 @@ from __future__ import annotations
 import functools
 import itertools
 import time
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .fields import field
-from .polys import (CapExceededError, DEFAULT_ENUM_CAP, Polynomial, canonical_prime,
+from .polys import (CapExceededError, DEFAULT_ENUM_CAP, Polynomial, _sum, canonical_prime,
                     is_irreducible, phi, polys_below)
 from .rationals import RationalFunction
 from .witt import WittVector
@@ -203,15 +204,33 @@ def telescoped_phi_sum(params: CountParams, r: int, s: int) -> int:
 
 # -- oracle: cyclic subgroup count by full unit enumeration --
 
-def _power_images(residues, prime, modulus, n_max):
-    """Per residue f of one half: [f mod P, f, f^p, ..., f^(p^n_max)], the
-    powers reduced mod M = P^alpha."""
-    for f in residues:
-        row = [f % prime, f]
-        for _ in range(n_max):
-            f = f.frobenius() % modulus
-            row.append(f)
-        yield row
+def _power_columns(fld, prime, modulus, k, shift, start):
+    """Columns [g mod P, g, g^p, ..., g^(p^n_max)] of coefficient tuples, the
+    powers mod M = P^alpha, for g = r*T^shift and r over ``polys_below(fld, k)``;
+    column j starts at ``start[j]`` (the entry of r = 0) and n_max + 2 = len(start).
+
+    Every map here is additive, so r's entry is the entry of r - c*T^e, at
+    index i - c*q^e, plus the image of the top term c*T^e; the images of the
+    (q - 1)*k monomials are the only ``frobenius()`` and ``%`` calls.
+    """
+    cols = [[s] for s in start]
+    images = {}
+    for i, r in enumerate(polys_below(fld, k)):
+        if not i:
+            continue
+        e, c = len(r.coeffs) - 1, r.coeffs[-1]
+        image = images.get((e, c))
+        if image is None:
+            g = Polynomial(fld, (0,) * (e + shift) + (c,))
+            image = [(g % prime).coeffs, g.coeffs]
+            for _ in start[2:]:
+                g = g.frobenius() % modulus
+                image.append(g.coeffs)
+            images[e, c] = image
+        base = i - c * fld.q**e
+        for col, term in zip(cols, image):
+            col.append(_sum(fld, col[base], term))
+    return cols
 
 
 @functools.lru_cache(maxsize=32)
@@ -222,10 +241,15 @@ def _p_power_order_counts(p, s, prime_coeffs, alpha, n_max, cap):
     Each residue is split as x = h + l, with deg l < k and h a multiple of
     T^k, k = floor(d*alpha/2).  The p-power map is additive in
     characteristic p, so x^(p^m) = 1 exactly when l^(p^m) = 1 - h^(p^m), and
-    x is a unit exactly when l mod P != -(h mod P).  The encodings of both
-    sides are computed once per half; every one of the q^(d*alpha) pairs is
-    then compared.  The units of order dividing p^m are nested in m, so the
-    order-exactly-p^m count is the difference of consecutive tallies.
+    x is a unit exactly when l mod P != -(h mod P).  h -> -h permutes the
+    high half, so the high columns hold h mod P and 1 + h^(p^m) instead:
+    negating them would change no count, so no negation is made.  Each
+    half's columns are built by additivity (:func:`_power_columns`); every
+    high entry then looks up how many low halves complete it in a tally of
+    the low column, so each of the q^(d*alpha) residues is counted once
+    and exactly.  The units of order
+    dividing p^m are nested in m, so the order-exactly-p^m count is the
+    difference of consecutive tallies.
 
     Also cross-checks that the number of units found equals Phi(P^alpha).
     """
@@ -237,17 +261,10 @@ def _p_power_order_counts(p, s, prime_coeffs, alpha, n_max, cap):
         raise CapExceededError(f"unit enumeration of size {size} exceeds cap {cap}")
     modulus = prime**alpha
     k = deg_full // 2
-    # column 0: l mod P; column m + 1: l^(p^m)
-    low = list(zip(*([g.to_int() for g in row]
-                     for row in _power_images(polys_below(fld, k), prime, modulus, n_max))))
-    one = Polynomial.one(fld)
-    highs = (h.shift(k) for h in polys_below(fld, deg_full - k))
-    non_units = 0
-    fixed = [0] * (n_max + 1)  # fixed[m]: residues with x^(p^m) = 1
-    for row in _power_images(highs, prime, modulus, n_max):
-        non_units += low[0].count((-row[0]).to_int())
-        for m in range(n_max + 1):
-            fixed[m] += low[m + 1].count((one - row[m + 1]).to_int())
+    low = [Counter(col) for col in _power_columns(fld, prime, modulus, k, 0, [()] * (n_max + 2))]
+    high = _power_columns(fld, prime, modulus, deg_full - k, k, [()] + [(1,)] * (n_max + 1))
+    # non-units, then fixed[m]: residues with x^(p^m) = 1
+    non_units, *fixed = [sum(map(tally.__getitem__, col)) for tally, col in zip(low, high)]
     units_found = size - non_units
     expected_units = phi(modulus)
     if units_found != expected_units:

@@ -1,9 +1,12 @@
 """Reference implementations that tests compare the library against.
 
 None of these is on a library path: the residue ring F_q[T]/(N) with its
-exhaustive unit enumeration and element orders checks ``phi`` and the
-split unit-enumeration oracle, and ``recombine`` is the round-trip oracle
-of ``partial_fractions``.
+exhaustive unit enumeration, element orders and p-power torsion tally (by
+``modpow``, sharing nothing with the additive columns) checks ``phi`` and
+the split unit-enumeration oracle; ``power_images`` computes each residue's
+p-power column entries from scratch, the reference for the columns that
+oracle builds by additivity; and ``recombine`` is the round-trip oracle of
+``partial_fractions``.
 """
 
 from wittcount.polys import DEFAULT_ENUM_CAP, CapExceededError, Polynomial, phi, polys_below
@@ -51,6 +54,24 @@ class ResidueRing:
             while e % prime == 0 and a.modpow(e // prime, self.modulus) == one:
                 e //= prime
         return e
+
+    def p_power_torsion(self, n_max: int, cap: int = DEFAULT_ENUM_CAP):
+        """[number of units u with u^(p^m) = 1 for m = 0..n_max], by multiplicative powering."""
+        p = self.field.p
+        one = Polynomial.one(self.field)
+        units = list(self.units(cap=cap))
+        return [sum(u.modpow(p**m, self.modulus) == one for u in units)
+                for m in range(n_max + 1)]
+
+
+def power_images(residues, prime: Polynomial, modulus: Polynomial, n_max: int):
+    """Per residue f: [f mod P, f, f^p, ..., f^(p^n_max)], the powers reduced mod M."""
+    for f in residues:
+        row = [f % prime, f]
+        for _ in range(n_max):
+            f = f.frobenius() % modulus
+            row.append(f)
+        yield row
 
 
 def int_prime_factors(n: int):

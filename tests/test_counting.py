@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -26,14 +27,16 @@ from wittcount.counting import (
     w,
     _lift,
     _lifted_wp,
+    _p_power_order_counts,
+    _power_columns,
 )
 from wittcount.fields import field
-from wittcount.polys import (CapExceededError, Polynomial, canonical_prime, monic_irreducibles,
-                             parse_poly)
+from wittcount.polys import (DEFAULT_ENUM_CAP, CapExceededError, Polynomial, canonical_prime,
+                             monic_irreducibles, parse_poly, polys_below)
 from wittcount.rationals import RationalFunction
 from wittcount.witt import WittVector
 
-from oracles import ResidueRing
+from oracles import ResidueRing, power_images
 
 
 def params(p, s, d, alpha, n):
@@ -193,6 +196,35 @@ def test_oracle_cyclic_large_characteristic(p):
     for n in (1, 2, 3):
         par = params(p, 1, 1, 2, n)
         assert oracle_cyclic_subgroups(par, prime=t_plus_1) == v_n(par)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("p, s", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)])
+def test_power_columns_match_per_residue_images(p, s, d):
+    # d = 1 runs d*alpha = 1 (the low half is {0}) and odd d*alpha (halves of unequal degree)
+    fld = field(p, s)
+    prime = canonical_prime(fld, d)
+    one = Polynomial.one(fld)
+    n_max = 3
+    for alpha in range(1, 4 // d + 1):
+        modulus = prime**alpha
+        k = d * alpha // 2
+        low = _power_columns(fld, prime, modulus, k, 0, [()] * (n_max + 2))
+        expected = list(zip(*power_images(polys_below(fld, k), prime, modulus, n_max)))
+        assert low == [[g.coeffs for g in col] for col in expected]
+        high = _power_columns(fld, prime, modulus, d * alpha - k, k,
+                              [()] + [(1,)] * (n_max + 1))
+        highs = (h.shift(k) for h in polys_below(fld, d * alpha - k))
+        residues, *powers = zip(*power_images(highs, prime, modulus, n_max))
+        assert high == [[g.coeffs for g in residues]] + \
+            [[(one + g).coeffs for g in col] for col in powers]
+
+
+@pytest.mark.parametrize("p, s, d, alpha", [(2, 2, 2, 3), (3, 2, 1, 3), (5, 1, 1, 3)])
+def test_p_power_order_counts_match_a_direct_tally(p, s, d, alpha):
+    prime = canonical_prime(field(p, s), d)
+    counts = _p_power_order_counts(p, s, prime.coeffs, alpha, 3, DEFAULT_ENUM_CAP)
+    assert list(itertools.accumulate(counts)) == ResidueRing(prime**alpha).p_power_torsion(3)
 
 
 def test_oracle_cyclic_agrees_with_formula_small_grid():
