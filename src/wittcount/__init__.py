@@ -15,7 +15,6 @@ from .asw import (
     conductor_power,
     hasse_normalize,
     infinity_behavior,
-    invert_variable,
     is_single_ramified_form,
     is_normal_form,
     split_constants,
@@ -59,7 +58,7 @@ __all__ = [
     "VerificationReport", "WittVector",
     "canonical_prime", "carlitz_compose_check", "carlitz_eval", "carlitz_gcd_check",
     "carlitz_poly", "conductor_exponent", "conductor_power", "factor", "field",
-    "hasse_normalize", "infinity_behavior", "invert_variable",
+    "hasse_normalize", "infinity_behavior",
     "is_single_ramified_form", "is_irreducible", "is_normal_form", "lemma42_ceil", "lemma42_floor",
     "ln1_bound", "monic_irreducibles", "oracle_as_classes", "oracle_asw_classes",
     "oracle_cyclic_subgroups", "parse_poly", "parse_rational", "parse_witt",

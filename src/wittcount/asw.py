@@ -394,40 +394,3 @@ def is_single_ramified_form(nf: AswNormalForm, prime: Polynomial) -> bool:
     if len(nf.primes) != 1 or nf.primes[0].prime != prime:
         return False
     return nf.primes[0].levels[0][1] > 0
-
-
-def is_single_ramified_at_infinity(nf: AswNormalForm) -> bool:
-    """The single-ramified-prime conditions transported to the infinite place:
-    no finite poles, every polynomial part vanishes at 0, each part is zero
-    or has degree coprime to p, and the first part is nonconstant."""
-    if nf.primes:
-        return False
-    p = nf.p
-    for f_i in nf.mu:
-        if f_i.is_zero():
-            continue
-        # nonzero with zero constant term forces degree >= 1
-        if f_i.constant_coeff() != 0 or f_i.degree % p == 0:
-            return False
-    return not nf.mu[0].is_constant()
-
-
-def _subst_inverse_t(rf: RationalFunction) -> RationalFunction:
-    fld = rf.field
-    x = RationalFunction(Polynomial.one(fld), Polynomial.T(fld))
-
-    def horner(poly):
-        acc = RationalFunction.zero(fld)
-        for c in reversed(poly.coeffs):
-            acc = acc * x + RationalFunction.const(fld, c)
-        return acc
-
-    den = horner(rf.den)
-    return horner(rf.num) / den
-
-
-def invert_variable(gen: AswGenerator) -> AswGenerator:
-    """Substitute T -> 1/T' in every component; an involution, and it does
-    not renormalize (compose with witt_normalize for that)."""
-    beta = gen.beta
-    return AswGenerator(WittVector(beta.p, (_subst_inverse_t(c) for c in beta.comps)))

@@ -210,13 +210,16 @@ def _bound_witt_work(args, fld, *texts):
     combine.  With D the highest power of T written and n the length, poles
     and degrees carry into the top level up to p^(n-1)*D, where a product,
     reduction or gcd takes about (p^(n-1)*D)^2 operations.  Splitting a
-    denominator into primes takes the most of them: for each degree d up to
-    D, a power T^(q^d) modulo it, d*log2(q) products.  So the estimate is
-    (p^(n-1)*D)^2 * D^2 * ceil(log2 q)."""
+    denominator into primes takes the most of them: a q-th power modulo it
+    per degree up to D/2, and a power of about q^d per Cantor-Zassenhaus
+    trial on a product of degree-d primes, at most D^2 * ceil(log2 q)
+    products in all.  So the estimate is (p^(n-1)*D)^2 * D^2 * ceil(log2 q),
+    and at least q, as a constant's Artin-Schreier coset is found by a scan
+    of F_q."""
     texts = [text for text in texts if text]
     d = max([1] + [_text_degree(text) for text in texts])
     n = min(max(text.count(",") for text in texts) + 1, MAX_WITT_LENGTH)
-    work = (args.p ** (n - 1) * d) ** 2 * d**2 * (fld.q - 1).bit_length()
+    work = max((args.p ** (n - 1) * d) ** 2 * d**2 * (fld.q - 1).bit_length(), fld.q)
     if work > args.cap:
         raise CapExceededError(f"a length-{n} Witt vector with T-degrees up to {d} takes about "
                                f"{work} coefficient operations, over the budget of cap {args.cap}")

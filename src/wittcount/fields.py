@@ -5,7 +5,10 @@ always give the identical field object.  Its modulus is
 ``polys.canonical_prime(field(p), s)``: the smallest-encoded monic
 irreducible of degree s over F_p (coefficients compared from the constant
 term up), found and multiplied with the one F_p[T] arithmetic in ``polys``.
-The search is bounded by that module's enumeration cap.
+Each candidate costs one polynomial-time irreducibility test, and about one
+in s candidates is irreducible, so the search needs no cap.  The
+characteristic is at most ``MAX_CHARACTERISTIC``, so that its primality
+test by trial division takes at most 2^20 steps.
 
 Elements are encoded as integers in [0, q): the base-p digits of the
 encoding are the coordinates in the power basis, constant digit first.
@@ -24,6 +27,7 @@ from __future__ import annotations
 import functools
 
 MAX_EXTENSION_DEGREE = 16
+MAX_CHARACTERISTIC = 2**40
 _TABLE_LIMIT = 256  # list rows at and below this q, lazy rows above
 _WP_CROSSCHECK_LIMIT = 64  # exhaustively validate the trace criterion below this q
 
@@ -60,6 +64,8 @@ class FiniteField:
     """
 
     def __init__(self, p: int, s: int):
+        if p > MAX_CHARACTERISTIC:
+            raise ValueError(f"characteristic {p} exceeds bound {MAX_CHARACTERISTIC}")
         if not _is_prime(p):
             raise ValueError(f"characteristic {p} is not prime")
         if not 1 <= s <= MAX_EXTENSION_DEGREE:

@@ -12,15 +12,19 @@ Text format: terms ``c*T^k`` joined by ``+``, where ``c`` is the integer
 encoding of the coefficient and a coefficient of 1 is omitted, e.g.
 ``T^3+T+1`` or ``2*T^2+1``.  Printing and parsing round-trip.
 
-Every exhaustive walk over polynomials (trial divisors, residues, oracle
-numerators) goes through the single enumerator :func:`polys_below`, or its
-monic variant, in increasing :meth:`Polynomial.to_int` order.
+Every exhaustive walk over polynomials (residues, oracle numerators, the
+searches of :func:`monic_irreducibles` and :func:`canonical_prime`) goes
+through the single enumerator :func:`polys_below`, or its monic variant, in
+increasing :meth:`Polynomial.to_int` order.  Irreducibility and factoring
+enumerate nothing: both take polynomial time, by the distinct-degree sieve
+and Cantor-Zassenhaus splitting.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import random
 import re
 
 from .fields import FiniteField, FqElem, field
@@ -148,12 +152,6 @@ class Polynomial:
 
     def scale(self, c: int) -> "Polynomial":
         return _wrap(self.field, _mul(self.field, (c,) if c else (), self.coeffs))
-
-    def shift(self, k: int) -> "Polynomial":
-        """Multiply by T^k."""
-        if not self.coeffs:
-            return self
-        return _wrap(self.field, (0,) * k + self.coeffs)
 
     def __divmod__(self, other):
         self._check(other)
@@ -389,21 +387,17 @@ def _monics(fld: FiniteField, d: int):
 
 # -- irreducibility and factorization --
 
-def is_irreducible(f: Polynomial, cap: int = DEFAULT_ENUM_CAP) -> bool:
-    """Exact test by trial division by all monic polynomials of degree <= deg/2."""
+def is_irreducible(f: Polynomial) -> bool:
+    """Distinct-degree test: f of degree n is irreducible iff gcd(T^(q^d) - T, f)
+    is 1 for every d <= n/2, as each irreducible of degree d divides T^(q^d) - T."""
     if f.is_zero():
         raise ValueError("zero polynomial")
-    deg = f.degree
-    if deg < 1:
-        return False
-    q = f.field.q
-    for d in range(1, deg // 2 + 1):
-        if q**d > cap:
-            raise CapExceededError(f"irreducibility scan needs {q**d} divisors of degree {d}")
-        for g in _monics(f.field, d):
-            if (f % g).is_zero():
-                return False
-    return True
+    t = x = Polynomial.T(f.field)
+    for _ in range(f.degree // 2):
+        x = x.modpow(f.field.q, f)  # T^(q^d) mod f
+        if f.gcd(x - t).degree > 0:
+            return False
+    return f.degree >= 1
 
 
 def monic_irreducibles(fld: FiniteField, d: int, cap: int = DEFAULT_ENUM_CAP):
@@ -412,7 +406,7 @@ def monic_irreducibles(fld: FiniteField, d: int, cap: int = DEFAULT_ENUM_CAP):
         raise ValueError("degree must be positive")
     if fld.q**d > cap:
         raise CapExceededError(f"enumeration of degree {d} over GF({fld.q}) exceeds cap {cap}")
-    return [g for g in _monics(fld, d) if is_irreducible(g, cap=cap)]
+    return [g for g in _monics(fld, d) if is_irreducible(g)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -424,61 +418,64 @@ def canonical_prime(fld: FiniteField, d: int) -> Polynomial:
     raise AssertionError(f"no monic irreducible of degree {d} over GF({fld.q})")
 
 
-def factor(f: Polynomial, cap: int = DEFAULT_ENUM_CAP):
+def factor(f: Polynomial):
     """Factor into monic irreducibles, returned as a sorted list of (P, e).
 
     Distinct-degree sieving with T^(q^d) - T picks out, degree by degree,
-    the product of the irreducible factors of each exact degree; products
-    of several same-degree factors are split by exhaustive trial division
-    over that single degree (guarded by ``cap``).  Factorisations are
+    the product of the irreducible factors of each exact degree, and
+    Cantor-Zassenhaus splits a product of several.  Factorisations are
     memoised per monic form; each call returns a fresh list.
     """
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
-    return list(_factor_monic(f.monic(), cap))
+    return list(_factor_monic(f.monic()))
 
 
 @functools.lru_cache(maxsize=4096)
-def _factor_monic(rem: Polynomial, cap: int) -> tuple:
-    fld = rem.field
+def _factor_monic(rem: Polynomial) -> tuple:
     out = []
-    d = 0
-    t = Polynomial.T(fld)
-    while rem.degree >= 1:
-        d += 1
-        if d > rem.degree:
-            raise AssertionError("factor loop overran the remaining degree")
-        frob = t.modpow(fld.q**d, rem) - t
-        g = rem.gcd(frob)
-        if g.degree < 1:
-            continue
-        if g.degree == d:
-            primes = [g]
-        else:
-            primes = _split_equal_degree(g, d, cap)
-        for p_ in primes:
+    t = x = Polynomial.T(rem.field)
+    d = 1
+    while 2 * d <= rem.degree:  # rem has no factor of degree < d
+        x = x.modpow(rem.field.q, rem)  # T^(q^d) mod rem
+        g = rem.gcd(x - t)  # the product of rem's irreducible factors of degree d
+        for p_ in _split_equal_degree(g, d) if g.degree > 0 else ():
             e = 0
             while (rem % p_).is_zero():
                 rem = rem // p_
                 e += 1
             out.append((p_, e))
+        d += 1
+    if rem.degree >= 1:  # two factors of degree >= d would exceed its degree
+        out.append((rem, 1))
     out.sort(key=lambda pe: (pe[0].degree, pe[0].to_int()))
     return tuple(out)
 
 
-def _split_equal_degree(g: Polynomial, d: int, cap: int):
-    """Split a squarefree product of degree-d irreducibles by trial division."""
+def _split_equal_degree(g: Polynomial, d: int):
+    """Split a monic squarefree product of degree-d irreducibles by
+    Cantor-Zassenhaus: for a random a, gcd(b, g) is a proper factor about half
+    the time, where b = a^((q^d - 1)/2) - 1 for odd q and the trace
+    a + a^2 + ... + a^(2^(sd - 1)) for q = 2^s.  The random source is seeded
+    by g, so the work is deterministic."""
     fld = g.field
-    if fld.q**d > cap:
-        raise CapExceededError(f"equal-degree split at degree {d} exceeds cap {cap}")
-    primes = []
-    for cand in _monics(fld, d):
-        if g.degree == d:
-            primes.append(g)
-            break
-        if (g % cand).is_zero():
-            primes.append(cand)
-            g = g // cand
+    rng = random.Random(g.to_int())
+    todo, primes = [g], []
+    while todo:
+        h = todo.pop()
+        if h.degree == d:
+            primes.append(h)
+            continue
+        a = Polynomial(fld, [rng.randrange(fld.q) for _ in range(h.degree)])
+        if fld.p == 2:
+            b = y = a
+            for _ in range(fld.s * d - 1):
+                y = y * y % h
+                b = b + y
+        else:
+            b = a.modpow((fld.q**d - 1) // 2, h) - Polynomial.one(fld)
+        u = h.gcd(b)
+        todo += [u, h // u] if 0 < u.degree < h.degree else [h]
     return primes
 
 

@@ -5,12 +5,20 @@ exhaustive unit enumeration, element orders and p-power torsion tally (by
 ``modpow``, sharing nothing with the additive columns) checks ``phi`` and
 the split unit-enumeration oracle; ``power_images`` computes each residue's
 p-power column entries from scratch, the reference for the columns that
-oracle builds by additivity; and ``recombine`` is the round-trip oracle of
-``partial_fractions``.
+oracle builds by additivity; ``recombine`` is the round-trip oracle of
+``partial_fractions``; ``is_irreducible_by_trial_division`` and
+``factor_by_trial_division`` divide by every monic of each degree, the
+reference for the distinct-degree sieve and Cantor-Zassenhaus; and
+``invert_variable`` with ``is_single_ramified_at_infinity`` carry the
+single-ramified conditions to the infinite place, to check the normaliser
+against the T -> 1/T symmetry.
 """
 
-from wittcount.polys import DEFAULT_ENUM_CAP, CapExceededError, Polynomial, phi, polys_below
+from wittcount.asw import AswGenerator, AswNormalForm
+from wittcount.polys import (DEFAULT_ENUM_CAP, CapExceededError, Polynomial, _monics, phi,
+                              polys_below)
 from wittcount.rationals import RationalFunction
+from wittcount.witt import WittVector
 
 
 class ResidueRing:
@@ -95,3 +103,66 @@ def recombine(poly_part: Polynomial, terms) -> RationalFunction:
     for p_, e, q_i in terms:
         acc = acc + RationalFunction(q_i, p_**e)
     return acc
+
+
+def is_irreducible_by_trial_division(f: Polynomial) -> bool:
+    """No monic of degree 1..deg/2 divides f."""
+    if f.is_zero():
+        raise ValueError("zero polynomial")
+    return f.degree >= 1 and all(
+        f % g for d in range(1, f.degree // 2 + 1) for g in _monics(f.field, d))
+
+
+def factor_by_trial_division(f: Polynomial):
+    """Sorted (P, e) of f, dividing out the monics of each degree in increasing
+    encoding order; each divisor found is irreducible, as every factor of lower
+    degree was already divided out."""
+    rem, out, d = f.monic(), [], 1
+    while 2 * d <= rem.degree:
+        for g in _monics(f.field, d):
+            e = 0
+            while not rem % g:
+                rem, e = rem // g, e + 1
+            if e:
+                out.append((g, e))
+        d += 1
+    if rem.degree >= 1:  # no factor of degree below half its own
+        out.append((rem, 1))
+    return out
+
+
+def is_single_ramified_at_infinity(nf: AswNormalForm) -> bool:
+    """The single-ramified-prime conditions transported to the infinite place:
+    no finite poles, every polynomial part vanishes at 0, each part is zero
+    or has degree coprime to p, and the first part is nonconstant."""
+    if nf.primes:
+        return False
+    p = nf.p
+    for f_i in nf.mu:
+        if f_i.is_zero():
+            continue
+        # nonzero with zero constant term forces degree >= 1
+        if f_i.constant_coeff() != 0 or f_i.degree % p == 0:
+            return False
+    return not nf.mu[0].is_constant()
+
+
+def _subst_inverse_t(rf: RationalFunction) -> RationalFunction:
+    fld = rf.field
+    x = RationalFunction(Polynomial.one(fld), Polynomial.T(fld))
+
+    def horner(poly):
+        acc = RationalFunction.zero(fld)
+        for c in reversed(poly.coeffs):
+            acc = acc * x + RationalFunction.const(fld, c)
+        return acc
+
+    den = horner(rf.den)
+    return horner(rf.num) / den
+
+
+def invert_variable(gen: AswGenerator) -> AswGenerator:
+    """Substitute T -> 1/T' in every component; an involution, and it does
+    not renormalize (compose with witt_normalize for that)."""
+    beta = gen.beta
+    return AswGenerator(WittVector(beta.p, (_subst_inverse_t(c) for c in beta.comps)))

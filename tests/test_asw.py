@@ -14,9 +14,7 @@ from wittcount.asw import (
     conductor_power,
     hasse_normalize,
     infinity_behavior,
-    invert_variable,
     is_single_ramified_form,
-    is_single_ramified_at_infinity,
     is_normal_form,
     split_constants,
     witt_normalize,
@@ -25,6 +23,8 @@ from wittcount.fields import field
 from wittcount.polys import Polynomial, canonical_prime, parse_poly
 from wittcount.rationals import RationalFunction, parse_rational, partial_fractions, pole_part
 from wittcount.witt import WittVector
+
+from oracles import invert_variable, is_single_ramified_at_infinity
 
 F2 = field(2, 1)
 F3 = field(3, 1)

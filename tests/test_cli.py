@@ -407,6 +407,8 @@ def test_normalize_reads_a_unit_multiple_prime_as_monic(capsys):
     ("infinity", "--beta", "(0, 0, T^17)"),
     ("witt-eval", "--op", "add", "--x", "(1/T, 0)", "--y", "(1/(T^23+1), 0)"),
     ("normalize", "--beta", "(1/T^2)", "--cap", "15"),
+    ("normalize", "--p", "1000000007", "--beta", "(1)"),  # F_q is scanned for a coset
+    ("infinity", "--p", "1000000007", "--beta", "(1)"),
 ])
 def test_oversized_input_is_one_infeasible_line(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -423,6 +425,17 @@ def test_oversized_input_is_one_infeasible_line(capsys, argv):
 ])
 def test_witt_work_at_the_cap_runs(capsys, argv):
     assert run_cli(capsys, *argv)[0] == EXIT_PASS
+
+
+@pytest.mark.parametrize("argv,code", [
+    # p is at most 2^40, so its primality test makes at most 2^20 trial divisions
+    (("count", "--p", "1000000000000000003", "--alpha", "1"), EXIT_USAGE),
+    (("count", "--p", "1099511627689", "--alpha", "1"), EXIT_PASS),  # a prime below 2^40
+    # irreducibility of a degree-41 prime by the sieve, not by 2^20 trial divisors
+    (("count", "--p", "2", "--d", "41", "--alpha", "1", "--prime", "T^41+T^3+1"), EXIT_PASS),
+])
+def test_large_parameters_take_polynomial_time(capsys, argv, code):
+    assert run_cli(capsys, *argv)[0] == code
 
 
 def test_witt_work_is_bounded_before_parsing(capsys, monkeypatch):

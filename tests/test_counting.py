@@ -214,7 +214,7 @@ def test_power_columns_match_per_residue_images(p, s, d):
         assert low == [[g.coeffs for g in col] for col in expected]
         high = _power_columns(fld, prime, modulus, d * alpha - k, k,
                               [()] + [(1,)] * (n_max + 1))
-        highs = (h.shift(k) for h in polys_below(fld, d * alpha - k))
+        highs = (Polynomial(fld, (0,) * k + h.coeffs) for h in polys_below(fld, d * alpha - k))
         residues, *powers = zip(*power_images(highs, prime, modulus, n_max))
         assert high == [[g.coeffs for g in residues]] + \
             [[(one + g).coeffs for g in col] for col in powers]

@@ -1,7 +1,6 @@
 import pytest
 
 from wittcount.fields import FiniteField, field
-from wittcount.polys import CapExceededError
 
 
 def test_canonical_moduli():
@@ -22,10 +21,12 @@ def test_canonical_moduli():
     assert field(3, 1).q == 3
 
 
-def test_modulus_search_is_capped():
-    # trial division of a quartic over F_1031 needs 1031^2 > 2^20 quadratic divisors
-    with pytest.raises(CapExceededError):
-        field(1031, 4)
+def test_modulus_search_is_polynomial_time():
+    # trial division of a quartic over F_1031 would need 1031^2 quadratic
+    # divisors; the sieve tests the ~1,000 candidates before T^4+T+1 at once
+    fld = field(1031, 4)
+    assert fld.modulus == (1, 1, 0, 0, 1)
+    assert all((x**4 + x + 1) % 1031 for x in range(1031))  # no root in F_1031
 
 
 def test_field_is_cached_and_identical():

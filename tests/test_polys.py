@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wittcount.fields import field
+from wittcount import polys
 from wittcount.polys import (
     NEG_INF,
     CapExceededError,
@@ -20,9 +21,10 @@ from wittcount.polys import (
     phi,
     polys_below,
 )
-from wittcount.rationals import RationalFunction
+from wittcount.rationals import RationalFunction, partial_fractions
 
-from oracles import ResidueRing
+from oracles import (ResidueRing, factor_by_trial_division, is_irreducible_by_trial_division,
+                     recombine)
 
 F2 = field(2, 1)
 F3 = field(3, 1)
@@ -129,10 +131,46 @@ def test_factor_roundtrip():
             fac = factor(f)
             prod = Polynomial.const(fld, f.leading())
             for p_, e in fac:
-                assert is_irreducible(p_)
+                assert is_irreducible_by_trial_division(p_)
                 assert p_.is_monic()
                 prod = prod * p_**e
             assert prod == f
+
+
+@pytest.mark.parametrize("p, s, top", [(2, 1, 8), (3, 1, 5), (2, 2, 4), (5, 1, 4), (3, 2, 3)])
+def test_sieve_matches_trial_division(p, s, top):
+    # every monic up to the given degree, and a unit multiple of each
+    fld = field(p, s)
+    for deg in range(top + 1):
+        for f in polys._monics(fld, deg):
+            irreducible = is_irreducible_by_trial_division(f)
+            assert is_irreducible(f) == irreducible
+            assert is_irreducible(f.scale(fld.q - 1)) == irreducible
+            assert factor(f) == factor_by_trial_division(f)
+
+
+# T^21+T^2+1 and its reciprocal T^21+T^19+1 are irreducible over F_2
+P21, Q21 = P("T^21+T^2+1"), P("T^21+T^19+1")
+
+
+def test_partial_fractions_over_two_primes_of_degree_21():
+    # the same-degree split of P*Q is past any trial division over 2^21 monics
+    poly_part, terms = partial_fractions(RationalFunction(Polynomial.one(F2), P21 * Q21))
+    assert poly_part.is_zero()
+    assert [(p_, e) for p_, e, _ in terms] == [(P21, 1), (Q21, 1)]  # P21 encodes lower
+    assert recombine(poly_part, terms) == RationalFunction(Polynomial.one(F2), P21 * Q21)
+
+
+def test_factoriser_enumerates_no_polynomial(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("enumerated polynomials")
+
+    monkeypatch.setattr(polys, "_monics", unreachable)
+    monkeypatch.setattr(polys, "polys_below", unreachable)
+    assert is_irreducible(P21) and is_irreducible(Q21)
+    assert not is_irreducible(P21 * P("T+1"))
+    f = P21 * P21 * Q21 * P("T^3+T")  # T (T+1)^2 P^2 Q: a split at degrees 1 and 21
+    assert factor(f) == [(P("T"), 1), (P("T+1"), 2), (P21, 2), (Q21, 1)]
 
 
 @st.composite
@@ -358,7 +396,7 @@ def _kernel_operands(fld, rng):
     # the gaps capped at 8 so that the reference stays fast for large q
     step = min(fld.q, 8)
     sparse = [rand(2), rand(3)]
-    ops += [spread(sparse[0], step), spread(sparse[1], step).shift(1)]
+    ops += [spread(sparse[0], step), spread(sparse[1], step) * Polynomial.T(fld)]
     ops.append(Polynomial(fld, [0, 0, rng.randrange(1, fld.q), 0, 0, 0, 1]))  # gappy
     return ops
 
