@@ -213,21 +213,28 @@ def _bound_witt_work(args, fld, *texts):
     denominator into primes takes the most of them: a q-th power modulo it
     per degree up to D/2, and a power of about q^d per Cantor-Zassenhaus
     trial on a product of degree-d primes, at most D^2 * ceil(log2 q)
-    products in all.  So the estimate is (p^(n-1)*D)^2 * D^2 * ceil(log2 q),
-    and at least q, as a constant's Artin-Schreier coset is found by a scan
-    of F_q."""
+    products in all.  So the estimate is (p^(n-1)*D)^2 * D^2 * ceil(log2 q)."""
     texts = [text for text in texts if text]
     d = max([1] + [_text_degree(text) for text in texts])
     n = min(max(text.count(",") for text in texts) + 1, MAX_WITT_LENGTH)
-    work = max((args.p ** (n - 1) * d) ** 2 * d**2 * (fld.q - 1).bit_length(), fld.q)
+    work = (args.p ** (n - 1) * d) ** 2 * d**2 * (fld.q - 1).bit_length()
     if work > args.cap:
         raise CapExceededError(f"a length-{n} Witt vector with T-degrees up to {d} takes about "
                                f"{work} coefficient operations, over the budget of cap {args.cap}")
 
 
+def _bound_fq_scan(args, fld):
+    """Raise CapExceededError when q > --cap: normalizing finds a constant's
+    Artin-Schreier coset by a scan of F_q."""
+    if fld.q > args.cap:
+        raise CapExceededError(f"normalizing scans all {fld.q} elements of F_q, "
+                               f"over the budget of cap {args.cap}")
+
+
 def cmd_normalize(args) -> int:
     fld = field(args.p, args.s)
     _bound_witt_work(args, fld, args.beta, args.prime)
+    _bound_fq_scan(args, fld)
     try:
         beta = parse_witt(fld, args.p, args.beta)
     except ValueError as exc:
@@ -309,6 +316,7 @@ def cmd_carlitz(args) -> int:
 def cmd_infinity(args) -> int:
     fld = field(args.p, args.s)
     _bound_witt_work(args, fld, args.beta)
+    _bound_fq_scan(args, fld)
     beta = parse_witt(fld, args.p, args.beta)
     nf = witt_normalize(AswGenerator(beta))
     b = infinity_behavior(nf)

@@ -5,9 +5,10 @@ always give the identical field object.  Its modulus is
 ``polys.canonical_prime(field(p), s)``: the smallest-encoded monic
 irreducible of degree s over F_p (coefficients compared from the constant
 term up), found and multiplied with the one F_p[T] arithmetic in ``polys``.
-Each candidate costs one polynomial-time irreducibility test, and about one
-in s candidates is irreducible, so the search needs no cap.  The
-characteristic is at most ``MAX_CHARACTERISTIC``, so that its primality
+Each candidate costs one polynomial-time irreducibility test, but the
+candidates come in encoding order, and at large p that order can pass a
+run of about p reducibles first (every T^4 + c when p = 3 mod 4), so the
+search is bounded by that module's enumeration cap.  The characteristic is at most ``MAX_CHARACTERISTIC``, so that its primality
 test by trial division takes at most 2^20 steps.
 
 Elements are encoded as integers in [0, q): the base-p digits of the

@@ -15,9 +15,9 @@ encoding of the coefficient and a coefficient of 1 is omitted, e.g.
 Every exhaustive walk over polynomials (residues, oracle numerators, the
 searches of :func:`monic_irreducibles` and :func:`canonical_prime`) goes
 through the single enumerator :func:`polys_below`, or its monic variant, in
-increasing :meth:`Polynomial.to_int` order.  Irreducibility and factoring
-enumerate nothing: both take polynomial time, by the distinct-degree sieve
-and Cantor-Zassenhaus splitting.
+increasing :meth:`Polynomial.to_int` order, and is bounded by a cap.
+Irreducibility and factoring enumerate nothing: both take polynomial time,
+by the distinct-degree sieve and Cantor-Zassenhaus splitting.
 """
 
 from __future__ import annotations
@@ -380,9 +380,12 @@ def polys_below(fld: FiniteField, k: int):
 
 
 def _monics(fld: FiniteField, d: int):
-    """Every monic polynomial of degree d, in increasing encoding order."""
-    for digits in itertools.product(range(fld.q), repeat=d):
-        yield Polynomial(fld, digits[::-1] + (1,))
+    """Every monic polynomial of degree d, in increasing encoding order.  It
+    decodes each encoding in turn and so holds no row of F_q: the walk of
+    :func:`canonical_prime` over a large field stops long before q."""
+    top = fld.q**d
+    for encoding in range(top, 2 * top):
+        yield Polynomial.from_int(fld, encoding)
 
 
 # -- irreducibility and factorization --
@@ -411,8 +414,17 @@ def monic_irreducibles(fld: FiniteField, d: int, cap: int = DEFAULT_ENUM_CAP):
 
 @functools.lru_cache(maxsize=None)
 def canonical_prime(fld: FiniteField, d: int) -> Polynomial:
-    """Smallest-encoded monic irreducible of degree d (the default oracle prime)."""
-    for g in _monics(fld, d):
+    """Smallest-encoded monic irreducible of degree d (the default oracle prime).
+
+    The walk from T^d + 0 up may pass a long reducible run (every T^4 + c
+    when q = 3 mod 4), so it is bounded: each candidate's sieve is counted
+    as d^2 * ceil(log2 q) products, and the walk raises CapExceededError
+    once the candidates tried times that count pass ``DEFAULT_ENUM_CAP``."""
+    work = d * d * (fld.q - 1).bit_length()
+    for tried, g in enumerate(_monics(fld, d), 1):
+        if tried * work > DEFAULT_ENUM_CAP:
+            raise CapExceededError(f"search for a monic irreducible of degree {d} over "
+                                   f"GF({fld.q}) exceeds cap {DEFAULT_ENUM_CAP}")
         if is_irreducible(g):
             return g
     raise AssertionError(f"no monic irreducible of degree {d} over GF({fld.q})")

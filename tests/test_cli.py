@@ -433,6 +433,11 @@ def test_witt_work_at_the_cap_runs(capsys, argv):
     (("count", "--p", "1099511627689", "--alpha", "1"), EXIT_PASS),  # a prime below 2^40
     # irreducibility of a degree-41 prime by the sieve, not by 2^20 trial divisors
     (("count", "--p", "2", "--d", "41", "--alpha", "1", "--prime", "T^41+T^3+1"), EXIT_PASS),
+    # every T^4 + c is reducible at p = 3 mod 4, so the modulus search passes
+    # ~p candidates; it stops at the cap instead of testing them all
+    (("count", "--p", "1000003", "--s", "4", "--alpha", "1"), EXIT_INFEASIBLE),
+    # witt-eval scans no F_q, so q > --cap is no bound on it
+    (("witt-eval", "--p", "1000000007", "--op", "add", "--x", "(T)", "--y", "(1)"), EXIT_PASS),
 ])
 def test_large_parameters_take_polynomial_time(capsys, argv, code):
     assert run_cli(capsys, *argv)[0] == code

@@ -23,10 +23,18 @@ def test_canonical_moduli():
 
 def test_modulus_search_is_polynomial_time():
     # trial division of a quartic over F_1031 would need 1031^2 quadratic
-    # divisors; the sieve tests the ~1,000 candidates before T^4+T+1 at once
+    # divisors; the sieve tests the ~1,000 candidates before T^4+T+1 well
+    # inside the search's cap
     fld = field(1031, 4)
     assert fld.modulus == (1, 1, 0, 0, 1)
     assert all((x**4 + x + 1) % 1031 for x in range(1031))  # no root in F_1031
+
+
+def test_modulus_search_holds_no_row_of_a_large_prime_field():
+    # the candidates are decoded one at a time: a row of 2^40 ints would not fit
+    p = 1099511627689  # a prime just below MAX_CHARACTERISTIC
+    assert field(p, 2).modulus == (7, 0, 1)
+    assert pow(p - 7, (p - 1) // 2, p) == p - 1  # -7 is no square mod p
 
 
 def test_field_is_cached_and_identical():
