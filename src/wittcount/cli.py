@@ -204,20 +204,23 @@ def cmd_count(args) -> int:
     return _exit_code(records)
 
 
-def _bound_witt_work(args, fld, *texts):
+def _bound_witt_work(args, fld, *texts, frobenius=False):
     """Raise CapExceededError, before any polynomial is built, when Witt vector
     texts would take more than --cap coefficient operations to normalize or
     combine.  With D the highest power of T written and n the length, poles
-    and degrees carry into the top level up to p^(n-1)*D, where a product,
-    reduction or gcd takes about (p^(n-1)*D)^2 operations.  Splitting a
-    denominator into primes takes the most of them: a q-th power modulo it
-    per degree up to D/2, and a power of about q^d per Cantor-Zassenhaus
-    trial on a product of degree-d primes, at most D^2 * ceil(log2 q)
-    products in all.  So the estimate is (p^(n-1)*D)^2 * D^2 * ceil(log2 q)."""
+    and degrees carry into the top level up to p^(n-1)*D, or up to p^n*D when
+    ``frobenius`` says the p-th power of the vector is built (``--op wp`` and
+    ``frobenius``), where a product, reduction or gcd takes about the square
+    of that degree in operations.  Splitting a denominator into primes takes
+    the most of them: a q-th power modulo it per degree up to D/2, and a power
+    of about q^d per Cantor-Zassenhaus trial on a product of degree-d primes,
+    at most D^2 * ceil(log2 q) products in all.  So the estimate is
+    (p^(n-1)*D)^2 * D^2 * ceil(log2 q), with p^n for p^(n-1) under ``frobenius``."""
     texts = [text for text in texts if text]
     d = max([1] + [_text_degree(text) for text in texts])
     n = min(max(text.count(",") for text in texts) + 1, MAX_WITT_LENGTH)
-    work = (args.p ** (n - 1) * d) ** 2 * d**2 * (fld.q - 1).bit_length()
+    top = args.p ** (n if frobenius else n - 1) * d
+    work = top**2 * d**2 * (fld.q - 1).bit_length()
     if work > args.cap:
         raise CapExceededError(f"a length-{n} Witt vector with T-degrees up to {d} takes about "
                                f"{work} coefficient operations, over the budget of cap {args.cap}")
@@ -264,7 +267,7 @@ def cmd_normalize(args) -> int:
 
 def cmd_witt_eval(args) -> int:
     fld = field(args.p, args.s)
-    _bound_witt_work(args, fld, args.x, args.y)
+    _bound_witt_work(args, fld, args.x, args.y, frobenius=args.op in ("wp", "frobenius"))
     x = parse_witt(fld, args.p, args.x)
     y = parse_witt(fld, args.p, args.y) if args.y else None
     if x.n > MAX_WITT_LENGTH:

@@ -4,11 +4,12 @@ The closed forms (v_n, w, t_1, s_n and the integer lemmas behind them) are
 pure arbitrary-precision arithmetic.  Each one is paired with an exhaustive
 oracle.  Cyclic-subgroup counting enumerates all of F_q[T]/(P^alpha) as
 pairs x = h + l of a high and a low half; x -> x^p is additive, so each
-half's p-power columns are built by additivity from the images of its
-monomials, and every residue is counted once, exactly, through a tally of
-the low half.  The generator-class oracles enumerate normal-form generators and partition
-them under the scaling-plus-wp equivalence, with the correction pole bound
-saturated until the class count stabilizes.
+half's p-power columns are built by additivity, one block of entries per
+monomial from that monomial's image, and every residue is counted once,
+exactly, through a tally of the low half.  The generator-class oracles
+enumerate normal-form generators and partition them under the
+scaling-plus-wp equivalence, with the correction pole bound saturated until
+the class count stabilizes.
 
 Every value the class oracles add has denominators that are powers of the
 one prime P, so they add in W_n(F_q[T]) instead: :func:`_lift` multiplies a
@@ -21,7 +22,10 @@ E p^i at every level i is kept by Witt add, neg and ``int_mul``.  The
 candidates need E >= ceil((alpha-1)/p^(n-1)) and wp(c) at pole bound b
 needs E >= p b; then every sum is a ``Polynomial`` sum, with no gcd, and
 is looked up among the lifted candidates.  The lift raises rather than
-truncate when E is too small.
+truncate when E is too small.  At length 1 the lifts are built directly as
+coefficient tuples, Q P^(E-lam) for the candidates and
+h^p P^(E-p gamma0) - h P^(E-gamma0) for the corrections, so each transform
+is one ``polys._sum``.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .fields import field
-from .polys import (CapExceededError, DEFAULT_ENUM_CAP, Polynomial, _sum, canonical_prime,
+from .polys import (CapExceededError, DEFAULT_ENUM_CAP, Polynomial, _mul, _sum, canonical_prime,
                     is_irreducible, phi, polys_below)
 from .rationals import RationalFunction
 from .witt import WittVector
@@ -206,30 +210,26 @@ def telescoped_phi_sum(params: CountParams, r: int, s: int) -> int:
 
 def _power_columns(fld, prime, modulus, k, shift, start):
     """Columns [g mod P, g, g^p, ..., g^(p^n_max)] of coefficient tuples, the
-    powers mod M = P^alpha, for g = r*T^shift and r over ``polys_below(fld, k)``;
-    column j starts at ``start[j]`` (the entry of r = 0) and n_max + 2 = len(start).
+    powers mod M = P^alpha, for g = r*T^shift and r over the polynomials of
+    degree < k in encoding order; column j starts at ``start[j]`` (the entry
+    of r = 0) and n_max + 2 = len(start).
 
-    Every map here is additive, so r's entry is the entry of r - c*T^e, at
-    index i - c*q^e, plus the image of the top term c*T^e; the images of the
-    (q - 1)*k monomials are the only ``frobenius()`` and ``%`` calls.
+    Every map here is additive, so the columns grow one block per monomial
+    c*T^e: the entries c*q^e + i, i < q^e, are the entries i plus the image
+    of c*T^e, which is computed once.  The images of the (q - 1)*k monomials
+    are the only ``frobenius()`` and ``%`` calls.
     """
     cols = [[s] for s in start]
-    images = {}
-    for i, r in enumerate(polys_below(fld, k)):
-        if not i:
-            continue
-        e, c = len(r.coeffs) - 1, r.coeffs[-1]
-        image = images.get((e, c))
-        if image is None:
+    for e in range(k):
+        size = len(cols[0])
+        for c in range(1, fld.q):
             g = Polynomial(fld, (0,) * (e + shift) + (c,))
             image = [(g % prime).coeffs, g.coeffs]
             for _ in start[2:]:
                 g = g.frobenius() % modulus
                 image.append(g.coeffs)
-            images[e, c] = image
-        base = i - c * fld.q**e
-        for col, term in zip(cols, image):
-            col.append(_sum(fld, col[base], term))
+            for col, term in zip(cols, image):
+                col += [_sum(fld, x, term) for x in col[:size]]
     return cols
 
 
@@ -414,40 +414,62 @@ def _as_classes(params, prime, cap):
 def _as_classes_cached(p, s, prime_coeffs, alpha, cap):
     """(class count, classes by pole order) of one ring; the caller copies the dict.
 
-    Works on the lifts by [P^E], E = alpha - 1: a candidate Q/P^lam is
-    Q P^(E-lam), and the correction wp(h/P^gamma0) is
-    h^p P^(E-p gamma0) - h P^(E-gamma0)."""
+    Works on the lifts by [P^E], E = alpha - 1, as coefficient tuples: a
+    candidate Q/P^lam is Q P^(E-lam) (:func:`_lifted_candidates`), and the
+    correction wp(h/P^gamma0) is h^p P^(E-p gamma0) - h P^(E-gamma0)
+    (:func:`_lifted_wp_images`).  Each transform j*beta + wp(c) is one
+    ``_sum`` of the scaled lift and a lifted image, looked up exactly among
+    the lifted candidates."""
     fld = field(p, s)
     prime = Polynomial(fld, prime_coeffs)
     e_bound = alpha - 1
     lams, lifted = [], []
-    for lam, beta in _pole_parts(fld, prime, _valid_lambdas(p, alpha, 0, allow_zero=False), cap):
-        lams.append(lam)
-        lifted.append(_lift(WittVector(p, (beta,)), prime, e_bound).comps[0])
+    for lam in _valid_lambdas(p, alpha, 0, allow_zero=False):
+        lifts = _lifted_candidates(fld, prime, lam, e_bound, cap)
+        lams += [lam] * len(lifts)
+        lifted += lifts
         if len(lams) > cap:
             raise CapExceededError(f"more than {cap} candidate generators")
-    index = {f.coeffs: i for i, f in enumerate(lifted)}
+    index = {f: i for i, f in enumerate(lifted)}
     dsu = _DSU(len(lifted))
     wp_images = {}  # gamma0 -> the lifted wp(h/P^gamma0) for every h with deg h < gamma0 * d
     for i, lam in enumerate(lams):
         gamma0 = lam // p
         if gamma0 not in wp_images:
-            wp_images[gamma0] = [_lifted_wp(WittVector(p, (c,)), prime, e_bound).comps[0]
-                                 for _, c in _pole_parts(fld, prime, range(gamma0 + 1), cap)]
+            wp_images[gamma0] = _lifted_wp_images(fld, prime, e_bound, gamma0)
         for j in range(1, p):
-            scaled = lifted[i] * j
+            scaled = _mul(fld, (j,), lifted[i])  # j in F_p is encoded as j
             for wpc in wp_images[gamma0]:
-                image = scaled + wpc
-                other = index.get(image.coeffs)
+                image = _sum(fld, scaled, wpc)
+                other = index.get(image)
                 if other is None:
                     raise AssertionError(f"transform left the normal-form set: "
-                                         f"({image})/({prime})^{e_bound}")
+                                         f"({Polynomial(fld, image)})/({prime})^{e_bound}")
                 dsu.union(i, other)
     by_lambda = {}
     roots = {i for i in range(len(lams)) if dsu.find(i) == i}
     for i in roots:
         by_lambda[lams[i]] = by_lambda.get(lams[i], 0) + 1
     return len(roots), by_lambda
+
+
+def _lifted_candidates(fld, prime, lam, e_bound, cap):
+    """[P^E](Q/P^lam) = Q P^(E-lam), E = ``e_bound``, as coefficient tuples,
+    for the Q of :func:`_coprime_numerators` in the same order."""
+    factor = _prime_power(prime, e_bound - lam).coeffs
+    return [_mul(fld, q_num.coeffs, factor) for q_num in _coprime_numerators(fld, prime, lam, cap)]
+
+
+def _lifted_wp_images(fld, prime, e_bound, gamma0):
+    """[P^E] wp(h/P^gamma0) = h^p P^(E-p gamma0) - h P^(E-gamma0), E =
+    ``e_bound``, as coefficient tuples, for every h with deg h < gamma0 deg P:
+    the lifts of :func:`_lifted_wp` at length 1.  Callers bound gamma0 deg P
+    by a numerator degree that passed the cap."""
+    frob_factor = _prime_power(prime, e_bound - fld.p * gamma0).coeffs
+    factor = _prime_power(prime, e_bound - gamma0).coeffs
+    return [_sum(fld, _mul(fld, h.frobenius().coeffs, frob_factor),
+                 _mul(fld, (-h).coeffs, factor))
+            for h in polys_below(fld, gamma0 * prime.degree)]
 
 
 class NotStabilizedError(RuntimeError):

@@ -3,19 +3,22 @@
 Coefficients are stored as raw integer encodings (see ``fields``), lowest
 degree first, with no trailing zeros; the zero polynomial has an empty
 coefficient tuple and degree ``NEG_INF``.  Each operation has one kernel on
-coefficient tuples, ``_sum``, ``_mul``, ``_divmod`` and the monic ``_gcd``,
-which index the field's rows (``fields``) directly and skip zero
-coefficients; the ``Polynomial`` operators are thin wrappers around them, and
-``rationals`` calls them on its numerators and denominators directly.
+coefficient tuples, ``_sum``, ``_mul``, ``_divmod``, the quotient-free
+``_rem`` and the monic ``_gcd``, which index the field's rows (``fields``)
+directly and skip zero coefficients; the ``Polynomial`` operators are thin
+wrappers around them, and ``rationals`` calls them on its numerators and
+denominators directly.
 
 Text format: terms ``c*T^k`` joined by ``+``, where ``c`` is the integer
 encoding of the coefficient and a coefficient of 1 is omitted, e.g.
 ``T^3+T+1`` or ``2*T^2+1``.  Printing and parsing round-trip.
 
-Every exhaustive walk over polynomials (residues, oracle numerators, the
-searches of :func:`monic_irreducibles` and :func:`canonical_prime`) goes
-through the single enumerator :func:`polys_below`, or its monic variant, in
-increasing :meth:`Polynomial.to_int` order, and is bounded by a cap.
+Every exhaustive walk over polynomials (oracle numerators, the searches
+of :func:`monic_irreducibles` and :func:`canonical_prime`) goes through the
+single enumerator :func:`polys_below`, or its monic variant, in increasing
+:meth:`Polynomial.to_int` order, and is bounded by a cap.  The unit
+oracle's residues are the one exception: ``counting`` walks them in the
+same order as images of additive maps, one monomial block at a time.
 Irreducibility and factoring enumerate nothing: both take polynomial time,
 by the distinct-degree sieve and Cantor-Zassenhaus splitting.
 """
@@ -164,7 +167,7 @@ class Polynomial:
 
     def __mod__(self, other):
         self._check(other)
-        return _wrap(self.field, _divmod(self.field, self.coeffs, other.coeffs)[1])
+        return _wrap(self.field, _rem(self.field, self.coeffs, other.coeffs))
 
     def __pow__(self, e: int):
         if e < 0:
@@ -315,9 +318,12 @@ def _mul(fld: FiniteField, a: tuple, b: tuple) -> tuple:
 
 
 def _gcd(fld: FiniteField, a: tuple, b: tuple) -> tuple:
-    """Monic gcd of coefficient tuples by Euclid's algorithm; () for 0 and 0."""
+    """Monic gcd of coefficient tuples by Euclid's algorithm; () for 0 and 0.
+    A nonzero constant divides everything, so it ends the loop at once."""
     while b:
-        a, b = b, _divmod(fld, a, b)[1]
+        if len(b) == 1:
+            return (1,)
+        a, b = b, _rem(fld, a, b)
     return a if not a or a[-1] == 1 else _mul(fld, (fld._inv_table[a[-1]],), a)
 
 
@@ -344,6 +350,30 @@ def _divmod(fld: FiniteField, a: tuple, b: tuple):
                     rem[k] = add[rem[k]][row[d]]
     del rem[db:]
     return tuple(quot), _stripped(rem)
+
+
+def _rem(fld: FiniteField, a: tuple, b: tuple) -> tuple:
+    """The remainder of :func:`_divmod`, stripped, with no quotient built."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    db = len(b) - 1
+    if len(a) <= db:
+        return a
+    if not db:
+        return ()
+    add, mul = fld._add_table, fld._mul_table
+    factor_row = mul[fld._neg_table[fld._inv_table[b[-1]]]]  # top -> -top / lead(b)
+    low = b[:db]
+    rem = list(a)
+    for shift in range(len(rem) - 1 - db, -1, -1):
+        top = rem[shift + db]
+        if top:
+            row = mul[factor_row[top]]  # rem -= (top / lead(b)) * T^shift * b
+            for k, d in enumerate(low, shift):
+                if d:
+                    rem[k] = add[rem[k]][row[d]]
+    del rem[db:]
+    return _stripped(rem)
 
 
 _TERM_RE = re.compile(r"^(?:(\d+)\*)?T(?:\^(\d+))?$|^(\d+)$")
@@ -453,8 +483,8 @@ def _factor_monic(rem: Polynomial) -> tuple:
         g = rem.gcd(x - t)  # the product of rem's irreducible factors of degree d
         for p_ in _split_equal_degree(g, d) if g.degree > 0 else ():
             e = 0
-            while (rem % p_).is_zero():
-                rem = rem // p_
+            while not (step := divmod(rem, p_))[1]:
+                rem = step[0]
                 e += 1
             out.append((p_, e))
         d += 1

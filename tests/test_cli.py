@@ -409,6 +409,8 @@ def test_normalize_reads_a_unit_multiple_prime_as_monic(capsys):
     ("normalize", "--beta", "(1/T^2)", "--cap", "15"),
     ("normalize", "--p", "1000000007", "--beta", "(1)"),  # F_q is scanned for a coset
     ("infinity", "--p", "1000000007", "--beta", "(1)"),
+    # at length 1 the p-th power of T^-8 still has degree p*8
+    ("witt-eval", "--p", "1048573", "--op", "wp", "--x", "(1/T^8)"),
 ])
 def test_oversized_input_is_one_infeasible_line(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -422,6 +424,7 @@ def test_oversized_input_is_one_infeasible_line(capsys, argv):
     ("infinity", "--beta", "(0, 0, T^16)"),
     ("witt-eval", "--op", "add", "--x", "(1/T, 0)", "--y", "(1/(T^22+1), 0)"),
     ("normalize", "--beta", "(1/T^2)", "--cap", "16"),
+    ("witt-eval", "--op", "wp", "--x", "(1/T^22)"),  # (2 * 22)^2 * 22^2 * log2(2) <= 2^20
 ])
 def test_witt_work_at_the_cap_runs(capsys, argv):
     assert run_cli(capsys, *argv)[0] == EXIT_PASS

@@ -26,7 +26,10 @@ from wittcount.counting import (
     v_n,
     w,
     _lift,
+    _lifted_candidates,
     _lifted_wp,
+    _lifted_wp_images,
+    _pole_parts,
     _p_power_order_counts,
     _power_columns,
 )
@@ -289,10 +292,33 @@ def test_asw_classes_match_v_n():
 
 
 def test_asw_classes_n1_matches_as_classes():
-    for p in (2, 3):
-        for alpha in range(1, 7):
-            par = params(p, 1, 1, alpha, 1)
-            assert oracle_asw_classes(par) == oracle_as_classes(par) == t1(alpha, par)
+    cells = [(p, 1, 1, alpha) for p in (2, 3) for alpha in range(1, 7)]
+    for p, s, d, alpha in cells + [(2, 2, 1, 4), (2, 1, 2, 4)]:
+        par = params(p, s, d, alpha, 1)
+        assert oracle_asw_classes(par) == oracle_as_classes(par) == t1(alpha, par)
+
+
+@pytest.mark.parametrize("p, s, d, alpha", [(2, 2, 1, 5), (2, 1, 2, 5), (3, 1, 2, 4)])
+def test_class_oracle_lifts_match_the_witt_lift(p, s, d, alpha):
+    # The class count depends only on how many corrections there are, so a
+    # wp image without its Frobenius still counts t1 on these cells; the
+    # images themselves are pinned to _lifted_wp here.  Each cell has a
+    # gamma0 >= 1 with an h whose p-th power is not h.
+    fld = field(p, s)
+    prime = monic_irreducibles(fld, d)[-1]
+    e_bound = alpha - 1
+    for lam in range(1, alpha):
+        betas = [beta for _, beta in _pole_parts(fld, prime, [lam], DEFAULT_ENUM_CAP)]
+        assert _lifted_candidates(fld, prime, lam, e_bound, DEFAULT_ENUM_CAP) == \
+            [_lift(WittVector(p, (beta,)), prime, e_bound).comps[0].coeffs for beta in betas]
+    moved = False
+    for gamma0 in range(1, e_bound // p + 1):
+        hs = list(polys_below(fld, gamma0 * d))
+        expected = [_lifted_wp(WittVector(p, (RationalFunction(h, prime**gamma0),)), prime,
+                               e_bound).comps[0].coeffs for h in hs]
+        assert _lifted_wp_images(fld, prime, e_bound, gamma0) == expected
+        moved = moved or any(h.frobenius() != h for h in hs)
+    assert moved
 
 
 def test_class_oracles_with_other_primes():

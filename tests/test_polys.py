@@ -12,6 +12,7 @@ from wittcount.polys import (
     Polynomial,
     _gcd,
     _mul,
+    _rem,
     _sum,
     canonical_prime,
     factor,
@@ -216,6 +217,17 @@ def test_factor_of_non_monic_is_factor_of_its_monic_form():
         f = P(text, fld)
         assert not f.is_monic()
         assert factor(f) == factor(f.monic())
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("p, s", [(2, 1), (3, 1), (2, 2)])
+def test_factor_of_a_prime_power_finds_its_multiplicity(p, s, d):
+    fld = field(p, s)
+    q = fld.q
+    for prime in (canonical_prime(fld, d), monic_irreducibles(fld, d)[-1]):
+        for a in range(1, 17):
+            assert factor(prime**a) == [(prime, a)], (prime, a)
+            assert phi(prime**a) == q ** (d * (a - 1)) * (q**d - 1)
 
 
 def test_phi_frozen_examples():
@@ -452,17 +464,28 @@ def test_kernels_match_schoolbook_reference(p, s):
 
 
 def _check_tuple_kernels(fld, ref, rng, a, b):
-    """_sum, _mul and _gcd called directly: constant and unit factors, sums
-    that cancel, gcds of non-monic inputs, every result a stripped tuple."""
+    """_sum, _mul, _rem and _gcd called directly: constant and unit factors,
+    sums that cancel, remainders by constants and by longer divisors, gcds of
+    non-monic inputs and with a unit, every result a stripped tuple."""
     ta, tb = a.coeffs, b.coeffs
     ca, cb = list(ta), list(tb)
     unit, c = rng.randrange(1, fld.q), rng.randrange(1, fld.q)
+    longer = (0,) * len(ta) + (c,)
     results = {"sum": (_sum(fld, ta, tb), ref.poly_add(ca, cb)),
                "cancel": (_sum(fld, ta, tuple(ref.poly_neg(ca))), []),
                "mul": (_mul(fld, ta, tb), ref.poly_mul(ca, cb)),
                "gcd": (_gcd(fld, ta, tb), ref.poly_gcd(ca, cb)),
                "gcd-non-monic": (_gcd(fld, _mul(fld, (unit,), ta), _mul(fld, (c,), tb)),
-                                 ref.poly_gcd(ca, cb))}
+                                 ref.poly_gcd(ca, cb)),
+               "gcd-unit": (_gcd(fld, ta, (c,)), [1]),
+               "unit-gcd": (_gcd(fld, (c,), ta), [1]),
+               "rem-unit": (_rem(fld, ta, (c,)), []),
+               "rem-longer": (_rem(fld, ta, longer), ref.poly_divmod(ca, list(longer))[1])}
+    if tb:
+        results["rem"] = (_rem(fld, ta, tb), ref.poly_divmod(ca, cb)[1])
+    else:
+        with pytest.raises(ZeroDivisionError):
+            _rem(fld, ta, tb)
     for k in (1, c):
         results[f"{k}*a"] = (_mul(fld, (k,), ta), ref.poly_mul([k], ca))
         results[f"a*{k}"] = (_mul(fld, ta, (k,)), ref.poly_mul(ca, [k]))
