@@ -6,9 +6,10 @@ against the enumeration oracles); ``normalize`` brings a generator vector
 to normal form; ``witt-eval``, ``carlitz`` and ``infinity`` expose the
 corresponding calculators.
 
-Every flag is mirrored by an environment variable with the ``WITTCOUNT_``
-prefix (e.g. ``WITTCOUNT_CAP``).  Exit codes: 0 all passed, 1 some check
-failed, 2 usage error, 3 a requested oracle was infeasible under the cap.
+Every flag but ``--only`` is mirrored by an environment variable with the
+``WITTCOUNT_`` prefix (e.g. ``WITTCOUNT_CAP``).  Exit codes: 0 all passed,
+1 some check failed, 2 usage error, 3 a requested oracle was infeasible
+under the cap.
 
 The json-lines output is byte-deterministic for a fixed config and seed;
 the ``millis`` field is 0 unless ``--timing`` is given (wall-clock values
@@ -143,12 +144,16 @@ def _exit_code(records) -> int:
 def cmd_verify_all(args) -> int:
     cfg = CheckConfig(cap=args.cap, saturation_rounds=args.saturation_rounds,
                       seed=args.seed, timing=args.timing)
+    names, chosen = [name for name, _ in ALL_CHECK_GROUPS], set()
+    for prefix in args.only:
+        hits = {name for name in names if name == prefix or name.startswith(prefix + "-")}
+        if not hits:
+            raise ValueError(f"--only {prefix!r} names no check group; known: {', '.join(names)}")
+        chosen |= hits
     records = []
     for name, group in ALL_CHECK_GROUPS:
-        if args.only and not any(name == prefix or name.startswith(prefix + "-")
-                                 for prefix in args.only):
-            continue
-        records.extend(group(cfg))
+        if not args.only or name in chosen:
+            records.extend(group(cfg))
     _emit(records, args.format)
     return _exit_code(records)
 

@@ -351,3 +351,25 @@ def test_every_term_map_is_fully_stripped(fld):
         assert all(map(_fully_stripped, results)), (m, n)
         if (m + n).is_zero():
             assert _twisted_add(fld, cm, cn) == {}
+
+
+def _memo_delta(build):
+    """(new hits, new misses) of the C_M memo while ``build`` runs."""
+    before = _carlitz_sparse.cache_info()
+    build()
+    after = _carlitz_sparse.cache_info()
+    return after.hits - before.hits, after.misses - before.misses
+
+
+def test_memo_keeps_inputs_and_prefixes_but_not_the_compose_product():
+    m, n = Polynomial(F4, (1, 2, 0, 3)), Polynomial(F4, (2, 0, 3, 1))
+    _carlitz_sparse.cache_clear()
+    try:
+        assert carlitz_compose_check(m, n)
+        # C_MN was built by one step and dropped: rebuilding it is one miss,
+        # and that step reads its memoised prefix C_(MN // T)
+        assert _memo_delta(lambda: _carlitz_sparse(m * n)) == (1, 1)
+        assert _memo_delta(lambda: _carlitz_sparse(m)) == (1, 0)
+        assert _memo_delta(lambda: _carlitz_sparse(m * n // P("T", F4))) == (1, 0)
+    finally:
+        _carlitz_sparse.cache_clear()  # later tests start cold

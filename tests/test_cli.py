@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from wittcount.checks import ALL_CHECK_GROUPS
 from wittcount.cli import EXIT_FAIL, EXIT_INFEASIBLE, EXIT_PASS, EXIT_USAGE, main
 
 
@@ -167,6 +168,16 @@ def test_verify_records_sorted(capsys):
                         "--cap", "64", "--format", "jsonl")
     ids = [json.loads(line)["check_id"] for line in out.strip().splitlines()]
     assert ids == sorted(ids)
+
+
+@pytest.mark.parametrize("prefixes", [("nonexistent",), ("criterion-6", "criterion-66")])
+def test_verify_only_that_names_no_group_is_usage_error(capsys, prefixes):
+    # a typo in --only must not pass as an empty, successful run
+    argv = [arg for prefix in prefixes for arg in ("--only", prefix)]
+    code, out, err = run_cli(capsys, "verify-all", *argv)
+    assert code == EXIT_USAGE and not out
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert all(name in err for name, _ in ALL_CHECK_GROUPS)
 
 
 def test_env_mirror(capsys, monkeypatch):
