@@ -234,7 +234,8 @@ def _hasse_parts(beta: RationalFunction):
         rep = fld.wp_coset_rep_val(v)
         if rep != v:
             a = fld.wp_solve_val(fld.sub_val(rep, v))
-            assert a is not None
+            if a is None:
+                raise AssertionError(f"coset representative {rep} - {v} is not in the image of wp")
             correction = correction + RationalFunction.const(fld, a)
             g = Polynomial.const(fld, rep)
     return g, normal_terms, correction
@@ -382,7 +383,8 @@ def infinity_behavior(nf: AswNormalForm) -> InfinityBehavior:
     while s < t and nf.mu[s].is_zero():
         s += 1
     behavior = InfinityBehavior(s=s, t=t, e=p ** (n - t), f=p ** (t - s), g=p**s)
-    assert behavior.e * behavior.f * behavior.g == p**n
+    if behavior.e * behavior.f * behavior.g != p**n:
+        raise AssertionError(f"e * f * g = {behavior.e * behavior.f * behavior.g} != p^n = {p**n}")
     return behavior
 
 

@@ -8,8 +8,9 @@ term up), found and multiplied with the one F_p[T] arithmetic in ``polys``.
 Each candidate costs one polynomial-time irreducibility test, but the
 candidates come in encoding order, and at large p that order can pass a
 run of about p reducibles first (every T^4 + c when p = 3 mod 4), so the
-search is bounded by that module's enumeration cap.  The characteristic is at most ``MAX_CHARACTERISTIC``, so that its primality
-test by trial division takes at most 2^20 steps.
+search is bounded by that module's enumeration cap.  The characteristic
+is at most ``MAX_CHARACTERISTIC``, so that its primality test by trial
+division takes at most 2^20 steps.
 
 Elements are encoded as integers in [0, q): the base-p digits of the
 encoding are the coordinates in the power basis, constant digit first.
@@ -42,6 +43,23 @@ def _is_prime(n: int) -> bool:
             return False
         d += 1
     return True
+
+
+def _power(x, e: int, mul):
+    """x^e for e >= 1 under the associative ``mul``, right-to-left binary:
+    square up to the lowest set bit, which starts the result, and never
+    square past the top bit.  The package's one square-and-multiply loop."""
+    while not e & 1:
+        x = mul(x, x)
+        e >>= 1
+    result = x
+    e >>= 1
+    while e:
+        x = mul(x, x)
+        if e & 1:
+            result = mul(result, x)
+        e >>= 1
+    return result
 
 
 class _LazyRows:
@@ -151,13 +169,7 @@ class FiniteField:
 
     def _pow_untabled(self, a: int, e: int) -> int:
         """a^e for e >= 0 by square-and-multiply."""
-        result, base = 1, a
-        while e:
-            if e & 1:
-                result = self._mul_untabled(result, base)
-            base = self._mul_untabled(base, base)
-            e >>= 1
-        return result
+        return _power(a, e, self._mul_untabled) if e else 1
 
     def _lazy_tables(self):
         """Rows over the untabled arithmetic, for fields too large to tabulate."""
@@ -229,7 +241,8 @@ class FiniteField:
             acc = self.add_val(acc, x)
             x = self.frobenius_val(x)
         # acc lies in the prime subfield, whose encoding is its constant digit
-        assert acc < self.p
+        if acc >= self.p:
+            raise AssertionError(f"trace {acc} is not in F_{self.p}")
         return acc
 
     def wp_val(self, a: int) -> int:

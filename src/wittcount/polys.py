@@ -27,10 +27,11 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import random
 import re
 
-from .fields import FiniteField, FqElem, field
+from .fields import FiniteField, FqElem, _power, field
 
 NEG_INF = float("-inf")
 
@@ -172,20 +173,7 @@ class Polynomial:
     def __pow__(self, e: int):
         if e < 0:
             raise ValueError("negative polynomial power")
-        if not e:
-            return Polynomial.one(self.field)
-        base = self
-        while not e & 1:  # square up to the lowest set bit, which starts result
-            base = base * base
-            e >>= 1
-        result = base
-        e >>= 1
-        while e:  # no squaring past the top bit
-            base = base * base
-            if e & 1:
-                result = result * base
-            e >>= 1
-        return result
+        return _power(self, e, operator.mul) if e else Polynomial.one(self.field)
 
     def monic(self) -> "Polynomial":
         if self.is_zero() or self.is_monic():
@@ -197,14 +185,11 @@ class Polynomial:
         return _wrap(self.field, _gcd(self.field, self.coeffs, other.coeffs))
 
     def modpow(self, e: int, mod: "Polynomial") -> "Polynomial":
-        result = Polynomial.one(self.field) % mod
-        base = self % mod
-        while e:
-            if e & 1:
-                result = result * base % mod
-            base = base * base % mod
-            e >>= 1
-        return result
+        if e < 0:
+            raise ValueError("negative modular power")
+        if not e:
+            return Polynomial.one(self.field) % mod
+        return _power(self % mod, e, lambda a, b: a * b % mod)
 
     def modinv(self, mod: "Polynomial") -> "Polynomial":
         """Inverse modulo ``mod`` via the extended Euclidean algorithm."""

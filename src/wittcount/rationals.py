@@ -220,40 +220,34 @@ class RationalFunction:
 
 def parse_rational(fld: FiniteField, text: str) -> RationalFunction:
     text = text.replace(" ", "")
-    slash = _top_level_slash(text)
-    if slash is None:
-        return RationalFunction(parse_poly(fld, _strip_parens(text)))
-    num = parse_poly(fld, _strip_parens(text[:slash]))
-    den = parse_poly(fld, _strip_parens(text[slash + 1:]))
-    if den.is_zero():
+    parts = _split_top_level(text, "/")
+    if len(parts) > 2:
+        raise ValueError(f"more than one top-level '/' in {text!r}")
+    num, *den = [parse_poly(fld, _strip_parens(part)) for part in parts]
+    if den and den[0].is_zero():
         raise ValueError(f"zero denominator in {text!r}")
-    return RationalFunction(num, den)
+    return RationalFunction(num, *den)
 
 
-def _top_level_slash(text: str):
-    depth = 0
+def _split_top_level(text: str, sep: str) -> list:
+    """The pieces of ``text`` between the ``sep`` characters that no
+    parenthesis encloses."""
+    parts, depth, start = [], 0, 0
     for i, ch in enumerate(text):
         if ch == "(":
             depth += 1
         elif ch == ")":
             depth -= 1
-        elif ch == "/" and depth == 0:
-            return i
-    return None
+        elif ch == sep and not depth:
+            parts.append(text[start:i])
+            start = i + 1
+    return parts + [text[start:]]
 
 
 def _strip_parens(text: str) -> str:
-    if text.startswith("(") and text.endswith(")"):
-        depth = 0
-        for i, ch in enumerate(text):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-                if depth == 0 and i != len(text) - 1:
-                    return text  # parens do not wrap the whole expression
-        return text[1:-1]
-    return text
+    """``text`` less one outer pair of parentheses.  Any other parenthesis,
+    as in "(T)+(1)" or an unbalanced text, is left for ``parse_poly`` to reject."""
+    return text[1:-1] if text.startswith("(") and text.endswith(")") else text
 
 
 def partial_fractions(f: RationalFunction):

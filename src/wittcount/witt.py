@@ -19,8 +19,10 @@ knows no coefficient type.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
+from .fields import _power
 from .polys import CapExceededError
 
 MAX_WITT_LENGTH = 4
@@ -76,18 +78,7 @@ class _IPoly:
     def __pow__(self, k):
         if k < 1:
             raise ValueError("_IPoly powers start at 1")
-        base = self
-        while not k & 1:  # square up to the lowest set bit, which starts result
-            base = base * base
-            k >>= 1
-        result = base
-        k >>= 1
-        while k:  # no squaring past the top bit
-            base = base * base
-            if k & 1:
-                result = result * base
-            k >>= 1
-        return result
+        return _power(self, k, operator.mul)
 
     def div_exact(self, k):
         out = {}
@@ -315,17 +306,11 @@ class WittVector:
     __mul__ = mul
 
     def int_mul(self, m: int) -> "WittVector":
-        """m-fold Witt sum by double-and-add; negatives go through neg()."""
+        """m-fold Witt sum by double-and-add: ``fields._power`` with Witt
+        addition as its product.  Negatives go through neg()."""
         if m < 0:
             return self.neg().int_mul(-m)
-        acc = self.zero_like()
-        base = self
-        while m:
-            if m & 1:
-                acc = acc.add(base)
-            base = base.add(base)
-            m >>= 1
-        return acc
+        return _power(self, m, WittVector.add) if m else self.zero_like()
 
     def frobenius(self) -> "WittVector":
         if isinstance(self.comps[0], int):
@@ -355,21 +340,10 @@ class WittVector:
 
 def parse_witt(fld, p: int, text: str) -> WittVector:
     """Parse "(c_1, ..., c_n)" with rational-function components."""
-    from .rationals import parse_rational
+    from .rationals import _split_top_level, parse_rational
 
     text = text.strip()
     if not (text.startswith("(") and text.endswith(")")):
         raise ValueError("Witt vector text must be parenthesised")
-    inner = text[1:-1]
-    parts, depth, start = [], 0, 0
-    for i, ch in enumerate(inner):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            parts.append(inner[start:i])
-            start = i + 1
-    parts.append(inner[start:])
-    comps = [parse_rational(fld, part.strip()) for part in parts]
+    comps = [parse_rational(fld, part.strip()) for part in _split_top_level(text[1:-1], ",")]
     return WittVector(p, comps)

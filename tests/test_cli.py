@@ -392,6 +392,22 @@ def test_sweep_cases_fault_is_a_failure(capsys, monkeypatch):
     (("count", "--p", "2", "--d", "2", "--alpha", "2", "--prime", "T^2+T^2+T"),
      "error: override prime has degree 1, expected 2\n"),
     (("carlitz", "--poly", "0", "--eval-at", "T"), "error: the Carlitz polynomial of zero is not defined\n"),
+    (("normalize", "--beta", "(T"),
+     "error: cannot parse Witt vector: Witt vector text must be parenthesised\n"),
+    (("normalize", "--beta", "(1/(T+1)))"),
+     "error: cannot parse Witt vector: bad polynomial term '1)'\n"),
+    (("normalize", "--beta", "(1/(T+1)"),
+     "error: cannot parse Witt vector: bad polynomial term '(T'\n"),
+    (("normalize", "--beta", "(1//T)"),
+     "error: cannot parse Witt vector: more than one top-level '/' in '1//T'\n"),
+    (("normalize", "--beta", "(1/T/T)"),
+     "error: cannot parse Witt vector: more than one top-level '/' in '1/T/T'\n"),
+    (("normalize", "--beta", "(((T)))"),
+     "error: cannot parse Witt vector: bad polynomial term '(T)'\n"),
+    (("normalize", "--beta", "((T)+(1))"),
+     "error: cannot parse Witt vector: bad polynomial term 'T)'\n"),
+    (("normalize", "--beta", "()"), "error: cannot parse Witt vector: empty polynomial text\n"),
+    (("normalize", "--beta", "(,)"), "error: cannot parse Witt vector: empty polynomial text\n"),
 ])
 def test_bad_input_is_one_usage_error_line(capsys, argv, err):
     assert run_cli(capsys, *argv) == (EXIT_USAGE, "", err)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wittcount.fields import field
+from wittcount.fields import FiniteField, field
 from wittcount import polys
 from wittcount.polys import (
     NEG_INF,
@@ -520,17 +520,33 @@ def test_pow_multiplies_only_what_the_exponent_needs(monkeypatch):
     powers = [Polynomial.one(F3)]
     for _ in range(13):
         powers.append(powers[-1] * f)
+    f257 = field(257)  # above the table limit: its powers run square-and-multiply
     calls = []
-    mul = Polynomial.__mul__
+    mul, mul_untabled = Polynomial.__mul__, FiniteField._mul_untabled
 
     def counting_mul(a, b):
         calls.append(1)
         return mul(a, b)
 
+    def counting_mul_untabled(fld, a, b):
+        calls.append(1)
+        return mul_untabled(fld, a, b)
+
     monkeypatch.setattr(Polynomial, "__mul__", counting_mul)
+    monkeypatch.setattr(FiniteField, "_mul_untabled", counting_mul_untabled)
+    mod = P("T^3+2*T+1", F3)
     # squarings up to the top bit, plus one multiply per further set bit
-    for e, muls in ((0, 0), (1, 0), (2, 1), (3, 2), (8, 3), (13, 5)):
-        calls.clear()
-        assert f ** e == powers[e]
-        assert len(calls) == muls, e
+    for e, muls in ((0, 0), (1, 0), (2, 1), (3, 2), (4, 2), (8, 3), (13, 5)):
+        for power, expected in ((lambda: f ** e, powers[e]),
+                                (lambda: f.modpow(e, mod), powers[e] % mod),
+                                (lambda: f257._pow_untabled(3, e), pow(3, e, 257))):
+            calls.clear()
+            assert power() == expected
+            assert len(calls) == muls, (e, expected)
     assert Polynomial.zero(F3) ** 0 == Polynomial.one(F3)
+    for m in (mod, P("2", F3)):  # a constant modulus leaves only zero
+        assert f.modpow(0, m) == Polynomial.one(F3) % m
+        assert f.modpow(5, m) == powers[5] % m
+    for power in (lambda: f ** -1, lambda: f.modpow(-1, mod)):
+        with pytest.raises(ValueError):
+            power()

@@ -101,18 +101,39 @@ def test_no_plan_component_is_empty():
 def test_ipoly_pow_multiplies_only_what_the_exponent_needs(monkeypatch):
     x = _IPoly.variable(2, 0) + _IPoly.variable(2, 1)
     expected = {1: x, 8: x * x * x * x * x * x * x * x}
+    v = wv2("1/T", "T+1")
+    multiples = [v.zero_like()]
+    for _ in range(13):
+        multiples.append(multiples[-1].add(v))
+    assert v.int_mul(0) == multiples[0]
+    for m in (1, 2, 5, 13):
+        assert v.int_mul(-m) == v.neg().int_mul(m)
+        assert v.int_mul(-m).add(multiples[m]) == multiples[0]
     calls = []
-    mul = _IPoly.__mul__
+    mul, add = _IPoly.__mul__, WittVector.add
 
     def counting_mul(a, b):
         calls.append(1)
         return mul(a, b)
 
+    def counting_add(a, b):
+        calls.append(1)
+        return add(a, b)
+
     monkeypatch.setattr(_IPoly, "__mul__", counting_mul)
+    monkeypatch.setattr(WittVector, "add", counting_add)
     for e, muls in ((1, 0), (8, 3)):
         calls.clear()
         assert x ** e == expected[e]
         assert len(calls) == muls, e
+    with pytest.raises(ValueError):
+        x ** 0
+    # int_mul is the same loop under Witt addition: a doubling per bit up to
+    # the top one, plus one add per further set bit
+    for m, adds in ((1, 0), (2, 1), (3, 2), (8, 3), (13, 5)):
+        calls.clear()
+        assert v.int_mul(m) == multiples[m]
+        assert len(calls) == adds, m
 
 
 @pytest.mark.parametrize("p,n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)])
@@ -311,6 +332,8 @@ def test_parse_witt_roundtrip():
     v = parse_witt(F2, 2, "(1/T, (T+1)/T^2)")
     assert v.comps[0] == parse_rational(F2, "1/T")
     assert str(v) == "(1/T, (T+1)/T^2)"
+    for text in ("((T+1)/T, 1)", "((T+1)/(T), (1))"):
+        assert parse_witt(F2, 2, text) == wv2("(T+1)/T", "1")
 
 
 def _reference_evaluate(poly, values):
