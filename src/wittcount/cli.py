@@ -56,8 +56,17 @@ _TRUE_WORDS = ("1", "true", "yes", "on")
 _FALSE_WORDS = ("0", "false", "no", "off")
 
 
+_LEAST = {"cap": 1, "saturation_rounds": 2}  # saturation stops only when two rounds agree
+
+
+def _at_least(name: str, value: int, given: str) -> int:
+    if value < _LEAST.get(name, value):
+        raise ValueError(f"{given} is below {_LEAST[name]}, the least that can work")
+    return value
+
+
 def _env(name: str, fallback, choices=None):
-    """The flag default from WITTCOUNT_<NAME>, checked as argparse checks the flag."""
+    """The flag default from WITTCOUNT_<NAME>, checked as the flag is checked."""
     key = ENV_PREFIX + name.upper().replace("-", "_")
     raw = os.environ.get(key)
     if raw is None:
@@ -69,9 +78,10 @@ def _env(name: str, fallback, choices=None):
         return raw.lower() in _TRUE_WORDS
     if isinstance(fallback, int):
         try:
-            return int(raw)
+            value = int(raw)
         except ValueError:
             raise ValueError(f"{key}={raw!r} is not an integer") from None
+        return _at_least(name, value, f"{key}={raw!r}")
     if choices is not None and raw not in choices:
         raise ValueError(f"{key}={raw!r} is not one of {', '.join(choices)}")
     return raw
@@ -380,6 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)  # flag defaults read WITTCOUNT_* here
+        for name in _LEAST:
+            _at_least(name, vars(args)[name], f"--{name.replace('_', '-')} {vars(args)[name]}")
         return args.func(args)
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -5,11 +5,12 @@ pure arbitrary-precision arithmetic.  Each one is paired with an exhaustive
 oracle.  Cyclic-subgroup counting enumerates all of F_q[T]/(P^alpha) as
 pairs x = h + l of a high and a low half; x -> x^p is additive, so each
 half's p-power columns are built by additivity, one block of entries per
-monomial from that monomial's image, and every residue is counted once,
-exactly, through a tally of the low half.  The generator-class oracles
-enumerate normal-form generators and partition them under the
-scaling-plus-wp equivalence, with the correction pole bound saturated until
-the class count stabilizes.
+monomial c T^e from the images of T^e scaled by c^(p^m), and every residue
+is counted once, exactly, through a tally of the low half.  The
+generator-class oracles enumerate normal-form generators and partition them
+under the scaling-plus-wp equivalence: the degree-p one links each to its
+images under generators of that group, the length-n one saturates the
+correction pole bound until the class count stabilizes.
 
 Every value the class oracles add has denominators that are powers of the
 one prime P, so they add in W_n(F_q[T]) instead: :func:`_lift` multiplies a
@@ -24,8 +25,8 @@ needs E >= p b; then every sum is a ``Polynomial`` sum, with no gcd, and
 is looked up among the lifted candidates.  The lift raises rather than
 truncate when E is too small.  At length 1 the lifts are built directly as
 coefficient tuples, Q P^(E-lam) for the candidates and
-h^p P^(E-p gamma0) - h P^(E-gamma0) for the corrections, so each transform
-is one ``polys._sum``.
+h^p P^(E-p gamma0) - h P^(E-gamma0) for the corrections, so each
+generating transform is one ``polys._sum`` or scaling.
 """
 
 from __future__ import annotations
@@ -216,19 +217,22 @@ def _power_columns(fld, prime, modulus, k, shift, start):
 
     Every map here is additive, so the columns grow one block per monomial
     c*T^e: the entries c*q^e + i, i < q^e, are the entries i plus the image
-    of c*T^e, which is computed once.  The images of the (q - 1)*k monomials
-    are the only ``frobenius()`` and ``%`` calls.
+    of c*T^e, which is the image of T^e (the only ``frobenius()`` and ``%``
+    calls) times c, or times c^(p^m) in the g^(p^m) column.
     """
     cols = [[s] for s in start]
+    scales = {c: [c, c] + [fld.pow_val(c, fld.p**m) for m in range(1, len(start) - 1)]
+              for c in range(2, fld.q)}
     for e in range(k):
+        g = Polynomial(fld, (0,) * (e + shift) + (1,))
+        image = [(g % prime).coeffs, g.coeffs]
+        for _ in start[2:]:
+            g = g.frobenius() % modulus
+            image.append(g.coeffs)
         size = len(cols[0])
         for c in range(1, fld.q):
-            g = Polynomial(fld, (0,) * (e + shift) + (c,))
-            image = [(g % prime).coeffs, g.coeffs]
-            for _ in start[2:]:
-                g = g.frobenius() % modulus
-                image.append(g.coeffs)
-            for col, term in zip(cols, image):
+            terms = [_mul(fld, (a,), t) for a, t in zip(scales[c], image)] if c > 1 else image
+            for col, term in zip(cols, terms):
                 col += [_sum(fld, x, term) for x in col[:size]]
     return cols
 
@@ -247,9 +251,8 @@ def _p_power_order_counts(p, s, prime_coeffs, alpha, n_max, cap):
     half's columns are built by additivity (:func:`_power_columns`); every
     high entry then looks up how many low halves complete it in a tally of
     the low column, so each of the q^(d*alpha) residues is counted once
-    and exactly.  The units of order
-    dividing p^m are nested in m, so the order-exactly-p^m count is the
-    difference of consecutive tallies.
+    and exactly.  The units of order dividing p^m are nested in m, so the
+    order-exactly-p^m count is the difference of consecutive tallies.
 
     Also cross-checks that the number of units found equals Phi(P^alpha).
     """
@@ -417,9 +420,12 @@ def _as_classes_cached(p, s, prime_coeffs, alpha, cap):
     Works on the lifts by [P^E], E = alpha - 1, as coefficient tuples: a
     candidate Q/P^lam is Q P^(E-lam) (:func:`_lifted_candidates`), and the
     correction wp(h/P^gamma0) is h^p P^(E-p gamma0) - h P^(E-gamma0)
-    (:func:`_lifted_wp_images`).  Each transform j*beta + wp(c) is one
-    ``_sum`` of the scaled lift and a lifted image, looked up exactly among
-    the lifted candidates."""
+    (:func:`_lifted_wp_images`).  wp is F_p-linear, so the corrections are
+    the F_p-span of the images of h = p^t T^e (encoding p^t q^e), and the
+    transforms j*beta + wp(c) are generated by beta -> j*beta, 2 <= j < p,
+    and beta -> beta + each such image: (p - 2) + s gamma0 deg P lookups
+    per candidate.  Each generator is asserted to map the finite candidate
+    set into itself, so the classes are the components they link."""
     fld = field(p, s)
     prime = Polynomial(fld, prime_coeffs)
     e_bound = alpha - 1
@@ -432,25 +438,22 @@ def _as_classes_cached(p, s, prime_coeffs, alpha, cap):
             raise CapExceededError(f"more than {cap} candidate generators")
     index = {f: i for i, f in enumerate(lifted)}
     dsu = _DSU(len(lifted))
-    wp_images = {}  # gamma0 -> the lifted wp(h/P^gamma0) for every h with deg h < gamma0 * d
-    for i, lam in enumerate(lams):
+    basis = {}  # gamma0 -> the lifted wp(p^t T^e/P^gamma0)
+    for i, (lam, x) in enumerate(zip(lams, lifted)):
         gamma0 = lam // p
-        if gamma0 not in wp_images:
-            wp_images[gamma0] = _lifted_wp_images(fld, prime, e_bound, gamma0)
-        for j in range(1, p):
-            scaled = _mul(fld, (j,), lifted[i])  # j in F_p is encoded as j
-            for wpc in wp_images[gamma0]:
-                image = _sum(fld, scaled, wpc)
-                other = index.get(image)
-                if other is None:
-                    raise AssertionError(f"transform left the normal-form set: "
-                                         f"({Polynomial(fld, image)})/({prime})^{e_bound}")
-                dsu.union(i, other)
-    by_lambda = {}
-    roots = {i for i in range(len(lams)) if dsu.find(i) == i}
-    for i in roots:
-        by_lambda[lams[i]] = by_lambda.get(lams[i], 0) + 1
-    return len(roots), by_lambda
+        if gamma0 not in basis:
+            images = _lifted_wp_images(fld, prime, e_bound, gamma0)
+            basis[gamma0] = [images[p**t * fld.q**e] for e in range(gamma0 * prime.degree)
+                             for t in range(s)]
+        scaled = [_mul(fld, (j,), x) for j in range(2, p)]  # j in F_p is encoded as j
+        for image in scaled + [_sum(fld, x, b) for b in basis[gamma0]]:
+            other = index.get(image)
+            if other is None:
+                raise AssertionError(f"transform left the normal-form set: "
+                                     f"({Polynomial(fld, image)})/({prime})^{e_bound}")
+            dsu.union(i, other)
+    by_lambda = Counter(lam for i, lam in enumerate(lams) if dsu.find(i) == i)
+    return sum(by_lambda.values()), by_lambda
 
 
 def _lifted_candidates(fld, prime, lam, e_bound, cap):

@@ -5,18 +5,24 @@ exhaustive unit enumeration, element orders and p-power torsion tally (by
 ``modpow``, sharing nothing with the additive columns) checks ``phi`` and
 the split unit-enumeration oracle; ``power_images`` computes each residue's
 p-power column entries from scratch, the reference for the columns that
-oracle builds by additivity; ``recombine`` is the round-trip oracle of
-``partial_fractions``; ``is_irreducible_by_trial_division`` and
-``factor_by_trial_division`` divide by every monic of each degree, the
-reference for the distinct-degree sieve and Cantor-Zassenhaus; and
+oracle builds by additivity; ``as_classes_by_every_transform`` links each
+degree-p class candidate to every one of its transforms j*beta + wp(c), the
+reference for the class oracle that links only generators of that group;
+``recombine`` is the round-trip oracle of ``partial_fractions``;
+``is_irreducible_by_trial_division`` and ``factor_by_trial_division``
+divide by every monic of each degree, the reference for the
+distinct-degree sieve and Cantor-Zassenhaus; and
 ``invert_variable`` with ``is_single_ramified_at_infinity`` carry the
 single-ramified conditions to the infinite place, to check the normaliser
 against the T -> 1/T symmetry.
 """
 
+from collections import Counter
+
 from wittcount.asw import AswGenerator, AswNormalForm
-from wittcount.polys import (DEFAULT_ENUM_CAP, CapExceededError, Polynomial, _monics, phi,
-                              polys_below)
+from wittcount.counting import _DSU, _lifted_candidates, _lifted_wp_images
+from wittcount.polys import (DEFAULT_ENUM_CAP, CapExceededError, Polynomial, _monics, _mul, _sum,
+                              phi, polys_below)
 from wittcount.rationals import RationalFunction
 from wittcount.witt import WittVector
 
@@ -80,6 +86,28 @@ def power_images(residues, prime: Polynomial, modulus: Polynomial, n_max: int):
             f = f.frobenius() % modulus
             row.append(f)
         yield row
+
+
+def as_classes_by_every_transform(prime: Polynomial, alpha: int):
+    """(class count, classes by pole order) of the degree-p class oracle at
+    length 1, linking each lifted candidate beta to j*beta + wp(c) for every
+    j in 1..p-1 and every one of the q^(gamma0 deg P) lifted corrections: the
+    reference for the oracle that links only the generators of that group."""
+    fld, e_bound = prime.field, alpha - 1
+    lams, lifted = [], []
+    for lam in range(1, alpha):
+        if lam % fld.p:
+            lifts = _lifted_candidates(fld, prime, lam, e_bound, DEFAULT_ENUM_CAP)
+            lams += [lam] * len(lifts)
+            lifted += lifts
+    index = {f: i for i, f in enumerate(lifted)}
+    dsu = _DSU(len(lifted))
+    for i, lam in enumerate(lams):
+        for wpc in _lifted_wp_images(fld, prime, e_bound, lam // fld.p):
+            for j in range(1, fld.p):
+                dsu.union(i, index[_sum(fld, _mul(fld, (j,), lifted[i]), wpc)])
+    roots = [i for i in range(len(lams)) if dsu.find(i) == i]
+    return len(roots), dict(Counter(lams[i] for i in roots))
 
 
 def int_prime_factors(n: int):

@@ -408,9 +408,32 @@ def test_sweep_cases_fault_is_a_failure(capsys, monkeypatch):
      "error: cannot parse Witt vector: bad polynomial term 'T)'\n"),
     (("normalize", "--beta", "()"), "error: cannot parse Witt vector: empty polynomial text\n"),
     (("normalize", "--beta", "(,)"), "error: cannot parse Witt vector: empty polynomial text\n"),
+    # saturation stops only when two rounds agree, and no enumeration fits in a cap below 1
+    (("verify-all", "--only", "criterion-3", "--saturation-rounds", "1", "--format", "jsonl"),
+     "error: --saturation-rounds 1 is below 2, the least that can work\n"),
+    (("count", "--p", "2", "--alpha", "4", "--oracle", "--saturation-rounds", "0"),
+     "error: --saturation-rounds 0 is below 2, the least that can work\n"),
+    (("verify-all", "--only", "criterion-3", "--cap", "-1"),
+     "error: --cap -1 is below 1, the least that can work\n"),
+    (("count", "--cap", "0"), "error: --cap 0 is below 1, the least that can work\n"),
 ])
 def test_bad_input_is_one_usage_error_line(capsys, argv, err):
     assert run_cli(capsys, *argv) == (EXIT_USAGE, "", err)
+
+
+# at the least budget the command runs: 2 rounds saturate, and cap 1 is
+# accepted though it makes the oracle infeasible
+@pytest.mark.parametrize("key, value, least, code", [
+    ("WITTCOUNT_SATURATION_ROUNDS", "0", 2, EXIT_PASS),
+    ("WITTCOUNT_CAP", "-1", 1, EXIT_INFEASIBLE),
+])
+def test_env_budget_below_the_least_is_usage_error(capsys, monkeypatch, key, value, least, code):
+    monkeypatch.setenv(key, value)
+    argv = ("count", "--p", "2", "--alpha", "4", "--oracle", "--format", "jsonl")
+    assert run_cli(capsys, *argv) == \
+        (EXIT_USAGE, "", f"error: {key}={value!r} is below {least}, the least that can work\n")
+    monkeypatch.setenv(key, str(least))
+    assert run_cli(capsys, *argv)[0] == code
 
 
 def test_normalize_reads_a_unit_multiple_prime_as_monic(capsys):

@@ -35,11 +35,11 @@ from wittcount.counting import (
 )
 from wittcount.fields import field
 from wittcount.polys import (DEFAULT_ENUM_CAP, CapExceededError, Polynomial, canonical_prime,
-                             monic_irreducibles, parse_poly, polys_below)
+                             monic_irreducibles, parse_poly, phi, polys_below)
 from wittcount.rationals import RationalFunction
 from wittcount.witt import WittVector
 
-from oracles import ResidueRing, power_images
+from oracles import ResidueRing, as_classes_by_every_transform, power_images
 
 
 def params(p, s, d, alpha, n):
@@ -319,6 +319,27 @@ def test_class_oracle_lifts_match_the_witt_lift(p, s, d, alpha):
         assert _lifted_wp_images(fld, prime, e_bound, gamma0) == expected
         moved = moved or any(h.frobenius() != h for h in hs)
     assert moved
+
+
+@pytest.mark.parametrize("p, s, d, alpha_max", [
+    (2, 2, 1, 6), (2, 2, 2, 4), (2, 3, 1, 4), (2, 3, 2, 3), (3, 2, 1, 5), (3, 2, 2, 3),
+])
+def test_as_classes_over_prime_power_fields(p, s, d, alpha_max):
+    # q in {4, 8, 9}: the corrections are spanned by wp(p^t T^e / P^gamma0)
+    # for t < s, so here the digits t >= 1 are needed.  The largest alpha has
+    # gamma0 * d = 2 in the q = 4 rows and 1 in q8/d1 and q9/d1; q8/d2 and
+    # q9/d2 stop at gamma0 = 0, as their first cell with gamma0 = 1 has 8^6
+    # or 9^8 candidates.
+    fld = field(p, s)
+    prime = monic_irreducibles(fld, d)[-1]
+    for alpha in range(2, alpha_max + 1):
+        par = params(p, s, d, alpha, 1)
+        by_lam = oracle_as_classes_by_conductor(par, prime=prime)
+        assert by_lam == {lam: phi(prime ** (lam - lam // p)) // (p - 1)
+                          for lam in range(1, alpha) if lam % p}
+        count = oracle_as_classes(par, prime=prime)
+        assert count == t1(alpha, par)
+        assert (count, by_lam) == as_classes_by_every_transform(prime, alpha)
 
 
 def test_class_oracles_with_other_primes():

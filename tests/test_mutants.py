@@ -2,8 +2,11 @@
 be killed by the checks it names (mutation analysis: DeMillo, Lipton and
 Sayward, *Hints on test data selection*, 1978).
 
-A row replaces one module attribute with its mutant through ``monkeypatch``.
-A mutant that no row kills marks a check that is vacuous against that fault.
+A Carlitz row replaces one module attribute with its mutant through
+``monkeypatch``.  A counting row gives one function the code of its mutant,
+so that every name bound to it, in the test modules too, runs the mutant,
+and names the tests that must then fail.  A mutant that no row kills marks
+a check that is vacuous against that fault.
 """
 
 import inspect
@@ -12,14 +15,17 @@ import textwrap
 
 import pytest
 
-from wittcount import carlitz
+import test_counting
+from wittcount import carlitz, counting
 from wittcount.fields import field
 from wittcount.polys import Polynomial
 
 
 def _rewritten(func, old, new):
-    """``func`` recompiled with the one occurrence of ``old`` in its source
-    replaced by ``new``, reading the globals of its own module."""
+    """``func`` recompiled, with its decorators, with the one occurrence of
+    ``old`` in its source replaced by ``new``, reading the globals of its own
+    module."""
+    func = inspect.unwrap(func)
     src = textwrap.dedent(inspect.getsource(func))
     assert src.count(old) == 1, f"{func.__name__} no longer contains {old!r} once"
     namespace = {}
@@ -69,3 +75,46 @@ def test_carlitz_checks_kill_the_mutant(monkeypatch, module, name, mutate, fault
         assert _carlitz_checks_hold(*killer)  # the unmutated library passes it
     finally:
         carlitz._carlitz_sparse.cache_clear()
+
+
+# (function, source text, mutant text, what the fault is, the tests that kill it
+# as (test function, its parametrize arguments))
+COUNTING_ROWS = [
+    (counting._as_classes_cached, "for t in range(s)", "for t in range(1)",
+     "class links through a wp basis without its digits t >= 1",
+     [(test_counting.test_as_classes_over_prime_power_fields, (2, 2, 1, 6)),
+      (test_counting.test_as_classes_over_prime_power_fields, (2, 2, 2, 4)),
+      (test_counting.test_as_classes_over_prime_power_fields, (3, 2, 1, 5)),
+      (test_counting.test_asw_classes_n1_matches_as_classes, ())]),
+    (counting._power_columns, "fld.pow_val(c, fld.p**m)", "c",
+     "the g^(p^m) column of c*T^e scaled by c in place of c^(p^m)",
+     [(test_counting.test_power_columns_match_per_residue_images, (2, 2, 1)),
+      (test_counting.test_power_columns_match_per_residue_images, (3, 2, 2))]),
+]
+
+
+def _clear_counting_memos():
+    counting._as_classes_cached.cache_clear()
+    counting._p_power_order_counts.cache_clear()
+
+
+@pytest.mark.parametrize("func, old, new, fault, killers", COUNTING_ROWS,
+                         ids=[row[0].__name__ for row in COUNTING_ROWS])
+def test_counting_tests_kill_the_mutant(monkeypatch, func, old, new, fault, killers):
+    # memoised counts of the unmutated oracles would hide the mutant, and
+    # the mutant's counts must not outlive it
+    mutant = inspect.unwrap(_rewritten(func, old, new))
+    survivors = []
+    _clear_counting_memos()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(inspect.unwrap(func), "__code__", mutant.__code__)
+            for test, args in killers:
+                try:
+                    test(*args)
+                except AssertionError:
+                    continue
+                survivors.append(f"{test.__name__}{args}")
+    finally:
+        _clear_counting_memos()
+    assert not survivors, f"{survivors} pass with {fault}"
