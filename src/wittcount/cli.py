@@ -6,8 +6,9 @@ against the enumeration oracles); ``normalize`` brings a generator vector
 to normal form; ``witt-eval``, ``carlitz`` and ``infinity`` expose the
 corresponding calculators.
 
-Every flag but ``--only`` is mirrored by an environment variable with the
-``WITTCOUNT_`` prefix (e.g. ``WITTCOUNT_CAP``).  Exit codes: 0 all passed,
+Each subcommand takes only the shared flags it reads, and each shared flag
+is mirrored by an environment variable with the ``WITTCOUNT_`` prefix
+(e.g. ``WITTCOUNT_CAP``).  Exit codes: 0 all passed,
 1 some check failed, 2 usage error, 3 a requested oracle was infeasible
 under the cap.
 
@@ -87,27 +88,31 @@ def _env(name: str, fallback, choices=None):
     return raw
 
 
-def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--p", type=int, default=_env("p", 2), help="characteristic")
-    parser.add_argument("--s", type=int, default=_env("s", 1), help="extension degree, q = p^s")
-    parser.add_argument("--d", type=int, default=_env("d", 1), help="degree of the prime P")
-    parser.add_argument("--alpha", type=int, default=_env("alpha", 3),
-                        help="conductor bound exponent")
-    parser.add_argument("--n", type=int, default=_env("n", 1), help="extension log-degree")
-    parser.add_argument("--prime", type=str, default=_env("prime", None),
-                        help="override the canonical prime P (polynomial text)")
-    parser.add_argument("--cap", type=int, default=_env("cap", DEFAULT_ENUM_CAP),
-                        help="enumeration cap (ring elements)")
-    parser.add_argument("--saturation-rounds", type=int,
-                        default=_env("saturation_rounds", DEFAULT_SATURATION_ROUNDS),
-                        help="maximum saturation rounds for the class oracle")
+def _add_flags(parser: argparse.ArgumentParser, names: str):
+    """Add the shared flags in ``names`` (space-separated), the ones this
+    subcommand reads; any other is a usage error."""
     formats = ("table", "jsonl")
-    parser.add_argument("--format", choices=formats,
-                        default=_env("format", "table", formats), help="report format")
-    parser.add_argument("--seed", type=int, default=_env("seed", 0),
-                        help="seed for sampled property checks")
-    parser.add_argument("--timing", action="store_true", default=_env("timing", False),
-                        help="include wall-clock millis in records (breaks byte determinism)")
+    flags = {
+        "p": dict(type=int, default=_env("p", 2), help="characteristic"),
+        "s": dict(type=int, default=_env("s", 1), help="extension degree, q = p^s"),
+        "d": dict(type=int, default=_env("d", 1), help="degree of the prime P"),
+        "alpha": dict(type=int, default=_env("alpha", 3), help="conductor bound exponent"),
+        "n": dict(type=int, default=_env("n", 1), help="extension log-degree"),
+        "prime": dict(type=str, default=_env("prime", None),
+                      help="override the canonical prime P (polynomial text)"),
+        "cap": dict(type=int, default=_env("cap", DEFAULT_ENUM_CAP),
+                    help="enumeration cap (ring elements)"),
+        "saturation-rounds": dict(type=int,
+                                  default=_env("saturation_rounds", DEFAULT_SATURATION_ROUNDS),
+                                  help="maximum saturation rounds for the class oracle"),
+        "format": dict(choices=formats, default=_env("format", "table", formats),
+                       help="report format"),
+        "seed": dict(type=int, default=_env("seed", 0), help="seed for sampled property checks"),
+        "timing": dict(action="store_true", default=_env("timing", False),
+                       help="include wall-clock millis in records (breaks byte determinism)"),
+    }
+    for name in names.split():
+        parser.add_argument("--" + name, **flags[name])
 
 
 def _record_to_json(rec: VerificationReport) -> str:
@@ -350,23 +355,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify-all", help="run the full verification grid")
-    _add_common(p_verify)
+    _add_flags(p_verify, "cap saturation-rounds format seed timing")
     p_verify.add_argument("--only", action="append", default=[],
                           help="restrict to check groups with this name prefix (repeatable)")
     p_verify.set_defaults(func=cmd_verify_all)
 
     p_count = sub.add_parser("count", help="closed-form counts, optionally vs oracles")
-    _add_common(p_count)
+    _add_flags(p_count, "p s d alpha n prime cap saturation-rounds format")
     p_count.add_argument("--oracle", action="store_true", help="also run enumeration oracles")
     p_count.set_defaults(func=cmd_count)
 
     p_norm = sub.add_parser("normalize", help="normalize a generator Witt vector")
-    _add_common(p_norm)
+    _add_flags(p_norm, "p s prime cap")
     p_norm.add_argument("--beta", required=True, help='vector text, e.g. "(1/T^2, 0)"')
     p_norm.set_defaults(func=cmd_normalize)
 
     p_we = sub.add_parser("witt-eval", help="evaluate Witt vector operations")
-    _add_common(p_we)
+    _add_flags(p_we, "p s cap")
     p_we.add_argument("--op", required=True,
                       choices=("add", "sub", "mul", "neg", "frobenius", "wp", "int-mul"))
     p_we.add_argument("--x", required=True, help="first operand vector text")
@@ -375,13 +380,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_we.set_defaults(func=cmd_witt_eval)
 
     p_car = sub.add_parser("carlitz", help="Carlitz-module polynomial of M")
-    _add_common(p_car)
+    _add_flags(p_car, "p s cap")
     p_car.add_argument("--poly", required=True, help="the acting polynomial M")
     p_car.add_argument("--eval-at", help="optional evaluation point (polynomial text)")
     p_car.set_defaults(func=cmd_carlitz)
 
     p_inf = sub.add_parser("infinity", help="splitting type of the infinite place")
-    _add_common(p_inf)
+    _add_flags(p_inf, "p s cap")
     p_inf.add_argument("--beta", required=True, help="generator vector text")
     p_inf.set_defaults(func=cmd_infinity)
     return parser
@@ -390,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)  # flag defaults read WITTCOUNT_* here
-        for name in _LEAST:
+        for name in _LEAST.keys() & vars(args).keys():  # the bounded flags this subcommand has
             _at_least(name, vars(args)[name], f"--{name.replace('_', '-')} {vars(args)[name]}")
         return args.func(args)
     except CapExceededError as exc:

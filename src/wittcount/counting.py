@@ -12,21 +12,20 @@ under the scaling-plus-wp equivalence: the degree-p one links each to its
 images under generators of that group, the length-n one saturates the
 correction pole bound until the class count stabilizes.
 
-Every value the class oracles add has denominators that are powers of the
-one prime P, so they add in W_n(F_q[T]) instead: :func:`_lift` multiplies a
-vector by the Teichmuller unit [P^E] = (P^E, 0, ..., 0), which scales
-component i by P^(E p^i) (Serre, *Local Fields*, II 6).  [P^E] is a unit,
-so x + y = z exactly when [P^E]x + [P^E]y = [P^E]z; the lift commutes with
-``int_mul``, and [P^E]wp(c) = [P^E]F(c) - [P^E]c.  The sum, negation and
-product polynomials are isobaric (x_i weighs p^i), so a pole order at most
-E p^i at every level i is kept by Witt add, neg and ``int_mul``.  The
-candidates need E >= ceil((alpha-1)/p^(n-1)) and wp(c) at pole bound b
-needs E >= p b; then every sum is a ``Polynomial`` sum, with no gcd, and
-is looked up among the lifted candidates.  The lift raises rather than
-truncate when E is too small.  At length 1 the lifts are built directly as
-coefficient tuples, Q P^(E-lam) for the candidates and
-h^p P^(E-p gamma0) - h P^(E-gamma0) for the corrections, so each
-generating transform is one ``polys._sum`` or scaling.
+The class oracles work in W_n(F_q[T]).  Every value they add has
+denominators that are powers of the one prime P, so each is taken times the
+Teichmuller unit [P^E] = (P^E, 0, ..., 0), which scales component i by
+P^(E p^i) (Serre, *Local Fields*, II 6).  [P^E] is a unit, so x + y = z
+exactly when [P^E]x + [P^E]y = [P^E]z, and as a ring element it commutes
+with ``int_mul``: [u](m x) = m [u]x.  A candidate Q/P^lam at level i is
+built as Q P^(E p^i - lam) (:func:`_lifted_candidates`), and E p^i >= lam
+always, so no lift can lose a pole and none is checked.  The length-n
+oracle takes its corrections c = (h_i/P^b) through v = [P^b]c =
+(h_i P^(b (p^i - 1))): [P^(p b)]wp(c) = F(v) - [P^((p-1) b)]v.  Every sum
+is then a ``Polynomial`` sum, with no gcd, and is looked up among the
+scaled candidates.  At length 1 the degree-p oracle builds its correction
+lifts directly as coefficient tuples, h^p P^(E-p gamma0) - h P^(E-gamma0),
+so each generating transform is one ``polys._sum`` or scaling.
 """
 
 from __future__ import annotations
@@ -39,9 +38,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .fields import field
-from .polys import (CapExceededError, DEFAULT_ENUM_CAP, Polynomial, _mul, _sum, canonical_prime,
-                    is_irreducible, phi, polys_below)
-from .rationals import RationalFunction
+from .polys import (CapExceededError, DEFAULT_ENUM_CAP, Polynomial, _mul, _sum, _wrap,
+                    canonical_prime, is_irreducible, phi, polys_below)
 from .witt import WittVector
 
 DEFAULT_SATURATION_ROUNDS = 8
@@ -65,6 +63,7 @@ class CountParams:
     def __post_init__(self):
         if self.alpha < 1 or self.n < 1 or self.d < 1 or self.s < 1:
             raise ValueError("alpha, n, d, s must all be positive")
+        field(self.p)  # ValueError unless p is a prime <= MAX_CHARACTERISTIC; cached per p
         # the counts are below q^(d*alpha); s_n and v_n also build powers of p up to p^n
         if (self.d * self.alpha * self.s + self.n) * (self.p - 1).bit_length() > MAX_COUNT_BITS:
             raise CapExceededError(f"q^(d*alpha) = {self.p}^{self.s * self.d * self.alpha} and "
@@ -339,44 +338,15 @@ def _coprime_numerators(fld, prime, lam, cap):
     return [cand for cand in polys_below(fld, deg) if cand % prime]
 
 
-def _pole_parts(fld, prime, lams, cap):
-    """(lam, Q/P^lam) for each lam in ``lams`` and Q of :func:`_coprime_numerators`;
-    lam = 0 gives (0, 0).  Over lam = 0..b these are the h/P^b, deg h < b deg P."""
-    for lam in lams:
-        if not lam:
-            yield 0, RationalFunction.zero(fld)
-            continue
-        pe = _prime_power(prime, lam)
-        for q_num in _coprime_numerators(fld, prime, lam, cap):
-            yield lam, RationalFunction._raw(q_num, pe)  # reduced: the prime P divides no Q
-
-
 @functools.lru_cache(maxsize=256)
 def _prime_power(prime, e):
     return prime**e
 
 
-def _lift(vec: WittVector, prime: Polynomial, e_bound: int) -> WittVector:
-    """[P^E] vec, E = ``e_bound``, for a vector over F_q(T) whose denominators
-    are powers of the prime P: component i times P^(E p^i), over F_q[T].
-
-    Raises ``ValueError`` when a denominator is not a power of P or a pole
-    order at level i exceeds E p^i; it never truncates."""
-    comps = []
-    for i, c in enumerate(vec.comps):
-        top = e_bound * vec.p**i
-        e = c.den.degree // prime.degree
-        if c.den != _prime_power(prime, e):
-            raise ValueError(f"denominator {c.den} is not a power of {prime}")
-        if e > top:
-            raise ValueError(f"pole order {e} at level {i} exceeds E p^i = {top}")
-        comps.append(c.num * _prime_power(prime, top - e))
-    return WittVector(vec.p, comps)
-
-
-def _lifted_wp(vec: WittVector, prime: Polynomial, e_bound: int) -> WittVector:
-    """[P^E] wp(vec) = [P^E] F(vec) - [P^E] vec, a Witt difference over F_q[T]."""
-    return _lift(vec.frobenius(), prime, e_bound).sub(_lift(vec, prime, e_bound))
+def _teich(vec: WittVector, prime: Polynomial, e: int) -> WittVector:
+    """[P^e] vec = (P^e, 0, ..., 0) vec over F_q[T]: component i times P^(e p^i)."""
+    return WittVector(vec.p, [c * _prime_power(prime, e * vec.p**i)
+                              for i, c in enumerate(vec.comps)])
 
 
 def _valid_lambdas(p, alpha, weight, allow_zero):
@@ -465,9 +435,8 @@ def _lifted_candidates(fld, prime, lam, e_bound, cap):
 
 def _lifted_wp_images(fld, prime, e_bound, gamma0):
     """[P^E] wp(h/P^gamma0) = h^p P^(E-p gamma0) - h P^(E-gamma0), E =
-    ``e_bound``, as coefficient tuples, for every h with deg h < gamma0 deg P:
-    the lifts of :func:`_lifted_wp` at length 1.  Callers bound gamma0 deg P
-    by a numerator degree that passed the cap."""
+    ``e_bound``, as coefficient tuples, for every h with deg h < gamma0 deg P.
+    Callers bound gamma0 deg P by a numerator degree that passed the cap."""
     frob_factor = _prime_power(prime, e_bound - fld.p * gamma0).coeffs
     factor = _prime_power(prime, e_bound - gamma0).coeffs
     return [_sum(fld, _mul(fld, h.frobenius().coeffs, frob_factor),
@@ -502,15 +471,23 @@ def oracle_asw_classes(params: CountParams, prime: Polynomial = None,
 def oracle_asw_classes_detail(params: CountParams, prime: Polynomial = None,
                               cap: int = DEFAULT_ENUM_CAP,
                               max_rounds: int = DEFAULT_SATURATION_ROUNDS) -> AswClassesResult:
+    """Length-n classes under beta ~ m (.) beta (+) wp(c), saturated over the
+    pole bound b = ceil(alpha/p) + r of round r, every c_i being h_i/P^b.  It
+    all runs in W_n(F_q[T]) under [P^(p b)]: the candidates and their
+    multiples are built once, at r = 0, then moved by [P^(p r)]."""
     fld = field(params.p, params.s)
     p, n, alpha = params.p, params.n, params.alpha
     if n > 3:
         raise ValueError("class enumeration is limited to n <= 3")
     prime = _resolve_prime(params, prime)
 
+    start_bound = _ceil_div(alpha, p)
+    e_start = p * start_bound  # >= alpha, above every candidate pole order
     level_choices = [
-        [beta for _, beta in _pole_parts(fld, prime, _valid_lambdas(
-            p, alpha, n - 1 - level, allow_zero=level > 0), cap)]
+        [_wrap(fld, comp)
+         for lam in _valid_lambdas(p, alpha, n - 1 - level, allow_zero=level > 0)
+         for comp in (_lifted_candidates(fld, prime, lam, e_start * p**level, cap) if lam
+                      else [()])]
         for level in range(n)]
     total = 1
     for choices in level_choices:
@@ -522,7 +499,6 @@ def oracle_asw_classes_detail(params: CountParams, prime: Polynomial = None,
     cands = [WittVector(p, comps) for comps in itertools.product(*level_choices)]
 
     multipliers = [m for m in range(1, p**n) if m % p]
-    start_bound = _ceil_div(alpha, p)
 
     def check_round_work(bound):
         work = len(cands) * len(multipliers) * fld.q ** (bound * prime.degree * n)
@@ -531,18 +507,19 @@ def oracle_asw_classes_detail(params: CountParams, prime: Polynomial = None,
                                    f"Witt sums, over cap {cap}")
 
     check_round_work(start_bound)
-    scaled = [[wv.int_mul(m) for m in multipliers] for wv in cands]  # lifted in each round
+    scaled = [[wv.int_mul(m) for m in multipliers] for wv in cands]  # moved in each round
 
     dsu = _DSU(len(cands))
     bounds, counts = [], []
     for round_idx in range(max_rounds):
         bound = start_bound + round_idx
         check_round_work(bound)
-        e_bound = max(_ceil_div(alpha - 1, p ** (n - 1)), p * bound)
-        index = {_lift(wv, prime, e_bound): i for i, wv in enumerate(cands)}
-        lifted = [[_lift(wv, prime, e_bound) for wv in row] for row in scaled]
-        for c_vec in _correction_vectors(fld, p, n, prime, bound, cap):
-            wpc = _lifted_wp(c_vec, prime, e_bound)
+        index = {_teich(wv, prime, p * round_idx): i for i, wv in enumerate(cands)}
+        lifted = [[_teich(wv, prime, p * round_idx) for wv in row] for row in scaled]
+        pads = [_prime_power(prime, bound * (p**i - 1)) for i in range(n)]
+        for hs in itertools.product(polys_below(fld, bound * prime.degree), repeat=n):
+            v = WittVector(p, [h * pad for h, pad in zip(hs, pads)])  # [P^b]c
+            wpc = v.frobenius().sub(_teich(v, prime, (p - 1) * bound))  # [P^(p b)]wp(c)
             for i, row in enumerate(lifted):
                 for base in row:
                     other = index.get(base.add(wpc))
@@ -556,13 +533,6 @@ def oracle_asw_classes_detail(params: CountParams, prime: Polynomial = None,
     raise NotStabilizedError(
         f"class count {counts} did not stabilize within {max_rounds} rounds "
         f"(bounds {bounds}); rerun with a larger round budget")
-
-
-def _correction_vectors(fld, p, n, prime, bound, cap):
-    """Every length-n vector with components h/P^bound, deg h < bound deg P."""
-    pool = [c for _, c in _pole_parts(fld, prime, range(bound + 1), cap)]
-    for comps in itertools.product(pool, repeat=n):
-        yield WittVector(p, comps)
 
 
 # -- verification records --

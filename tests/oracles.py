@@ -8,6 +8,10 @@ p-power column entries from scratch, the reference for the columns that
 oracle builds by additivity; ``as_classes_by_every_transform`` links each
 degree-p class candidate to every one of its transforms j*beta + wp(c), the
 reference for the class oracle that links only generators of that group;
+``_pole_parts``, ``_lift`` and ``_lifted_wp`` build the class oracles'
+candidates and corrections over F_q(T) and move them into W_n(F_q[T]) by
+[P^E] with a check of every denominator, the reference for the lifts those
+oracles build directly over F_q[T];
 ``recombine`` is the round-trip oracle of ``partial_fractions``;
 ``is_irreducible_by_trial_division`` and ``factor_by_trial_division``
 divide by every monic of each degree, the reference for the
@@ -20,7 +24,8 @@ against the T -> 1/T symmetry.
 from collections import Counter
 
 from wittcount.asw import AswGenerator, AswNormalForm
-from wittcount.counting import _DSU, _lifted_candidates, _lifted_wp_images
+from wittcount.counting import (_DSU, _coprime_numerators, _lifted_candidates,
+                                 _lifted_wp_images, _prime_power)
 from wittcount.polys import (DEFAULT_ENUM_CAP, CapExceededError, Polynomial, _monics, _mul, _sum,
                               phi, polys_below)
 from wittcount.rationals import RationalFunction
@@ -108,6 +113,41 @@ def as_classes_by_every_transform(prime: Polynomial, alpha: int):
                 dsu.union(i, index[_sum(fld, _mul(fld, (j,), lifted[i]), wpc)])
     roots = [i for i in range(len(lams)) if dsu.find(i) == i]
     return len(roots), dict(Counter(lams[i] for i in roots))
+
+
+def _pole_parts(fld, prime, lams, cap):
+    """(lam, Q/P^lam) for each lam in ``lams`` and Q of :func:`_coprime_numerators`;
+    lam = 0 gives (0, 0).  Over lam = 0..b these are the h/P^b, deg h < b deg P."""
+    for lam in lams:
+        if not lam:
+            yield 0, RationalFunction.zero(fld)
+            continue
+        pe = _prime_power(prime, lam)
+        for q_num in _coprime_numerators(fld, prime, lam, cap):
+            yield lam, RationalFunction._raw(q_num, pe)  # reduced: the prime P divides no Q
+
+
+def _lift(vec: WittVector, prime: Polynomial, e_bound: int) -> WittVector:
+    """[P^E] vec, E = ``e_bound``, for a vector over F_q(T) whose denominators
+    are powers of the prime P: component i times P^(E p^i), over F_q[T].
+
+    Raises ``ValueError`` when a denominator is not a power of P or a pole
+    order at level i exceeds E p^i; it never truncates."""
+    comps = []
+    for i, c in enumerate(vec.comps):
+        top = e_bound * vec.p**i
+        e = c.den.degree // prime.degree
+        if c.den != _prime_power(prime, e):
+            raise ValueError(f"denominator {c.den} is not a power of {prime}")
+        if e > top:
+            raise ValueError(f"pole order {e} at level {i} exceeds E p^i = {top}")
+        comps.append(c.num * _prime_power(prime, top - e))
+    return WittVector(vec.p, comps)
+
+
+def _lifted_wp(vec: WittVector, prime: Polynomial, e_bound: int) -> WittVector:
+    """[P^E] wp(vec) = [P^E] F(vec) - [P^E] vec, a Witt difference over F_q[T]."""
+    return _lift(vec.frobenius(), prime, e_bound).sub(_lift(vec, prime, e_bound))
 
 
 def int_prime_factors(n: int):

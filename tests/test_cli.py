@@ -196,6 +196,20 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify-all", "--p", "3"],
+    ["count", "--seed", "1"],
+    ["normalize", "--beta", "(1/T)", "--format", "table"],
+    ["witt-eval", "--op", "neg", "--x", "(1/T)", "--alpha", "4"],
+    ["carlitz", "--poly", "T", "--saturation-rounds", "9"],
+    ["infinity", "--beta", "(1/T)", "--timing"],
+], ids=lambda argv: argv[0])
+def test_flag_the_subcommand_does_not_read_is_a_usage_error(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
 def test_bad_env_value_is_usage_error(capsys, monkeypatch):
     monkeypatch.setenv("WITTCOUNT_CAP", "abc")
     code, _, err = run_cli(capsys, "count")

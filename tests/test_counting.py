@@ -25,13 +25,11 @@ from wittcount.counting import (
     telescoped_phi_sum,
     v_n,
     w,
-    _lift,
     _lifted_candidates,
-    _lifted_wp,
     _lifted_wp_images,
-    _pole_parts,
     _p_power_order_counts,
     _power_columns,
+    _teich,
 )
 from wittcount.fields import field
 from wittcount.polys import (DEFAULT_ENUM_CAP, CapExceededError, Polynomial, canonical_prime,
@@ -39,7 +37,8 @@ from wittcount.polys import (DEFAULT_ENUM_CAP, CapExceededError, Polynomial, can
 from wittcount.rationals import RationalFunction
 from wittcount.witt import WittVector
 
-from oracles import ResidueRing, as_classes_by_every_transform, power_images
+from oracles import (ResidueRing, _lift, _lifted_wp, _pole_parts, as_classes_by_every_transform,
+                     power_images)
 
 
 def params(p, s, d, alpha, n):
@@ -422,6 +421,32 @@ def test_lift_never_truncates():
         _lift(other, prime, 5)
 
 
+@pytest.mark.parametrize("p, s, n", [(2, 1, 3), (3, 1, 2), (2, 2, 3), (3, 1, 3)])
+def test_teich_is_the_teichmuller_product(p, s, n):
+    # [P^e] x, component i times P^(e p^i), is the Witt product (P^e, 0, ..., 0) x
+    fld = field(p, s)
+    prime = monic_irreducibles(fld, 1)[-1]
+    zero = Polynomial.zero(fld)
+    rng = random.Random(f"teich/{fld.q}/{n}")
+    for e in (0, 1, 2):
+        for _ in range(3):
+            x = WittVector(p, [Polynomial(fld, [rng.randrange(fld.q) for _ in range(3)])
+                               for _ in range(n)])
+            assert _teich(x, prime, e) == WittVector(p, (prime**e,) + (zero,) * (n - 1)).mul(x)
+
+
+@pytest.mark.parametrize("p, s, d, alpha, n, expected", [
+    (3, 1, 1, 5, 1, (13, 62, (2, 3), (13, 13))),
+    (2, 2, 1, 4, 1, (15, 51, (2, 3), (15, 15))),
+    (2, 1, 2, 4, 1, (15, 51, (2, 3), (15, 15))),
+    (2, 1, 1, 6, 2, (4, 22, (3, 4), (4, 4))),
+])
+def test_asw_classes_detail_pinned_cells(p, s, d, alpha, n, expected):
+    detail = oracle_asw_classes_detail(params(p, s, d, alpha, n))
+    assert (detail.count, detail.candidates, detail.bounds_tried,
+            detail.counts_per_bound) == expected
+
+
 def test_asw_classes_stabilization_reporting():
     with pytest.raises(NotStabilizedError):
         oracle_asw_classes(params(2, 1, 1, 4, 2), max_rounds=1)
@@ -471,6 +496,12 @@ def test_params_validation():
     with pytest.raises(ValueError):
         CountParams(2, 1, 0, 1, 1)
     assert CountParams(2, 2, 1, 1, 1).q == 4
+    # p must be a prime <= MAX_CHARACTERISTIC, as for field(p)
+    for p in (4, 0, 1, 9, -2):
+        with pytest.raises(ValueError, match=f"characteristic {p} is not prime"):
+            CountParams(p, 1, 1, 3, 1)
+    with pytest.raises(ValueError, match="exceeds bound"):
+        CountParams(2**41 + 1, 1, 1, 3, 1)
 
 
 def test_params_budget_counts_the_length():

@@ -16,7 +16,7 @@ import textwrap
 import pytest
 
 import test_counting
-from wittcount import carlitz, counting
+from wittcount import carlitz, checks, counting
 from wittcount.fields import field
 from wittcount.polys import Polynomial
 
@@ -77,6 +77,13 @@ def test_carlitz_checks_kill_the_mutant(monkeypatch, module, name, mutate, fault
         carlitz._carlitz_sparse.cache_clear()
 
 
+def _c03_records_pass():
+    """The ``c03-aswclasses`` records of ``verify-all`` at the default config."""
+    failed = [rec.check_id for rec in checks.checks_asw_class_oracle(checks.CheckConfig())
+              if not rec.passed()]
+    assert not failed, failed
+
+
 # (function, source text, mutant text, what the fault is, the tests that kill it
 # as (test function, its parametrize arguments))
 COUNTING_ROWS = [
@@ -90,6 +97,22 @@ COUNTING_ROWS = [
      "the g^(p^m) column of c*T^e scaled by c in place of c^(p^m)",
      [(test_counting.test_power_columns_match_per_residue_images, (2, 2, 1)),
       (test_counting.test_power_columns_match_per_residue_images, (3, 2, 2))]),
+    (counting._teich, "e * vec.p**i", "e",
+     "[P^e] scaling every level by P^e in place of P^(e p^i)",
+     [(_c03_records_pass, ()),
+      (test_counting.test_teich_is_the_teichmuller_product, (2, 1, 3)),
+      (test_counting.test_asw_classes_frozen_examples, ()),
+      (test_counting.test_asw_classes_match_v_n, ()),
+      (test_counting.test_class_oracles_with_other_primes, ()),
+      (test_counting.test_ln1_bounds_oracle_growth, ())]),
+    (counting.oracle_asw_classes_detail, "v.frobenius()", "v",
+     "the length-n corrections wp(c) without their Frobenius",
+     [(_c03_records_pass, ()),
+      (test_counting.test_asw_classes_frozen_examples, ()),
+      (test_counting.test_asw_classes_match_v_n, ()),
+      (test_counting.test_asw_classes_n1_matches_as_classes, ()),
+      (test_counting.test_class_oracles_with_other_primes, ()),
+      (test_counting.test_ln1_bounds_oracle_growth, ())]),
 ]
 
 
