@@ -30,7 +30,6 @@ from .carlitz import carlitz_eval, carlitz_poly
 from .checks import ALL_CHECK_GROUPS, CheckConfig
 from .counting import (
     CountParams,
-    NotStabilizedError,
     VerificationReport,
     monic_prime,
     oracle_asw_classes,
@@ -43,7 +42,6 @@ from .counting import (
 from .fields import field
 from .polys import CapExceededError, DEFAULT_ENUM_CAP, parse_poly
 from .witt import MAX_WITT_LENGTH, parse_witt
-from .counting import DEFAULT_SATURATION_ROUNDS
 
 ENV_PREFIX = "WITTCOUNT_"
 
@@ -57,7 +55,7 @@ _TRUE_WORDS = ("1", "true", "yes", "on")
 _FALSE_WORDS = ("0", "false", "no", "off")
 
 
-_LEAST = {"cap": 1, "saturation_rounds": 2}  # saturation stops only when two rounds agree
+_LEAST = {"cap": 1}  # no enumeration fits in a cap below 1
 
 
 def _at_least(name: str, value: int, given: str) -> int:
@@ -102,9 +100,6 @@ def _add_flags(parser: argparse.ArgumentParser, names: str):
                       help="override the canonical prime P (polynomial text)"),
         "cap": dict(type=int, default=_env("cap", DEFAULT_ENUM_CAP),
                     help="enumeration cap (ring elements)"),
-        "saturation-rounds": dict(type=int,
-                                  default=_env("saturation_rounds", DEFAULT_SATURATION_ROUNDS),
-                                  help="maximum saturation rounds for the class oracle"),
         "format": dict(choices=formats, default=_env("format", "table", formats),
                        help="report format"),
         "seed": dict(type=int, default=_env("seed", 0), help="seed for sampled property checks"),
@@ -157,8 +152,7 @@ def _exit_code(records) -> int:
 
 
 def cmd_verify_all(args) -> int:
-    cfg = CheckConfig(cap=args.cap, saturation_rounds=args.saturation_rounds,
-                      seed=args.seed, timing=args.timing)
+    cfg = CheckConfig(cap=args.cap, seed=args.seed, timing=args.timing)
     names, chosen = [name for name, _ in ALL_CHECK_GROUPS], set()
     for prefix in args.only:
         hits = {name for name in names if name == prefix or name.startswith(prefix + "-")}
@@ -207,19 +201,14 @@ def cmd_count(args) -> int:
         VerificationReport("count/t1", par.as_dict(), t1(par.alpha, par)),
         VerificationReport("count/s_n", par.as_dict(), s_n(par)),
     ]
-    if args.oracle:
-        try:
+    if args.oracle:  # over the cap, main reports the error and exits 3
+        records.append(VerificationReport.compare(
+            "count/oracle-cyclic", par.as_dict(), v_n(par),
+            oracle_cyclic_subgroups(par, prime=prime, cap=args.cap)))
+        if par.n <= 3:
             records.append(VerificationReport.compare(
-                "count/oracle-cyclic", par.as_dict(), v_n(par),
-                oracle_cyclic_subgroups(par, prime=prime, cap=args.cap)))
-            if par.n <= 3:
-                records.append(VerificationReport.compare(
-                    "count/oracle-classes", par.as_dict(), v_n(par),
-                    oracle_asw_classes(par, prime=prime, cap=args.cap,
-                                       max_rounds=args.saturation_rounds)))
-        except (CapExceededError, NotStabilizedError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INFEASIBLE
+                "count/oracle-classes", par.as_dict(), v_n(par),
+                oracle_asw_classes(par, prime=prime, cap=args.cap)))
     _emit(records, args.format)
     return _exit_code(records)
 
@@ -355,13 +344,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify-all", help="run the full verification grid")
-    _add_flags(p_verify, "cap saturation-rounds format seed timing")
+    _add_flags(p_verify, "cap format seed timing")
     p_verify.add_argument("--only", action="append", default=[],
                           help="restrict to check groups with this name prefix (repeatable)")
     p_verify.set_defaults(func=cmd_verify_all)
 
     p_count = sub.add_parser("count", help="closed-form counts, optionally vs oracles")
-    _add_flags(p_count, "p s d alpha n prime cap saturation-rounds format")
+    _add_flags(p_count, "p s d alpha n prime cap format")
     p_count.add_argument("--oracle", action="store_true", help="also run enumeration oracles")
     p_count.set_defaults(func=cmd_count)
 

@@ -9,8 +9,9 @@ monomial c T^e from the images of T^e scaled by c^(p^m), and every residue
 is counted once, exactly, through a tally of the low half.  The
 generator-class oracles enumerate normal-form generators and partition them
 under the scaling-plus-wp equivalence: the degree-p one links each to its
-images under generators of that group, the length-n one saturates the
-correction pole bound until the class count stabilizes.
+images under generators of that group, the length-n one raises the
+correction pole bound until two rounds give the same class count, within
+the one budget ``cap`` (:func:`oracle_asw_classes_detail`).
 
 The class oracles work in W_n(F_q[T]).  Every value they add has
 denominators that are powers of the one prime P, so each is taken times the
@@ -42,7 +43,6 @@ from .polys import (CapExceededError, DEFAULT_ENUM_CAP, Polynomial, _mul, _sum, 
                     canonical_prime, is_irreducible, phi, polys_below)
 from .witt import WittVector
 
-DEFAULT_SATURATION_ROUNDS = 8
 MAX_COUNT_BITS = 14_000  # about 4200 digits
 
 
@@ -444,10 +444,6 @@ def _lifted_wp_images(fld, prime, e_bound, gamma0):
             for h in polys_below(fld, gamma0 * prime.degree)]
 
 
-class NotStabilizedError(RuntimeError):
-    """Saturation did not stabilize within the configured number of rounds."""
-
-
 @dataclass(frozen=True)
 class AswClassesResult:
     count: int
@@ -461,20 +457,21 @@ class AswClassesResult:
 
 
 def oracle_asw_classes(params: CountParams, prime: Polynomial = None,
-                       cap: int = DEFAULT_ENUM_CAP,
-                       max_rounds: int = DEFAULT_SATURATION_ROUNDS) -> int:
+                       cap: int = DEFAULT_ENUM_CAP) -> int:
     """Length-n generator classes under beta ~ m (.) beta (+) wp(c), counted
     by saturating the pole bound of the correction vectors c."""
-    return oracle_asw_classes_detail(params, prime, cap, max_rounds).count
+    return oracle_asw_classes_detail(params, prime, cap).count
 
 
 def oracle_asw_classes_detail(params: CountParams, prime: Polynomial = None,
-                              cap: int = DEFAULT_ENUM_CAP,
-                              max_rounds: int = DEFAULT_SATURATION_ROUNDS) -> AswClassesResult:
+                              cap: int = DEFAULT_ENUM_CAP) -> AswClassesResult:
     """Length-n classes under beta ~ m (.) beta (+) wp(c), saturated over the
     pole bound b = ceil(alpha/p) + r of round r, every c_i being h_i/P^b.  It
     all runs in W_n(F_q[T]) under [P^(p b)]: the candidates and their
-    multiples are built once, at r = 0, then moved by [P^(p r)]."""
+    multiples are built once, at r = 0, then moved by [P^(p r)].  ``cap`` is
+    the one budget: a round's Witt sums at least double each round, so all
+    rounds within it do under 2 cap sums, and the count never rises, so two
+    rounds agree by round |cands| + 1 unless ``CapExceededError`` ends them."""
     fld = field(params.p, params.s)
     p, n, alpha = params.p, params.n, params.alpha
     if n > 3:
@@ -499,19 +496,19 @@ def oracle_asw_classes_detail(params: CountParams, prime: Polynomial = None,
     cands = [WittVector(p, comps) for comps in itertools.product(*level_choices)]
 
     multipliers = [m for m in range(1, p**n) if m % p]
+    bounds, counts = [], []
 
     def check_round_work(bound):
         work = len(cands) * len(multipliers) * fld.q ** (bound * prime.degree * n)
         if work > cap:
             raise CapExceededError(f"saturation round at pole bound {bound} needs {work} "
-                                   f"Witt sums, over cap {cap}")
+                                   f"Witt sums, over cap {cap} (class counts so far: {counts})")
 
     check_round_work(start_bound)
     scaled = [[wv.int_mul(m) for m in multipliers] for wv in cands]  # moved in each round
 
     dsu = _DSU(len(cands))
-    bounds, counts = [], []
-    for round_idx in range(max_rounds):
+    for round_idx in itertools.count():
         bound = start_bound + round_idx
         check_round_work(bound)
         index = {_teich(wv, prime, p * round_idx): i for i, wv in enumerate(cands)}
@@ -530,9 +527,6 @@ def oracle_asw_classes_detail(params: CountParams, prime: Polynomial = None,
         if len(counts) >= 2 and counts[-1] == counts[-2]:
             return AswClassesResult(count=counts[-1], candidates=len(cands),
                                     bounds_tried=tuple(bounds), counts_per_bound=tuple(counts))
-    raise NotStabilizedError(
-        f"class count {counts} did not stabilize within {max_rounds} rounds "
-        f"(bounds {bounds}); rerun with a larger round budget")
 
 
 # -- verification records --

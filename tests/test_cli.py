@@ -1,10 +1,16 @@
+import argparse
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+from wittcount import cli
 from wittcount.checks import ALL_CHECK_GROUPS
 from wittcount.cli import EXIT_FAIL, EXIT_INFEASIBLE, EXIT_PASS, EXIT_USAGE, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -203,11 +209,34 @@ def test_usage_error_exit_code():
     ["witt-eval", "--op", "neg", "--x", "(1/T)", "--alpha", "4"],
     ["carlitz", "--poly", "T", "--saturation-rounds", "9"],
     ["infinity", "--beta", "(1/T)", "--timing"],
+    # saturation has no budget but --cap
+    pytest.param(["verify-all", "--saturation-rounds", "8"], id="verify-all-saturation-rounds"),
+    pytest.param(["count", "--saturation-rounds", "8"], id="count-saturation-rounds"),
 ], ids=lambda argv: argv[0])
 def test_flag_the_subcommand_does_not_read_is_a_usage_error(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+def test_readme_flag_table_matches_the_parser(monkeypatch):
+    shared, add_flags = set(), cli._add_flags
+
+    def recording(parser, names):  # the shared flags, as build_parser hands them out
+        shared.update(names.split())
+        add_flags(parser, names)
+
+    monkeypatch.setattr(cli, "_add_flags", recording)
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    text = README.read_text()
+    rows = dict(re.findall(r"^\| `([\w-]+)` \| `(.*)` \|$", text, re.M))
+    assert rows.keys() == subparsers.choices.keys()
+    for name, sub in subparsers.choices.items():
+        options = {opt for action in sub._actions for opt in action.option_strings}
+        assert set(re.findall(r"--[\w-]+", rows[name])) == options - {"-h", "--help"}, name
+    mirrored = re.search(r"The shared flags `([^`]*)` are mirrored", text).group(1).split()
+    assert sorted(mirrored) == sorted("--" + name for name in shared)
 
 
 def test_bad_env_value_is_usage_error(capsys, monkeypatch):
@@ -379,6 +408,21 @@ def test_sweep_cases_fault_is_a_failure(capsys, monkeypatch):
     assert "!! error:ValueError: injected" in out
 
 
+def test_sweep_failures_before_the_cap_are_a_failure(capsys, monkeypatch):
+    # --cap 8 stops the trichotomy cases at q = 2, lam = 5, after 15 have run;
+    # a failure among them is not hidden by the skip of the rest
+    monkeypatch.setattr("wittcount.checks._infinity_label_is", lambda beta, expected: False)
+    argv = ("verify-all", "--only", "criterion-10", "--cap", "8")
+    code, out, _ = run_cli(capsys, *argv, "--format", "jsonl")
+    assert code == EXIT_FAIL
+    records = {r["check_id"]: r for r in map(json.loads, out.strip().splitlines())}
+    assert records["c10-trichotomy"]["status"] == "fail"
+    assert (records["c10-trichotomy"]["formula"], records["c10-trichotomy"]["oracle"]) == (15, 0)
+    _, out, _ = run_cli(capsys, *argv)
+    assert "!! fail:q2/lam1:" in out
+    assert "!! cap:numerator enumeration of size 32 exceeds cap 8" in out
+
+
 @pytest.mark.parametrize("argv,err", [
     (("witt-eval", "--op", "add", "--x", "1/T", "--y", "(1)"),
      "error: Witt vector text must be parenthesised\n"),
@@ -422,11 +466,10 @@ def test_sweep_cases_fault_is_a_failure(capsys, monkeypatch):
      "error: cannot parse Witt vector: bad polynomial term 'T)'\n"),
     (("normalize", "--beta", "()"), "error: cannot parse Witt vector: empty polynomial text\n"),
     (("normalize", "--beta", "(,)"), "error: cannot parse Witt vector: empty polynomial text\n"),
-    # saturation stops only when two rounds agree, and no enumeration fits in a cap below 1
-    (("verify-all", "--only", "criterion-3", "--saturation-rounds", "1", "--format", "jsonl"),
-     "error: --saturation-rounds 1 is below 2, the least that can work\n"),
-    (("count", "--p", "2", "--alpha", "4", "--oracle", "--saturation-rounds", "0"),
-     "error: --saturation-rounds 0 is below 2, the least that can work\n"),
+    # count parameters are checked before any oracle runs
+    (("count", "--p", "4", "--oracle"), "error: characteristic 4 is not prime\n"),
+    (("count", "--alpha", "0", "--oracle"), "error: alpha, n, d, s must all be positive\n"),
+    # no enumeration fits in a cap below 1
     (("verify-all", "--only", "criterion-3", "--cap", "-1"),
      "error: --cap -1 is below 1, the least that can work\n"),
     (("count", "--cap", "0"), "error: --cap 0 is below 1, the least that can work\n"),
@@ -435,10 +478,8 @@ def test_bad_input_is_one_usage_error_line(capsys, argv, err):
     assert run_cli(capsys, *argv) == (EXIT_USAGE, "", err)
 
 
-# at the least budget the command runs: 2 rounds saturate, and cap 1 is
-# accepted though it makes the oracle infeasible
+# cap 1 is accepted though it makes the oracle infeasible
 @pytest.mark.parametrize("key, value, least, code", [
-    ("WITTCOUNT_SATURATION_ROUNDS", "0", 2, EXIT_PASS),
     ("WITTCOUNT_CAP", "-1", 1, EXIT_INFEASIBLE),
 ])
 def test_env_budget_below_the_least_is_usage_error(capsys, monkeypatch, key, value, least, code):

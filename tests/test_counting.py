@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 from wittcount.counting import (
     MAX_COUNT_BITS,
     CountParams,
-    NotStabilizedError,
     VerificationReport,
     ln1_bound,
     lemma42_ceil,
@@ -25,6 +25,7 @@ from wittcount.counting import (
     telescoped_phi_sum,
     v_n,
     w,
+    _DSU,
     _lifted_candidates,
     _lifted_wp_images,
     _p_power_order_counts,
@@ -447,9 +448,21 @@ def test_asw_classes_detail_pinned_cells(p, s, d, alpha, n, expected):
             detail.counts_per_bound) == expected
 
 
-def test_asw_classes_stabilization_reporting():
-    with pytest.raises(NotStabilizedError):
-        oracle_asw_classes(params(2, 1, 1, 4, 2), max_rounds=1)
+def test_asw_class_counts_never_rise():
+    # the union-find is kept across rounds, so a round only merges classes
+    for cell in ((3, 1, 1, 5, 1), (2, 2, 1, 4, 1), (2, 1, 2, 4, 1), (2, 1, 1, 6, 2)):
+        counts = oracle_asw_classes_detail(params(*cell)).counts_per_bound
+        assert all(a >= b for a, b in zip(counts, counts[1:])), cell
+
+
+def test_saturation_ends_at_the_cap(monkeypatch):
+    # a count falling every round never gives two equal rounds; the one
+    # candidate of q2/a2/n1 takes 2^b Witt sums at pole bound b, b = 1, 2, ...
+    falling = itertools.count(100, -1)
+    monkeypatch.setattr(_DSU, "class_count", lambda self: next(falling))
+    counts = re.escape(str(list(range(100, 88, -1))))
+    with pytest.raises(CapExceededError, match=f"pole bound 13 .*class counts so far: {counts}"):
+        oracle_asw_classes_detail(params(2, 1, 1, 2, 1), cap=2**12)
 
 
 def test_asw_classes_work_is_capped():
