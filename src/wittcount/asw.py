@@ -11,7 +11,7 @@ its correction vector as a checkable certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .fields import FiniteField, FqElem
 from .polys import Polynomial
@@ -19,11 +19,10 @@ from .rationals import RationalFunction, partial_fractions, pole_part
 from .witt import MAX_WITT_LENGTH, WittVector
 
 
-@dataclass(frozen=True)
-class AswGenerator:
+class AswGenerator(namedtuple("AswGenerator", "beta")):
     """A Witt vector of rational functions defining a cyclic p^n-extension."""
 
-    beta: WittVector
+    __slots__ = ()
 
     @property
     def n(self) -> int:
@@ -34,28 +33,22 @@ class AswGenerator:
         return self.beta.comps[0].field
 
 
-@dataclass(frozen=True)
-class PrimeBlock:
-    prime: Polynomial
-    levels: tuple  # per level: (Q: Polynomial, lam: int), Q zero iff lam zero
+class PrimeBlock(namedtuple("PrimeBlock", "prime levels")):
+    __slots__ = ()  # levels: per level (Q: Polynomial, lam: int), Q zero iff lam zero
 
     def lambdas(self) -> tuple:
         return tuple(lam for _, lam in self.levels)
 
 
-@dataclass(frozen=True)
-class InfinityBehavior:
+class InfinityBehavior(namedtuple("InfinityBehavior", "s t e f g")):
     """Splitting data of the infinite place: e*f*g = p^n always."""
 
-    s: int
-    t: int
-    e: int
-    f: int
-    g: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (0 <= self.s <= self.t) or min(self.e, self.f, self.g) < 1:
+    def __new__(cls, s, t, e, f, g):
+        if not (0 <= s <= t) or min(e, f, g) < 1:
             raise ValueError("inconsistent infinity behavior")
+        return super().__new__(cls, s, t, e, f, g)
 
     @property
     def label(self) -> str:
@@ -72,21 +65,17 @@ class NotNormalFormError(ValueError):
     """Raised when an operation requires an input already in normal form."""
 
 
-@dataclass(frozen=True)
-class AswNormalForm:
+class AswNormalForm(namedtuple("AswNormalForm",
+                               "n primes mu certificate normalized_beta source_beta")):
     """Normalized generator plus the data read off from its components.
 
-    ``primes`` and ``mu`` come from the partial-fraction decomposition of
-    each component of ``normalized_beta``; the certificate satisfies
+    ``primes`` (a tuple of PrimeBlock) and ``mu`` (each level's polynomial
+    part) come from the partial-fraction decomposition of each component of
+    ``normalized_beta``; the certificate satisfies
     normalized_beta = source_beta (+) wp(certificate) in Witt arithmetic.
     """
 
-    n: int
-    primes: tuple  # tuple of PrimeBlock
-    mu: tuple  # per level polynomial part, as Polynomial
-    certificate: WittVector
-    normalized_beta: WittVector
-    source_beta: WittVector
+    __slots__ = ()
 
     @property
     def field(self) -> FiniteField:

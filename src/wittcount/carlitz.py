@@ -20,7 +20,7 @@ deletes cancelled zeros in place, so it is only ever given fresh maps.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .polys import CapExceededError, Polynomial
 from .rationals import RationalFunction
@@ -28,12 +28,10 @@ from .rationals import RationalFunction
 DEFAULT_GCD_CAP = 2**16
 
 
-@dataclass(frozen=True)
-class CarlitzPoly:
+class CarlitzPoly(namedtuple("CarlitzPoly", "m coeffs")):
     """C_M(u) = sum coeffs[i] * u^(q^i); coeffs[0] = M, coeffs[deg M] = lc(M)."""
 
-    m: Polynomial
-    coeffs: tuple  # tuple of (i, Polynomial), sorted by i, zero coefficients omitted
+    __slots__ = ()  # coeffs: tuple of (i, Polynomial), sorted by i, zero coefficients omitted
 
     def u_degree(self) -> int:
         return self.m.field.q ** self.coeffs[-1][0]

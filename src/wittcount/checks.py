@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import partial
 
 from .asw import (
@@ -47,11 +47,9 @@ from .witt import WittVector, witt_tables
 ORACLE_GRID_LIMIT = 2**20  # the oracle grids are defined up to this ring size
 
 
-@dataclass
-class CheckConfig:
-    cap: int = DEFAULT_ENUM_CAP
-    seed: int = 0
-    timing: bool = False
+class CheckConfig(namedtuple("CheckConfig", "cap seed timing",
+                             defaults=(DEFAULT_ENUM_CAP, 0, False))):
+    __slots__ = ()
 
     def clock(self):
         return time.perf_counter() if self.timing else None

@@ -34,8 +34,7 @@ from __future__ import annotations
 import functools
 import itertools
 import time
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 
 from .fields import field
@@ -50,25 +49,21 @@ def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
-@dataclass(frozen=True)
-class CountParams:
+class CountParams(namedtuple("CountParams", "p s d alpha n")):
     """Parameters (q = p^s, deg P = d, conductor bound alpha, length n)."""
 
-    p: int
-    s: int
-    d: int
-    alpha: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.alpha < 1 or self.n < 1 or self.d < 1 or self.s < 1:
+    def __new__(cls, p, s, d, alpha, n):
+        if alpha < 1 or n < 1 or d < 1 or s < 1:
             raise ValueError("alpha, n, d, s must all be positive")
-        field(self.p)  # ValueError unless p is a prime <= MAX_CHARACTERISTIC; cached per p
+        field(p)  # ValueError unless p is a prime <= MAX_CHARACTERISTIC; cached per p
         # the counts are below q^(d*alpha); s_n and v_n also build powers of p up to p^n
-        if (self.d * self.alpha * self.s + self.n) * (self.p - 1).bit_length() > MAX_COUNT_BITS:
-            raise CapExceededError(f"q^(d*alpha) = {self.p}^{self.s * self.d * self.alpha} and "
-                                   f"p^n = {self.p}^{self.n} may exceed the budget of "
+        if (d * alpha * s + n) * (p - 1).bit_length() > MAX_COUNT_BITS:
+            raise CapExceededError(f"q^(d*alpha) = {p}^{s * d * alpha} and "
+                                   f"p^n = {p}^{n} may exceed the budget of "
                                    f"{MAX_COUNT_BITS} bits")
+        return super().__new__(cls, p, s, d, alpha, n)
 
     @property
     def q(self) -> int:
@@ -330,12 +325,19 @@ class _DSU:
         return sum(1 for i in range(len(self.parent)) if self.find(i) == i)
 
 
-def _coprime_numerators(fld, prime, lam, cap):
-    """All Q with deg Q < lam*deg P that the prime P does not divide, in encoding order."""
+def _numerator_degree(fld, prime, lam, cap):
+    """lam*deg P, the bound on the numerators Q of Q/P^lam; CapExceededError
+    unless the q^(lam deg P) of them fit in ``cap``."""
     deg = lam * prime.degree
     if fld.q**deg > cap:
         raise CapExceededError(f"numerator enumeration of size {fld.q**deg} exceeds cap {cap}")
-    return [cand for cand in polys_below(fld, deg) if cand % prime]
+    return deg
+
+
+def _coprime_numerators(fld, prime, lam, cap):
+    """All Q with deg Q < lam*deg P that the prime P does not divide, in encoding order."""
+    return [cand for cand in polys_below(fld, _numerator_degree(fld, prime, lam, cap))
+            if cand % prime]
 
 
 @functools.lru_cache(maxsize=256)
@@ -428,9 +430,25 @@ def _as_classes_cached(p, s, prime_coeffs, alpha, cap):
 
 def _lifted_candidates(fld, prime, lam, e_bound, cap):
     """[P^E](Q/P^lam) = Q P^(E-lam), E = ``e_bound``, as coefficient tuples,
-    for the Q of :func:`_coprime_numerators` in the same order."""
+    for the Q of :func:`_coprime_numerators` in the same order.
+
+    Q -> Q mod P and Q -> Q P^(E-lam) are F_q-linear, so, as in
+    :func:`_power_columns`, both columns grow one block per monomial c*T^e
+    over every Q in encoding order: the entries c*q^e + i are the entries i
+    plus c times the image of T^e.  The lifts with a nonzero residue are kept.
+    """
+    deg = _numerator_degree(fld, prime, lam, cap)
     factor = _prime_power(prime, e_bound - lam).coeffs
-    return [_mul(fld, q_num.coeffs, factor) for q_num in _coprime_numerators(fld, prime, lam, cap)]
+    residues, lifts = [()], [()]
+    for e in range(deg):
+        residue = (Polynomial(fld, (0,) * e + (1,)) % prime).coeffs  # T^e mod P
+        lift = (0,) * e + factor  # T^e P^(E-lam)
+        size = len(lifts)
+        for c in range(1, fld.q):  # c in F_q, by its encoding
+            residue_c, lift_c = _mul(fld, (c,), residue), _mul(fld, (c,), lift)
+            residues += [_sum(fld, x, residue_c) for x in residues[:size]]
+            lifts += [_sum(fld, x, lift_c) for x in lifts[:size]]
+    return [x for x, residue in zip(lifts, residues) if residue]
 
 
 def _lifted_wp_images(fld, prime, e_bound, gamma0):
@@ -444,12 +462,9 @@ def _lifted_wp_images(fld, prime, e_bound, gamma0):
             for h in polys_below(fld, gamma0 * prime.degree)]
 
 
-@dataclass(frozen=True)
-class AswClassesResult:
-    count: int
-    candidates: int
-    bounds_tried: tuple
-    counts_per_bound: tuple
+class AswClassesResult(namedtuple("AswClassesResult",
+                                  "count candidates bounds_tried counts_per_bound")):
+    __slots__ = ()  # the field ``count`` shadows tuple.count
 
     @property
     def rounds(self) -> int:
@@ -531,17 +546,13 @@ def oracle_asw_classes_detail(params: CountParams, prime: Polynomial = None,
 
 # -- verification records --
 
-@dataclass
-class VerificationReport:
+class VerificationReport(namedtuple(
+        "VerificationReport",
+        "check_id params formula_value oracle_value identity_checks status wall_time_ms",
+        defaults=(None, None, (), "pass", 0))):
     """One closed-form-versus-oracle (or identity-grid) verification record."""
 
-    check_id: str
-    params: dict
-    formula_value: object = None
-    oracle_value: object = None
-    identity_checks: tuple = ()
-    status: str = "pass"
-    wall_time_ms: int = 0
+    __slots__ = ()
 
     @staticmethod
     def compare(check_id, params, formula_value, oracle_value, started=None,

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .fields import _power
 from .polys import CapExceededError
@@ -112,13 +112,8 @@ def _solve_components(targets, p):
     return comps
 
 
-@dataclass(frozen=True)
-class WittUniversalTables:
-    p: int
-    n: int
-    sum_polys: tuple
-    neg_polys: tuple
-    prod_polys: tuple
+class WittUniversalTables(namedtuple("WittUniversalTables", "p n sum_polys neg_polys prod_polys")):
+    __slots__ = ()
 
     def verify_ghost_compatibility(self):
         """Re-derive the ghost identities symbolically; raises on mismatch."""

@@ -1,6 +1,7 @@
 """Source rules that hold for every module of the package."""
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -36,3 +37,14 @@ def test_the_package_imports_only_the_standard_library():
         found += [f"{name}:{node.lineno}:{module}" for module in modules
                   if module.partition(".")[0] not in sys.stdlib_module_names]
     assert not found, found
+
+
+def test_import_loads_no_dataclasses_or_inspect():
+    # every library and CLI call starts a process that imports the package,
+    # and ``dataclasses`` alone pulls in inspect, ast, dis and tokenize
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import wittcount, wittcount.cli; "
+            "print(*sorted({'dataclasses', 'inspect'} & sys.modules.keys()))")
+    src = str(Path(wittcount.__file__).parent.parent)
+    run = subprocess.run([sys.executable, "-S", "-c", code, src],
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.split() == []

@@ -77,10 +77,9 @@ def test_carlitz_checks_kill_the_mutant(monkeypatch, module, name, mutate, fault
         carlitz._carlitz_sparse.cache_clear()
 
 
-def _c03_records_pass():
-    """The ``c03-aswclasses`` records of ``verify-all`` at the default config."""
-    failed = [rec.check_id for rec in checks.checks_asw_class_oracle(checks.CheckConfig())
-              if not rec.passed()]
+def _records_pass(group):
+    """The records of one ``verify-all`` check group at the default config."""
+    failed = [rec.check_id for rec in group(checks.CheckConfig()) if not rec.passed()]
     assert not failed, failed
 
 
@@ -93,13 +92,23 @@ COUNTING_ROWS = [
       (test_counting.test_as_classes_over_prime_power_fields, (2, 2, 2, 4)),
       (test_counting.test_as_classes_over_prime_power_fields, (3, 2, 1, 5)),
       (test_counting.test_asw_classes_n1_matches_as_classes, ())]),
+    (counting._lifted_candidates, "_mul(fld, (c,), lift)", "lift",
+     "the lift column of c*T^e adding the image of T^e for every c",
+     [(_records_pass, (checks.checks_degree_p_classes,)),
+      (_records_pass, (checks.checks_conductor,)),
+      (test_counting.test_as_classes_frozen_examples, ()),
+      (test_counting.test_as_classes_equal_t1, ()),
+      (test_counting.test_as_classes_over_prime_power_fields, (3, 2, 1, 5)),
+      (test_counting.test_class_oracle_lifts_match_the_witt_lift, (3, 1, 2, 4)),
+      (test_counting.test_asw_classes_detail_pinned_cells,
+       (3, 1, 1, 5, 1, (13, 62, (2, 3), (13, 13))))]),
     (counting._power_columns, "fld.pow_val(c, fld.p**m)", "c",
      "the g^(p^m) column of c*T^e scaled by c in place of c^(p^m)",
      [(test_counting.test_power_columns_match_per_residue_images, (2, 2, 1)),
       (test_counting.test_power_columns_match_per_residue_images, (3, 2, 2))]),
     (counting._teich, "e * vec.p**i", "e",
      "[P^e] scaling every level by P^e in place of P^(e p^i)",
-     [(_c03_records_pass, ()),
+     [(_records_pass, (checks.checks_asw_class_oracle,)),
       (test_counting.test_teich_is_the_teichmuller_product, (2, 1, 3)),
       (test_counting.test_asw_classes_frozen_examples, ()),
       (test_counting.test_asw_classes_match_v_n, ()),
@@ -107,7 +116,7 @@ COUNTING_ROWS = [
       (test_counting.test_ln1_bounds_oracle_growth, ())]),
     (counting.oracle_asw_classes_detail, "v.frobenius()", "v",
      "the length-n corrections wp(c) without their Frobenius",
-     [(_c03_records_pass, ()),
+     [(_records_pass, (checks.checks_asw_class_oracle,)),
       (test_counting.test_asw_classes_frozen_examples, ()),
       (test_counting.test_asw_classes_match_v_n, ()),
       (test_counting.test_asw_classes_n1_matches_as_classes, ()),
