@@ -35,7 +35,6 @@ import functools
 import itertools
 import time
 from collections import Counter, namedtuple
-from fractions import Fraction
 
 from .fields import field
 from .polys import (CapExceededError, DEFAULT_ENUM_CAP, Polynomial, _mul, _sum, _wrap,
@@ -162,7 +161,8 @@ def lemma42_ceil(alpha: int, s: int, p: int) -> int:
 
 def ratio_check(params: CountParams):
     """Both sides of v_n(alpha)/v_(n-1)(delta) = q^(d(alpha - ceil(alpha/p)))/p,
-    delta = floor((alpha-1)/p) + 1, as exact rationals; asserts equality."""
+    delta = floor((alpha-1)/p) + 1, cross-multiplied into the integers
+    v_n(alpha)*p and v_(n-1)(delta)*q^(...); asserts equality."""
     if params.n < 2:
         raise ValueError("ratio_check requires n >= 2")
     p, q, d, a = params.p, params.q, params.d, params.alpha
@@ -170,8 +170,7 @@ def ratio_check(params: CountParams):
     lower = v_n(CountParams(params.p, params.s, params.d, delta, params.n - 1))
     if lower == 0:
         raise ZeroDivisionError(f"v_(n-1)({delta}) = 0: ratio is vacuous here")
-    lhs = Fraction(v_n(params), lower)
-    rhs = Fraction(q ** (d * (a - _ceil_div(a, p))), p)
+    lhs, rhs = v_n(params) * p, lower * q ** (d * (a - _ceil_div(a, p)))
     if lhs != rhs:
         raise AssertionError(f"ratio identity fails at {params}: {lhs} != {rhs}")
     return lhs, rhs

@@ -7,13 +7,13 @@ ghost map turns them into ordinary +, *, - over any torsion-free ring.
 All divisions by p in the solve are exact over the integers, which is
 asserted, and the resulting tables are re-verified symbolically.
 
-Each table is compiled once into a plan that one evaluator runs in any
-commutative ring with ``+``, ``-``, ``*``, ``**``, truth testing and ``* int``:
-over the plain integers, where the ghost map serves as a test oracle, the
-plan keeps the integer coefficients; in characteristic p (field elements,
-rational functions) they are reduced mod p, so terms that p divides are
-gone.  Each ring maps an int into itself by its own ``* int``; this module
-knows no coefficient type.
+Each table becomes a plan of terms, compiled once into one straight-line
+function (``_plan_source`` is its text) for any commutative ring with ``+``,
+``-``, ``*``, ``**``, truth testing and ``* int``: over the integers, where
+the ghost map serves as a test oracle, the plan keeps the integer
+coefficients; in characteristic p (field elements, rational functions) they
+are reduced mod p, so terms that p divides are gone.  Each ring maps an int
+into itself by its own ``* int``; this module knows no coefficient type.
 """
 
 from __future__ import annotations
@@ -44,9 +44,7 @@ class _IPoly:
 
     @staticmethod
     def variable(nvars, idx):
-        exps = [0] * nvars
-        exps[idx] = 1
-        return _IPoly(nvars, {tuple(exps): 1})
+        return _IPoly(nvars, {tuple(int(i == idx) for i in range(nvars)): 1})
 
     def __add__(self, other):
         out = dict(self.terms)
@@ -59,9 +57,7 @@ class _IPoly:
         return _IPoly(self.nvars, out)
 
     def scale(self, k):
-        if k == 0:
-            return _IPoly(self.nvars)
-        return _IPoly(self.nvars, {e: c * k for e, c in self.terms.items()})
+        return _IPoly(self.nvars, {e: c * k for e, c in self.terms.items() if k})
 
     def __mul__(self, other):
         out = {}
@@ -81,13 +77,9 @@ class _IPoly:
         return _power(self, k, operator.mul)
 
     def div_exact(self, k):
-        out = {}
-        for e, c in self.terms.items():
-            q, r = divmod(c, k)
-            if r:
-                raise AssertionError(f"non-exact division by {k} in Witt table construction")
-            out[e] = q
-        return _IPoly(self.nvars, out)
+        if any(c % k for c in self.terms.values()):
+            raise AssertionError(f"non-exact division by {k} in Witt table construction")
+        return _IPoly(self.nvars, {e: c // k for e, c in self.terms.items()})
 
     def __eq__(self, other):
         return self.nvars == other.nvars and self.terms == other.terms
@@ -193,6 +185,40 @@ def _plan(p: int, n: int, op: str, modular: bool) -> tuple:
     return tuple(plan)
 
 
+def _plan_source(p: int, n: int, op: str, modular: bool) -> str:
+    """The text of the function that runs ``_plan(p, n, op, modular)`` at x0,
+    x1, ... (x, then y for a sum or product), zi = ``not xi``.  A term runs
+    only if none of its factors is zero (exact: the tables have no constant
+    term) and builds each power xi_e = xi^e it is first to reach; -1 is a
+    subtraction.  No component is empty, so an all-skipped one is a zero input."""
+    plan = _plan(p, n, op, modular)
+    m = n if op == "neg_polys" else 2 * n
+    powers = sorted({f for comp in plan for _, factors in comp for f in factors if f[1] > 1})
+    lines = ([f"def run({', '.join(f'x{i}' for i in range(m))}):"]
+             + [f"    z{i} = not x{i}" for i in range(m)] + [f"    x{i}_{e} = None" for i, e in powers])
+    first_zero = "".join(f"x{i} if z{i} else " for i in range(m - 1)) + f"x{m - 1}"
+    for k, terms in enumerate(plan):
+        lines.append(f"    r{k} = None")
+        for j, (coeff, factors) in enumerate(terms):
+            lines.append(f"    if not ({' or '.join(f'z{i}' for i, _ in factors)}):")
+            lines += [f"        if x{i}_{e} is None: x{i}_{e} = x{i} ** {e}" for i, e in factors if e > 1]
+            term = " * ".join(f"x{i}_{e}" if e > 1 else f"x{i}" for i, e in factors)
+            lines.append(f"        t = {term}" + ("" if coeff in (1, -1) else f" * {coeff}"))
+            sign, join = ("-", "-") if coeff == -1 else ("", "+")
+            lines.append(f"        r{k} = {sign}t" + (f" if r{k} is None else r{k} {join} t" if j else ""))
+        lines.append(f"    if r{k} is None: r{k} = {first_zero}")
+    lines.append(f"    return {', '.join(f'r{k}' for k in range(n))},")
+    return "\n".join(lines) + "\n"
+
+
+@functools.lru_cache(maxsize=None)
+def _compiled(p: int, n: int, op: str, modular: bool):
+    """``_plan_source(p, n, op, modular)`` executed once into its function."""
+    namespace = {"__builtins__": {}}  # the text calls no builtin
+    exec(compile(_plan_source(p, n, op, modular), f"<witt {op} p={p} n={n}>", "exec"), namespace)
+    return namespace["run"]
+
+
 class WittVector:
     """A length-n Witt vector over integers, F_q, or F_q(T)."""
 
@@ -254,32 +280,9 @@ class WittVector:
         return hash((self.p, self.comps))
 
     def _evaluate(self, op, values):
-        """Run the plan of table ``op`` at ``values``.  Powers are shared across
-        the output components; a term with a zero factor is skipped (exact, as
-        the tables have no constant term) and a coefficient -1 is a subtraction.
-        No component is empty, so one with every term skipped is a zero input."""
-        live = [v if v else None for v in values]
-        powers = {}  # (idx, e) -> x_idx^e, for nonzero x_idx only
-        out = []
-        for terms in _plan(self.p, self.n, op, not isinstance(self.comps[0], int)):
-            acc = None
-            for coeff, factors in terms:
-                term = None
-                for key in factors:
-                    if (v := powers.get(key)) is None:
-                        if (v := live[key[0]]) is None:
-                            break
-                        v = powers[key] = v if key[1] == 1 else v ** key[1]
-                    term = v if term is None else term * v
-                else:
-                    if coeff == -1:
-                        acc = -term if acc is None else acc - term
-                        continue
-                    if coeff != 1:
-                        term = term * coeff
-                    acc = term if acc is None else acc + term
-            out.append(values[live.index(None)] if acc is None else acc)
-        return WittVector._raw(self.p, tuple(out))
+        """Run the compiled plan of table ``op`` at ``values``."""
+        run = _compiled(self.p, self.n, op, not isinstance(self.comps[0], int))
+        return WittVector._raw(self.p, run(*values))
 
     def add(self, other: "WittVector") -> "WittVector":
         self._check(other)
@@ -321,10 +324,8 @@ class WittVector:
         if not isinstance(self.comps[0], int):
             raise ValueError("ghost map requires integer components (it is not injective in characteristic p)")
         p = self.p
-        out = []
-        for m in range(1, self.n + 1):
-            out.append(sum(p ** (j - 1) * self.comps[j - 1] ** (p ** (m - j)) for j in range(1, m + 1)))
-        return tuple(out)
+        return tuple(sum(p ** (j - 1) * self.comps[j - 1] ** (p ** (m - j)) for j in range(1, m + 1))
+                     for m in range(1, self.n + 1))
 
     def __str__(self):
         return "(" + ", ".join(str(c) for c in self.comps) + ")"

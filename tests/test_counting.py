@@ -101,12 +101,10 @@ def test_lemma42_frozen():
 
 
 def test_ratio_check_frozen():
-    lhs, rhs = ratio_check(params(2, 1, 1, 3, 2))
-    assert lhs == rhs == 1
-    lhs, rhs = ratio_check(params(2, 1, 1, 5, 2))
-    assert lhs == rhs == 2
-    lhs, rhs = ratio_check(params(3, 1, 1, 4, 2))
-    assert lhs == rhs
+    # v_n(alpha) * p and v_(n-1)(delta) * q^(d(alpha - ceil(alpha/p)))
+    assert ratio_check(params(2, 1, 1, 3, 2)) == (2, 2)
+    assert ratio_check(params(2, 1, 1, 5, 2)) == (4, 4)
+    assert ratio_check(params(3, 1, 1, 4, 2)) == (9, 9)
     with pytest.raises(ZeroDivisionError):
         ratio_check(params(2, 1, 1, 2, 3))  # v_2(floor(1/2)+1) = v_2(1) = 0
     with pytest.raises(ValueError):

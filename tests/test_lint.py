@@ -41,9 +41,10 @@ def test_the_package_imports_only_the_standard_library():
 
 def test_import_loads_no_dataclasses_or_inspect():
     # every library and CLI call starts a process that imports the package,
-    # and ``dataclasses`` alone pulls in inspect, ast, dis and tokenize
+    # ``dataclasses`` alone pulls in inspect, ast, dis and tokenize, and
+    # ``fractions`` pulls in decimal
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import wittcount, wittcount.cli; "
-            "print(*sorted({'dataclasses', 'inspect'} & sys.modules.keys()))")
+            "print(*sorted({'dataclasses', 'inspect', 'fractions', 'decimal'} & sys.modules.keys()))")
     src = str(Path(wittcount.__file__).parent.parent)
     run = subprocess.run([sys.executable, "-S", "-c", code, src],
                          capture_output=True, text=True, check=True)

@@ -3,9 +3,10 @@ be killed by the checks it names (mutation analysis: DeMillo, Lipton and
 Sayward, *Hints on test data selection*, 1978).
 
 A Carlitz row replaces one module attribute with its mutant through
-``monkeypatch``.  A counting row gives one function the code of its mutant,
-so that every name bound to it, in the test modules too, runs the mutant,
-and names the tests that must then fail.  A mutant that no row kills marks
+``monkeypatch``; so does the Witt row, whose mutant is a plan that the
+compiled Witt functions are then built from.  A counting row gives one
+function the code of its mutant, so that every name bound to it, in the test
+modules too, runs the mutant, and names the tests that must then fail.  A mutant that no row kills marks
 a check that is vacuous against that fault.
 """
 
@@ -16,7 +17,7 @@ import textwrap
 import pytest
 
 import test_counting
-from wittcount import carlitz, checks, counting
+from wittcount import carlitz, checks, counting, witt
 from wittcount.fields import field
 from wittcount.polys import Polynomial
 
@@ -81,6 +82,40 @@ def _records_pass(group):
     """The records of one ``verify-all`` check group at the default config."""
     failed = [rec.check_id for rec in group(checks.CheckConfig()) if not rec.passed()]
     assert not failed, failed
+
+
+def _without_last_top_sum_term(plan):
+    """``witt._plan`` whose mod-p sum plans lack the last term of their top
+    component."""
+    def mutant(p, n, op, modular):
+        comps = plan(p, n, op, modular)
+        return comps[:-1] + (comps[-1][:-1],) if op == "sum_polys" and modular else comps
+    return mutant
+
+
+def _clear_witt_plans():
+    witt._plan.cache_clear()
+    witt._compiled.cache_clear()
+
+
+def test_witt_records_kill_the_plan_mutant(monkeypatch):
+    # functions compiled from the unmutated plans would hide the mutant, and
+    # the mutant's must not outlive it
+    survivors = []
+    _clear_witt_plans()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(witt, "_plan", _without_last_top_sum_term(witt._plan))
+            for group in (checks.checks_witt_ring_laws, checks.checks_normalizer_certificates,
+                          checks.checks_asw_class_oracle):
+                try:
+                    _records_pass(group)
+                except AssertionError:
+                    continue
+                survivors.append(group.__name__)
+    finally:
+        _clear_witt_plans()
+    assert not survivors, f"{survivors} pass with a Witt sum lacking a top term"
 
 
 # (function, source text, mutant text, what the fault is, the tests that kill it

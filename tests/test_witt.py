@@ -11,7 +11,9 @@ from wittcount.witt import (
     MAX_TABLE_BITS,
     WittVector,
     _IPoly,
+    _compiled,
     _plan,
+    _plan_source,
     _table_bits,
     parse_witt,
     witt_tables,
@@ -359,18 +361,30 @@ def _zero_patterns(n, draw, zero):
     return out
 
 
-@pytest.mark.parametrize("fld,rational", [(F2, False), (F4, False), (F9, False), (F3, True)])
+@pytest.mark.parametrize("fld,rational", [(F2, False), (F4, False), (F9, False), (F3, True),
+                                          pytest.param(2, False, id="Z-p2"),
+                                          pytest.param(3, False, id="Z-p3")])
 def test_plans_match_the_reference_evaluator(fld, rational):
-    rng = random.Random(59 + fld.q)
-    if rational:
+    # an int ``fld`` stands for the integers, evaluated by the unreduced plans
+    # of p = fld, with negative entries
+    integers = isinstance(fld, int)
+    p = fld if integers else fld.p
+    rng = random.Random(59 + (p if integers else fld.q))
+    if integers:
+        draw, zero = (lambda: rng.choice((-1, 1)) * rng.randrange(1, 3 * p)), 0
+    elif rational:
         draw, zero = (lambda: _rand_rf(rng, fld)), RationalFunction.zero(fld)
     else:
         draw, zero = (lambda: fld.elem(rng.randrange(1, fld.q))), fld.zero()
     for n in (1, 2, 3):
-        tables = witt_tables(fld.p, n)
-        vectors = [WittVector(fld.p, c) for c in _zero_patterns(n, draw, zero)]
-        vectors += [_rand_rf_vector(rng, fld, n) if rational else _rand_fq_vector(rng, fld, n)
-                    for _ in range(3)]
+        tables = witt_tables(p, n)
+        vectors = [WittVector(p, c) for c in _zero_patterns(n, draw, zero)]
+        if integers:
+            vectors += [WittVector(p, tuple(rng.randrange(-3 * p, 3 * p) for _ in range(n)))
+                        for _ in range(3)]
+        else:
+            vectors += [_rand_rf_vector(rng, fld, n) if rational else _rand_fq_vector(rng, fld, n)
+                        for _ in range(3)]
         for x in vectors:
             assert x.neg().comps == tuple(_reference_evaluate(f, x.comps) for f in tables.neg_polys)
             for y in vectors:
@@ -379,6 +393,47 @@ def test_plans_match_the_reference_evaluator(fld, rational):
                                                for f in tables.sum_polys), (x, y)
                 assert x.mul(y).comps == tuple(_reference_evaluate(f, values)
                                                for f in tables.prod_polys), (x, y)
+
+
+SUM_2_2_MOD_2 = """\
+def run(x0, x1, x2, x3):
+    z0 = not x0
+    z1 = not x1
+    z2 = not x2
+    z3 = not x3
+    r0 = None
+    if not (z0):
+        t = x0
+        r0 = t
+    if not (z2):
+        t = x2
+        r0 = t if r0 is None else r0 + t
+    if r0 is None: r0 = x0 if z0 else x1 if z1 else x2 if z2 else x3
+    r1 = None
+    if not (z1):
+        t = x1
+        r1 = t
+    if not (z3):
+        t = x3
+        r1 = t if r1 is None else r1 + t
+    if not (z0 or z2):
+        t = x0 * x2
+        r1 = t if r1 is None else r1 + t
+    if r1 is None: r1 = x0 if z0 else x1 if z1 else x2 if z2 else x3
+    return r0, r1,
+"""
+
+
+def test_plan_source_is_pinned_and_compiled_once():
+    # (x0, x1) + (y0, y1) = (x0 + y0, x1 + y1 + x0 y0) in W_2 of characteristic 2
+    assert _plan_source(2, 2, "sum_polys", True) == SUM_2_2_MOD_2
+    run = _compiled(2, 2, "sum_polys", True)
+    assert run is _compiled(2, 2, "sum_polys", True)
+    assert run(F2.one(), F2.zero(), F2.one(), F2.zero()) == (F2.zero(), F2.one())
+    # the powers a term reaches, and the integer coefficients of the ghost oracle
+    source = _plan_source(3, 2, "prod_polys", False)
+    assert "        if x0_3 is None: x0_3 = x0 ** 3\n" in source
+    assert "        t = x1 * x3 * 3\n" in source
 
 
 def test_plans_are_compiled_once_and_reduced():
