@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .fields import FiniteField, FqElem
+from .fields import FiniteField
 from .polys import Polynomial
 from .rationals import RationalFunction, partial_fractions, pole_part
 from .witt import MAX_WITT_LENGTH, WittVector
@@ -205,7 +205,10 @@ def _hasse_parts(beta: RationalFunction):
             u = _pth_root_mod(-(q_num % prime), prime)
             # u/P^k is reduced: u is a nonzero residue, as Q is prime to P
             correction = correction + RationalFunction._raw(u, prime ** (e // p))
-            q_num = q_num + u.frobenius() - u * prime ** (e - e // p)
+            q_num, r = divmod(q_num + u.frobenius() - u * prime ** (e - e // p), prime)
+            if r:  # u^p = -Q mod P: only broken arithmetic leaves a remainder
+                raise AssertionError(f"{prime} does not divide the peeled numerator")
+            e -= 1
             while q_num and not (qr := divmod(q_num, prime))[1]:
                 q_num, e = qr[0], e - 1
         if q_num:
@@ -331,7 +334,7 @@ def split_constants(gen: AswGenerator):
     (eps, gam), total = _peel(beta, 2, split)
     if total != beta:
         raise AssertionError("constant split failed to reassemble the generator")
-    return WittVector(p, [FqElem(fld, c.num.constant_coeff()) for c in eps.comps]), gam
+    return WittVector(p, [fld._elems[c.num.constant_coeff()] for c in eps.comps]), gam
 
 
 def conductor_exponent(lambdas, p: int) -> int:

@@ -17,10 +17,11 @@ encoding are the coordinates in the power basis, constant digit first.
 
 Every field exposes its arithmetic as rows indexed by encodings:
 ``_add_table[a][b]``, ``_mul_table[a][b]``, ``_neg_table[a]``,
-``_inv_table[a]``, ``_frob_table[a]`` (a^p) and ``_root_table[a]``
-(a^(1/p)).  For q <= 256 these are lists, so every operation is one list
-index; above that they are :class:`_LazyRows` that compute each entry with
-the untabled arithmetic when it is looked up.  The ``*_val`` methods and
+``_inv_table[a]``, ``_frob_table[a]`` (a^p), ``_root_table[a]`` (a^(1/p))
+and ``_elems[a]``, the :class:`FqElem` of a.  For q <= 256 these are lists
+and a tuple, so every operation is one index and builds no element; above
+that they are :class:`_LazyRows` that compute each entry, elements too,
+when it is looked up.  The ``*_val`` methods, the element operators and
 the ``polys`` kernels read the rows and do not care which kind they are.
 """
 
@@ -125,9 +126,6 @@ class FiniteField:
             raise ZeroDivisionError("inverse of zero in " + repr(self))
         return self._inv_table[a]
 
-    def div_val(self, a: int, b: int) -> int:
-        return self._mul_table[a][self.inv_val(b)]
-
     def pow_val(self, a: int, e: int) -> int:
         if a == 0:
             if e < 0:
@@ -186,6 +184,7 @@ class FiniteField:
         self._frob_table = power(self.p)
         self._root_table = power(self.p ** (self.s - 1))  # Frobenius has order s
         self._pow_unit = self._pow_untabled
+        self._elems = _LazyRows(functools.partial(FqElem, self))  # built on demand
 
     def _build_tables(self):
         """The add table one base-p digit at a time; everything else from the
@@ -214,6 +213,7 @@ class FiniteField:
         exp2 = exp + exp  # log a + log b < 2(q - 1)
         self._mul_table = [[0] * q] + [[0] + [exp2[la + lb] for lb in logs] for la in logs]
         self._pow_unit = lambda a, e: exp[log[a] * e % (q - 1)]
+        self._elems = tuple(FqElem(self, v) for v in range(q))  # one object per value
 
     def _primitive_powers(self):
         """[g^0, ..., g^(q-2)] for the smallest-encoded generator g of F_q^*."""
@@ -272,20 +272,20 @@ class FiniteField:
     # -- element construction --
 
     def elem(self, val: int) -> "FqElem":
-        return FqElem(self, val % self.q)
+        return self._elems[val % self.q]
 
     def from_int(self, n: int) -> "FqElem":
         """Image of an ordinary integer (i.e. n mod p embedded in F_q)."""
-        return FqElem(self, n % self.p)
+        return self._elems[n % self.p]
 
     def zero(self) -> "FqElem":
-        return FqElem(self, 0)
+        return self._elems[0]
 
     def one(self) -> "FqElem":
-        return FqElem(self, 1)
+        return self._elems[1]
 
     def elements(self):
-        return (FqElem(self, v) for v in range(self.q))
+        return map(self._elems.__getitem__, range(self.q))
 
     def __repr__(self):
         return f"GF({self.q})"
@@ -311,55 +311,45 @@ class FqElem:
             if other.field is not self.field:
                 raise ValueError("elements of different fields")
             return other.val
-        if isinstance(other, int):
-            return other % self.field.p
-        return NotImplemented
+        return other % self.field.p if isinstance(other, int) else NotImplemented
 
     def __add__(self, other):
-        v = self._rhs(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FqElem(self.field, self.field.add_val(self.val, v))
+        v, f = self._rhs(other), self.field
+        return NotImplemented if v is NotImplemented else f._elems[f._add_table[self.val][v]]
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        v = self._rhs(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FqElem(self.field, self.field.sub_val(self.val, v))
+        v, f = self._rhs(other), self.field
+        return (NotImplemented if v is NotImplemented
+                else f._elems[f._add_table[self.val][f._neg_table[v]]])
 
     def __rsub__(self, other):
-        v = self._rhs(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FqElem(self.field, self.field.sub_val(v, self.val))
+        v, f = self._rhs(other), self.field
+        return (NotImplemented if v is NotImplemented
+                else f._elems[f._add_table[v][f._neg_table[self.val]]])
 
     def __mul__(self, other):
-        v = self._rhs(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FqElem(self.field, self.field.mul_val(self.val, v))
+        v, f = self._rhs(other), self.field
+        return NotImplemented if v is NotImplemented else f._elems[f._mul_table[self.val][v]]
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        v = self._rhs(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FqElem(self.field, self.field.div_val(self.val, v))
+        v, f = self._rhs(other), self.field
+        return (NotImplemented if v is NotImplemented
+                else f._elems[f._mul_table[self.val][f.inv_val(v)]])
 
     def __rtruediv__(self, other):
-        v = self._rhs(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FqElem(self.field, self.field.div_val(v, self.val))
+        v, f = self._rhs(other), self.field
+        return (NotImplemented if v is NotImplemented
+                else f._elems[f._mul_table[v][f.inv_val(self.val)]])
 
     def __pow__(self, e):
-        return FqElem(self.field, self.field.pow_val(self.val, e))
+        return self.field._elems[self.field.pow_val(self.val, e)]
 
     def __neg__(self):
-        return FqElem(self.field, self.field.neg_val(self.val))
+        return self.field._elems[self.field._neg_table[self.val]]
 
     def __eq__(self, other):
         if isinstance(other, FqElem):
@@ -377,16 +367,17 @@ class FqElem:
         return tuple(self.field._digits(self.val))
 
     def frobenius(self) -> "FqElem":
-        return FqElem(self.field, self.field.frobenius_val(self.val))
+        return self.field._elems[self.field._frob_table[self.val]]
 
     def pth_root(self) -> "FqElem":
-        return FqElem(self.field, self.field.pth_root_val(self.val))
+        return self.field._elems[self.field._root_table[self.val]]
 
     def trace(self) -> int:
         return self.field.trace_val(self.val)
 
     def wp(self) -> "FqElem":
-        return FqElem(self.field, self.field.wp_val(self.val))
+        f, a = self.field, self.val
+        return f._elems[f._add_table[f._frob_table[a]][f._neg_table[a]]]
 
     def in_wp_image(self) -> bool:
         return self.field.in_wp_image_val(self.val)

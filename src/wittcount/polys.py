@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 import random
 import re
 
@@ -173,7 +172,8 @@ class Polynomial:
     def __pow__(self, e: int):
         if e < 0:
             raise ValueError("negative polynomial power")
-        return _power(self, e, operator.mul) if e else Polynomial.one(self.field)
+        f = self.field
+        return _wrap(f, _power(self.coeffs, e, functools.partial(_mul, f)) if e else (1,))
 
     def monic(self) -> "Polynomial":
         if self.is_zero() or self.is_monic():
@@ -189,20 +189,21 @@ class Polynomial:
             raise ValueError("negative modular power")
         if not e:
             return Polynomial.one(self.field) % mod
-        return _power(self % mod, e, lambda a, b: a * b % mod)
+        x, f, m = (self % mod).coeffs, self.field, mod.coeffs
+        return _wrap(f, _power(x, e, lambda a, b: _rem(f, _mul(f, a, b), m)))
 
     def modinv(self, mod: "Polynomial") -> "Polynomial":
         """Inverse modulo ``mod`` via the extended Euclidean algorithm."""
-        f = self.field
+        f, minus_one = self.field, (self.field._neg_table[1],)
         r0, r1 = mod.coeffs, (self % mod).coeffs
-        t0, t1 = Polynomial.zero(f), Polynomial.one(f)
+        t0, t1 = (), (1,)  # t_i * self = r_i mod ``mod``
         while r1:
             q, r = _divmod(f, r0, r1)
             r0, r1 = r1, r
-            t0, t1 = t1, t0 - _wrap(f, q) * t1
+            t0, t1 = t1, _sum(f, t0, _mul(f, _mul(f, minus_one, q), t1))
         if len(r0) != 1:
             raise ZeroDivisionError("element is not invertible modulo the given polynomial")
-        return t0.scale(f.inv_val(r0[0])) % mod
+        return _wrap(f, _rem(f, _mul(f, (f._inv_table[r0[0]],), t0), mod.coeffs))
 
     def eval(self, x):
         """Horner evaluation at an FqElem (or raw encoding)."""
@@ -212,7 +213,7 @@ class Polynomial:
         acc = 0
         for c in reversed(self.coeffs):
             acc = add[x_row[acc]][c]
-        return FqElem(f, acc)
+        return f._elems[acc]
 
     def frobenius(self) -> "Polynomial":
         """self**p (coefficientwise p-power, exponents spread by p)."""
@@ -484,15 +485,20 @@ def _split_equal_degree(g: Polynomial, d: int):
     Cantor-Zassenhaus: for a random a, gcd(b, g) is a proper factor about half
     the time, where b = a^((q^d - 1)/2) - 1 for odd q and the trace
     a + a^2 + ... + a^(2^(sd - 1)) for q = 2^s.  The random source is seeded
-    by g, so the work is deterministic."""
+    by g, so the work is deterministic.  A split takes about two draws, so a g
+    not split after 32 deg(g) draws is no such product, and raises."""
+    if g.degree == d:
+        return [g]
     fld = g.field
     rng = random.Random(g.to_int())
-    todo, primes = [g], []
+    todo, primes, draws = [g], [], 0
     while todo:
         h = todo.pop()
         if h.degree == d:
             primes.append(h)
             continue
+        if (draws := draws + 1) > 32 * g.degree:
+            raise AssertionError(f"{g} is not a product of degree-{d} irreducibles")
         a = Polynomial(fld, [rng.randrange(fld.q) for _ in range(h.degree)])
         if fld.p == 2:
             b = y = a

@@ -1,6 +1,7 @@
 import pytest
 
-from wittcount.fields import FiniteField, field
+from wittcount.fields import FiniteField, _LazyRows, field
+from wittcount.polys import Polynomial
 
 
 def test_canonical_moduli():
@@ -178,6 +179,36 @@ def test_large_field_without_tables():
     g = f.elem(37)
     assert (g * g.pth_root().frobenius()).val == f.mul_val(37, 37)
     assert g ** f.q == g
+
+
+@pytest.mark.parametrize("p, s", [(2, 2), (3, 2)])
+def test_tabled_field_holds_one_element_per_value(p, s):
+    # F_4 and F_9: every operator, constructor and evaluation returns the
+    # field's own object for its value, never a new one
+    fld = field(p, s)
+    elems = list(fld.elements())
+    assert [x.val for x in elems] == list(range(fld.q))
+    assert all(x is fld.elem(x.val) is fld.elem(x.val + fld.q) for x in elems)
+    assert fld.zero() is elems[0] and fld.one() is elems[1] is fld.from_int(p + 1)
+    for x in elems:
+        results = [-x, x**0, x**3, x.frobenius(), x.pth_root(), x.wp(), x + 1, 1 + x, x - 1,
+                   1 - x, 2 * x, x * 2, Polynomial(fld, (1, 2, 1)).eval(x)]
+        for y in elems:
+            results += [x + y, x - y, x * y]
+            if y:
+                results += [x / y, 1 / y, y**-1]
+        assert all(r is elems[r.val] for r in results), x
+
+
+def test_untabled_field_builds_elements_on_demand():
+    # a tuple of every element would hold 2^40 of them at the largest p; above
+    # the table limit each lookup builds a fresh element, equal by value
+    fld = field(2, 9)  # q = 512
+    assert isinstance(fld._elems, _LazyRows)
+    x, y = fld.elem(37), fld.elem(37 + fld.q)
+    assert x is not y and x == y and hash(x) == hash(y) and len({x, y}) == 1
+    assert x * fld.one() == x and x - y == fld.zero() and (x / y).val == 1
+    assert x.pth_root().frobenius() == x and (x ** (fld.q - 1)).val == 1
 
 
 def _pow_untabled_reference(fld, a, e):

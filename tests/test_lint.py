@@ -39,6 +39,15 @@ def test_the_package_imports_only_the_standard_library():
     assert not found, found
 
 
+def test_elements_are_built_only_in_fields():
+    # a tabled field holds one FqElem per value, which every other module
+    # reaches through the field; a call of the class elsewhere builds copies
+    found = [f"{name}:{node.lineno}" for name, node in _package_nodes()
+             if name != "fields.py" and isinstance(node, ast.Call)
+             and "FqElem" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    assert not found, found
+
+
 def test_import_loads_no_dataclasses_or_inspect():
     # every library and CLI call starts a process that imports the package,
     # ``dataclasses`` alone pulls in inspect, ast, dis and tokenize, and

@@ -3,11 +3,12 @@ be killed by the checks it names (mutation analysis: DeMillo, Lipton and
 Sayward, *Hints on test data selection*, 1978).
 
 A Carlitz row replaces one module attribute with its mutant through
-``monkeypatch``; so does the Witt row, whose mutant is a plan that the
-compiled Witt functions are then built from.  A counting row gives one
-function the code of its mutant, so that every name bound to it, in the test
-modules too, runs the mutant, and names the tests that must then fail.  A mutant that no row kills marks
-a check that is vacuous against that fault.
+``monkeypatch``; so do the Witt row, whose mutant is a plan that the compiled
+Witt functions are then built from, and the field row, whose mutant is a row
+of F_4's arithmetic.  A counting row gives one function the code of its
+mutant, so that every name bound to it, in the test modules too, runs the
+mutant, and names the tests that must then fail.  A mutant that no row kills
+marks a check that is vacuous against that fault.
 """
 
 import inspect
@@ -17,8 +18,8 @@ import textwrap
 import pytest
 
 import test_counting
-from wittcount import carlitz, checks, counting, witt
-from wittcount.fields import field
+from wittcount import carlitz, checks, counting, polys, rationals, witt
+from wittcount.fields import FiniteField, field
 from wittcount.polys import Polynomial
 
 
@@ -116,6 +117,38 @@ def test_witt_records_kill_the_plan_mutant(monkeypatch):
     finally:
         _clear_witt_plans()
     assert not survivors, f"{survivors} pass with a Witt sum lacking a top term"
+
+
+def _clear_field_memos():
+    """The memos whose values a wrong F_q inverse can change."""
+    for memo in (rationals._plan, polys._factor_monic, polys.canonical_prime,
+                 carlitz._carlitz_sparse, FiniteField.wp_coset_rep_val):
+        memo.cache_clear()
+    _clear_counting_memos()
+
+
+def test_records_kill_a_swapped_inverse(monkeypatch):
+    # F_4 with 1/g and 1/g^2 swapped: 1/1 stays 1, so only a division by a
+    # leading coefficient other than 1 goes wrong.  c11's record c11-gcd/q4
+    # kills it too, at several times the cost of these two groups; no record
+    # of c01-c07, c09 or the supporting group does.
+    f4 = field(2, 2)
+    swapped = list(f4._inv_table)
+    swapped[2], swapped[3] = swapped[3], swapped[2]
+    survivors = []
+    _clear_field_memos()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(f4, "_inv_table", swapped)
+            for group in (checks.checks_normalizer_certificates, checks.checks_infinity_classifier):
+                try:
+                    _records_pass(group)
+                except AssertionError:
+                    continue
+                survivors.append(group.__name__)
+    finally:
+        _clear_field_memos()
+    assert not survivors, f"{survivors} pass with 1/g and 1/g^2 swapped in F_4"
 
 
 # (function, source text, mutant text, what the fault is, the tests that kill it
