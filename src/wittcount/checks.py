@@ -26,6 +26,8 @@ from .carlitz import carlitz_compose_check, carlitz_gcd_check, carlitz_poly
 from .counting import (
     CountParams,
     VerificationReport,
+    _lifted_candidates,
+    _pole_orders,
     ln1_bound,
     lemma42_ceil,
     lemma42_floor,
@@ -40,7 +42,8 @@ from .counting import (
     v_n,
 )
 from .fields import field
-from .polys import CapExceededError, DEFAULT_ENUM_CAP, Polynomial, canonical_prime, phi, polys_below
+from .polys import (CapExceededError, DEFAULT_ENUM_CAP, Polynomial, _wrap, canonical_prime,
+                    monic_irreducibles, phi, polys_below)
 from .rationals import RationalFunction
 from .witt import WittVector, witt_tables
 
@@ -289,11 +292,8 @@ def checks_witt_ring_laws(cfg: CheckConfig):
 
 # -- criterion 8: normalizer certificates --
 
-def _random_generator(rng, fld, n):
-    """Random length-n vector with poles at small primes, orders <= 12."""
-    from .polys import monic_irreducibles
-
-    primes = monic_irreducibles(fld, 1)[:2] + monic_irreducibles(fld, 2)[:1]
+def _random_generator(rng, fld, primes, n):
+    """Random length-n vector with poles at ``primes``, orders <= 12."""
     comps = []
     for _ in range(n):
         den = Polynomial.one(fld)
@@ -323,8 +323,9 @@ def checks_normalizer_certificates(cfg: CheckConfig):
     for p, s in QS_SMALL:
         fld = field(p, s)
         rng = random.Random(cfg.seed * 7919 + fld.q)
+        primes = monic_irreducibles(fld, 1)[:2] + monic_irreducibles(fld, 2)[:1]
         cases = ((("gen#{}/n{}", k, 1 + k % 3),
-                  partial(_certificate_holds, _random_generator(rng, fld, 1 + k % 3)))
+                  partial(_certificate_holds, _random_generator(rng, fld, primes, 1 + k % 3)))
                  for k in range(per_field))
         out.append(_sweep(f"c08-normcert/q{fld.q}", {"q": fld.q, "count": per_field},
                           cfg, cases))
@@ -336,7 +337,7 @@ def checks_normalizer_certificates(cfg: CheckConfig):
 def _conductor_grid(p, n):
     """Every lambda tuple of length n with entries <= 20 coprime to p (or 0
     past the first)."""
-    valid = [0] + [lam for lam in range(1, 21) if lam % p]
+    valid = [0] + _pole_orders(p, 20)
     return itertools.product(valid[1:], *[valid] * (n - 1))
 
 
@@ -346,9 +347,7 @@ def _exact_conductor_counts(par, cap):
     by_lam = oracle_as_classes_by_conductor(par, cap=cap)
     expected = {}
     notes = []
-    for lam in range(1, 6):
-        if lam % p == 0:
-            continue
+    for lam in _pole_orders(p, 5):
         expected[lam], rem = divmod(phi(prime ** (lam - lam // p)), p - 1)
         if rem:
             notes.append((f"lam{lam}-phi-divisible-by-p-1", False))
@@ -389,17 +388,13 @@ def _infinity_label_is(beta, expected):
 def _trichotomy_cases(cfg):
     """Every n=1 normal form with conductor dividing P^6 (the criterion-2
     grid), extended by each non-image constant and a polynomial part."""
-    from .counting import _coprime_numerators
-
     for p, s in ((2, 1), (3, 1)):
         fld = field(p, s)
         prime = canonical_prime(fld, 1)
         rng = random.Random(cfg.seed + fld.q)
-        for lam in range(1, 6):
-            if lam % p == 0:
-                continue
-            for q_num in _coprime_numerators(fld, prime, lam, cfg.cap):
-                frac = RationalFunction(q_num, prime**lam)
+        for lam in _pole_orders(p, 5):
+            for q_num in _lifted_candidates(fld, prime, lam, lam, cfg.cap):  # [P^lam] Q/P^lam = Q
+                frac = RationalFunction(_wrap(fld, q_num), prime**lam)
                 cases = [(frac, "decomposed")]
                 for c in range(1, fld.q):
                     if not fld.in_wp_image_val(c):
@@ -431,7 +426,7 @@ def _efg_product_holds(seed, k):
             comps.append(RationalFunction(Polynomial(
                 fld, [rng.randrange(fld.q) for _ in range(deg)] + [rng.randrange(1, fld.q)])))
         else:
-            lam = rng.choice([l_ for l_ in range(1, 6) if l_ % p])
+            lam = rng.choice(_pole_orders(p, 5))
             comps.append(_normal_pole_part(rng, fld, prime, lam))
     b = infinity_behavior(witt_normalize(AswGenerator(WittVector(p, tuple(comps)))))
     return b.e * b.f * b.g == p**n

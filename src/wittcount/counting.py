@@ -6,7 +6,9 @@ oracle.  Cyclic-subgroup counting enumerates all of F_q[T]/(P^alpha) as
 pairs x = h + l of a high and a low half; x -> x^p is additive, so each
 half's p-power columns are built by additivity, one block of entries per
 monomial c T^e from the images of T^e scaled by c^(p^m), and every residue
-is counted once, exactly, through a tally of the low half.  The
+is counted once, exactly, through a tally of the low half.  That walk,
+:func:`_linear_columns`, is the one over the oracles' residues and
+numerators: the class oracles' numerators are its columns too.  The
 generator-class oracles enumerate normal-form generators and partition them
 under the scaling-plus-wp equivalence: the degree-p one links each to its
 images under generators of that group, the length-n one raises the
@@ -46,6 +48,11 @@ MAX_COUNT_BITS = 14_000  # about 4200 digits
 
 def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
+
+
+def _pole_orders(p, top):
+    """The pole orders lam in 1..top that p does not divide."""
+    return [lam for lam in range(1, top + 1) if lam % p]
 
 
 class CountParams(namedtuple("CountParams", "p s d alpha n")):
@@ -102,9 +109,7 @@ def w(alpha: int, params: CountParams) -> int:
 def _w_cached(p: int, s: int, d: int, alpha: int) -> int:
     q = p**s
     total = 0
-    for lam in range(1, alpha):
-        if lam % p == 0:
-            continue
+    for lam in _pole_orders(p, alpha - 1):
         m = lam - lam // p
         total += q ** (d * (m - 1)) * (q**d - 1)
     closed = q ** (d * (alpha - 1 - (alpha - 1) // p)) - 1
@@ -202,32 +207,44 @@ def telescoped_phi_sum(params: CountParams, r: int, s: int) -> int:
 
 # -- oracle: cyclic subgroup count by full unit enumeration --
 
-def _power_columns(fld, prime, modulus, k, shift, start):
-    """Columns [g mod P, g, g^p, ..., g^(p^n_max)] of coefficient tuples, the
-    powers mod M = P^alpha, for g = r*T^shift and r over the polynomials of
-    degree < k in encoding order; column j starts at ``start[j]`` (the entry
-    of r = 0) and n_max + 2 = len(start).
-
-    Every map here is additive, so the columns grow one block per monomial
-    c*T^e: the entries c*q^e + i, i < q^e, are the entries i plus the image
-    of c*T^e, which is the image of T^e (the only ``frobenius()`` and ``%``
-    calls) times c, or times c^(p^m) in the g^(p^m) column.
-    """
+def _linear_columns(fld, start, images, scales):
+    """Columns of F_q-linear maps over the polynomials r in encoding order:
+    column j starts at ``start[j]``, its entry of r = 0; ``images[e][j]`` is
+    the image of T^e under map j, and the image of c*T^e is that times
+    ``scales[c][j]`` (2 <= c < q).  The entries c*q^e + i, i < q^e, are the
+    entries i plus the image of c*T^e, so the columns grow one block per
+    monomial c*T^e.  This is the one walk over the oracles' residues and
+    numerators."""
     cols = [[s] for s in start]
-    scales = {c: [c, c] + [fld.pow_val(c, fld.p**m) for m in range(1, len(start) - 1)]
-              for c in range(2, fld.q)}
-    for e in range(k):
-        g = Polynomial(fld, (0,) * (e + shift) + (1,))
-        image = [(g % prime).coeffs, g.coeffs]
-        for _ in start[2:]:
-            g = g.frobenius() % modulus
-            image.append(g.coeffs)
+    for image in images:
         size = len(cols[0])
         for c in range(1, fld.q):
             terms = [_mul(fld, (a,), t) for a, t in zip(scales[c], image)] if c > 1 else image
             for col, term in zip(cols, terms):
                 col += [_sum(fld, x, term) for x in col[:size]]
     return cols
+
+
+def _power_columns(fld, prime, modulus, k, shift, start):
+    """Columns [g mod P, g, g^p, ..., g^(p^n_max)] of coefficient tuples, the
+    powers mod M = P^alpha, for g = r*T^shift and r over the polynomials of
+    degree < k in encoding order; column j starts at ``start[j]`` (the entry
+    of r = 0) and n_max + 2 = len(start).
+
+    Every map here is additive, so these are :func:`_linear_columns` from the
+    images of T^e (the only ``frobenius()`` and ``%`` calls), scaled by c,
+    or by c^(p^m) in the g^(p^m) column.
+    """
+    images = []
+    for e in range(k):
+        g = Polynomial(fld, (0,) * (e + shift) + (1,))
+        images.append([(g % prime).coeffs, g.coeffs])
+        for _ in start[2:]:
+            g = g.frobenius() % modulus
+            images[-1].append(g.coeffs)
+    scales = {c: [c, c] + [fld.pow_val(c, fld.p**m) for m in range(1, len(start) - 1)]
+              for c in range(2, fld.q)}
+    return _linear_columns(fld, start, images, scales)
 
 
 @functools.lru_cache(maxsize=32)
@@ -324,21 +341,6 @@ class _DSU:
         return sum(1 for i in range(len(self.parent)) if self.find(i) == i)
 
 
-def _numerator_degree(fld, prime, lam, cap):
-    """lam*deg P, the bound on the numerators Q of Q/P^lam; CapExceededError
-    unless the q^(lam deg P) of them fit in ``cap``."""
-    deg = lam * prime.degree
-    if fld.q**deg > cap:
-        raise CapExceededError(f"numerator enumeration of size {fld.q**deg} exceeds cap {cap}")
-    return deg
-
-
-def _coprime_numerators(fld, prime, lam, cap):
-    """All Q with deg Q < lam*deg P that the prime P does not divide, in encoding order."""
-    return [cand for cand in polys_below(fld, _numerator_degree(fld, prime, lam, cap))
-            if cand % prime]
-
-
 @functools.lru_cache(maxsize=256)
 def _prime_power(prime, e):
     return prime**e
@@ -348,17 +350,6 @@ def _teich(vec: WittVector, prime: Polynomial, e: int) -> WittVector:
     """[P^e] vec = (P^e, 0, ..., 0) vec over F_q[T]: component i times P^(e p^i)."""
     return WittVector(vec.p, [c * _prime_power(prime, e * vec.p**i)
                               for i, c in enumerate(vec.comps)])
-
-
-def _valid_lambdas(p, alpha, weight, allow_zero):
-    """Pole orders lam with p^weight * lam <= alpha - 1, lam coprime to p."""
-    out = [0] if allow_zero else []
-    lam = 1
-    while p**weight * lam <= alpha - 1:
-        if lam % p:
-            out.append(lam)
-        lam += 1
-    return out
 
 
 def oracle_as_classes(params: CountParams, prime: Polynomial = None,
@@ -401,7 +392,7 @@ def _as_classes_cached(p, s, prime_coeffs, alpha, cap):
     prime = Polynomial(fld, prime_coeffs)
     e_bound = alpha - 1
     lams, lifted = [], []
-    for lam in _valid_lambdas(p, alpha, 0, allow_zero=False):
+    for lam in _pole_orders(p, alpha - 1):
         lifts = _lifted_candidates(fld, prime, lam, e_bound, cap)
         lams += [lam] * len(lifts)
         lifted += lifts
@@ -429,24 +420,22 @@ def _as_classes_cached(p, s, prime_coeffs, alpha, cap):
 
 def _lifted_candidates(fld, prime, lam, e_bound, cap):
     """[P^E](Q/P^lam) = Q P^(E-lam), E = ``e_bound``, as coefficient tuples,
-    for the Q of :func:`_coprime_numerators` in the same order.
+    for every Q with deg Q < lam deg P that the prime P does not divide, in
+    encoding order; with E = lam these are the Q themselves.
+    CapExceededError unless the q^(lam deg P) numerators fit in ``cap``.
 
-    Q -> Q mod P and Q -> Q P^(E-lam) are F_q-linear, so, as in
-    :func:`_power_columns`, both columns grow one block per monomial c*T^e
-    over every Q in encoding order: the entries c*q^e + i are the entries i
-    plus c times the image of T^e.  The lifts with a nonzero residue are kept.
+    Q -> Q mod P and Q -> Q P^(E-lam) are F_q-linear, so both are
+    :func:`_linear_columns`, from T^e mod P and T^e P^(E-lam), each scaled
+    by c.  The lifts with a nonzero residue are kept.
     """
-    deg = _numerator_degree(fld, prime, lam, cap)
+    deg = lam * prime.degree
+    if fld.q**deg > cap:
+        raise CapExceededError(f"numerator enumeration of size {fld.q**deg} exceeds cap {cap}")
     factor = _prime_power(prime, e_bound - lam).coeffs
-    residues, lifts = [()], [()]
-    for e in range(deg):
-        residue = (Polynomial(fld, (0,) * e + (1,)) % prime).coeffs  # T^e mod P
-        lift = (0,) * e + factor  # T^e P^(E-lam)
-        size = len(lifts)
-        for c in range(1, fld.q):  # c in F_q, by its encoding
-            residue_c, lift_c = _mul(fld, (c,), residue), _mul(fld, (c,), lift)
-            residues += [_sum(fld, x, residue_c) for x in residues[:size]]
-            lifts += [_sum(fld, x, lift_c) for x in lifts[:size]]
+    images = [((Polynomial(fld, (0,) * e + (1,)) % prime).coeffs, (0,) * e + factor)
+              for e in range(deg)]
+    residues, lifts = _linear_columns(fld, [(), ()], images,
+                                      {c: (c, c) for c in range(2, fld.q)})
     return [x for x, residue in zip(lifts, residues) if residue]
 
 
@@ -496,7 +485,7 @@ def oracle_asw_classes_detail(params: CountParams, prime: Polynomial = None,
     e_start = p * start_bound  # >= alpha, above every candidate pole order
     level_choices = [
         [_wrap(fld, comp)
-         for lam in _valid_lambdas(p, alpha, n - 1 - level, allow_zero=level > 0)
+         for lam in ([0] if level else []) + _pole_orders(p, (alpha - 1) // p**(n - 1 - level))
          for comp in (_lifted_candidates(fld, prime, lam, e_start * p**level, cap) if lam
                       else [()])]
         for level in range(n)]

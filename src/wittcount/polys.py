@@ -13,12 +13,13 @@ Text format: terms ``c*T^k`` joined by ``+``, where ``c`` is the integer
 encoding of the coefficient and a coefficient of 1 is omitted, e.g.
 ``T^3+T+1`` or ``2*T^2+1``.  Printing and parsing round-trip.
 
-Every exhaustive walk over polynomials (oracle numerators, the searches
-of :func:`monic_irreducibles` and :func:`canonical_prime`) goes through the
-single enumerator :func:`polys_below`, or its monic variant, in increasing
-:meth:`Polynomial.to_int` order, and is bounded by a cap.  The unit
-oracle's residues are the one exception: ``counting`` walks them in the
-same order as images of additive maps, one monomial block at a time.
+Every exhaustive walk over polynomials (the class oracles' corrections,
+the searches of :func:`monic_irreducibles` and :func:`canonical_prime`)
+goes through the single enumerator :func:`polys_below`, or its monic
+variant, in increasing :meth:`Polynomial.to_int` order, and is bounded by
+a cap.  The oracles' residues and numerators are the one exception:
+``counting._linear_columns`` walks them in the same order as images of
+F_q-linear maps, one monomial block at a time.
 Irreducibility and factoring enumerate nothing: both take polynomial time,
 by the distinct-degree sieve and Cantor-Zassenhaus splitting.
 """

@@ -24,6 +24,7 @@ from collections import namedtuple
 
 from .fields import _power
 from .polys import CapExceededError
+from .rationals import _split_top_level, parse_rational
 
 MAX_WITT_LENGTH = 4
 MAX_TABLE_BITS = 2**19  # (11, 3) and (3, 4) fit, (13, 3) and (5, 4) do not
@@ -336,8 +337,6 @@ class WittVector:
 
 def parse_witt(fld, p: int, text: str) -> WittVector:
     """Parse "(c_1, ..., c_n)" with rational-function components."""
-    from .rationals import _split_top_level, parse_rational
-
     text = text.strip()
     if not (text.startswith("(") and text.endswith(")")):
         raise ValueError("Witt vector text must be parenthesised")

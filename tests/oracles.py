@@ -8,6 +8,7 @@ p-power column entries from scratch, the reference for the columns that
 oracle builds by additivity; ``as_classes_by_every_transform`` links each
 degree-p class candidate to every one of its transforms j*beta + wp(c), the
 reference for the class oracle that links only generators of that group;
+``_coprime_numerators`` walks the numerators Q/P^lam one ``%`` each;
 ``_pole_parts``, ``_lift`` and ``_lifted_wp`` build the class oracles'
 candidates and corrections over F_q(T) and move them into W_n(F_q[T]) by
 [P^E] with a check of every denominator, the reference for the lifts those
@@ -24,8 +25,7 @@ against the T -> 1/T symmetry.
 from collections import Counter
 
 from wittcount.asw import AswGenerator, AswNormalForm
-from wittcount.counting import (_DSU, _coprime_numerators, _lifted_candidates,
-                                 _lifted_wp_images, _prime_power)
+from wittcount.counting import _DSU, _lifted_candidates, _lifted_wp_images, _prime_power
 from wittcount.polys import (DEFAULT_ENUM_CAP, CapExceededError, Polynomial, _monics, _mul, _sum,
                               phi, polys_below)
 from wittcount.rationals import RationalFunction
@@ -113,6 +113,16 @@ def as_classes_by_every_transform(prime: Polynomial, alpha: int):
                 dsu.union(i, index[_sum(fld, _mul(fld, (j,), lifted[i]), wpc)])
     roots = [i for i in range(len(lams)) if dsu.find(i) == i]
     return len(roots), dict(Counter(lams[i] for i in roots))
+
+
+def _coprime_numerators(fld, prime, lam, cap):
+    """All Q with deg Q < lam*deg P that the prime P does not divide, in
+    encoding order, one ``%`` each: the reference for the numerators that
+    ``_lifted_candidates`` builds as F_q-linear columns."""
+    deg = lam * prime.degree
+    if fld.q**deg > cap:
+        raise CapExceededError(f"numerator enumeration of size {fld.q**deg} exceeds cap {cap}")
+    return [cand for cand in polys_below(fld, deg) if cand % prime]
 
 
 def _pole_parts(fld, prime, lams, cap):

@@ -398,7 +398,7 @@ def test_sweep_cases_fault_is_a_failure(capsys, monkeypatch):
     def broken(*args):
         raise ValueError("injected")
 
-    monkeypatch.setattr("wittcount.counting._coprime_numerators", broken)
+    monkeypatch.setattr("wittcount.checks._lifted_candidates", broken)
     code, out, _ = run_cli(capsys, "verify-all", "--only", "criterion-10", "--format", "jsonl")
     assert code == EXIT_FAIL
     records = {r["check_id"]: r for r in map(json.loads, out.strip().splitlines())}

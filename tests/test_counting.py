@@ -38,8 +38,8 @@ from wittcount.polys import (DEFAULT_ENUM_CAP, CapExceededError, Polynomial, can
 from wittcount.rationals import RationalFunction
 from wittcount.witt import WittVector
 
-from oracles import (ResidueRing, _lift, _lifted_wp, _pole_parts, as_classes_by_every_transform,
-                     power_images)
+from oracles import (ResidueRing, _coprime_numerators, _lift, _lifted_wp, _pole_parts,
+                     as_classes_by_every_transform, power_images)
 
 
 def params(p, s, d, alpha, n):
@@ -317,6 +317,25 @@ def test_class_oracle_lifts_match_the_witt_lift(p, s, d, alpha):
         assert _lifted_wp_images(fld, prime, e_bound, gamma0) == expected
         moved = moved or any(h.frobenius() != h for h in hs)
     assert moved
+
+
+@pytest.mark.parametrize("p, s, d", [(2, 1, 1), (3, 1, 1), (2, 2, 1), (5, 1, 1), (2, 1, 2),
+                                     (3, 1, 2)])
+def test_lifted_candidates_at_their_own_pole_order_are_the_numerators(p, s, d):
+    # c10 walks its numerators Q/P^lam as the lifts by [P^lam]: the same Q,
+    # in the same order, over the same cap
+    fld = field(p, s)
+    for prime in monic_irreducibles(fld, d)[:3]:
+        for lam in range(1, 6):
+            size = fld.q**(lam * d)
+            if size > 5000:
+                break
+            assert _lifted_candidates(fld, prime, lam, lam, size) == \
+                [q_num.coeffs for q_num in _coprime_numerators(fld, prime, lam, size)]
+            with pytest.raises(CapExceededError):
+                _lifted_candidates(fld, prime, lam, lam, size - 1)
+            with pytest.raises(CapExceededError):
+                _coprime_numerators(fld, prime, lam, size - 1)
 
 
 @pytest.mark.parametrize("p, s, d, alpha_max", [

@@ -48,6 +48,29 @@ def test_elements_are_built_only_in_fields():
     assert not found, found
 
 
+def _imported_modules(node):
+    """The modules an import statement names, those of the package by their bare name."""
+    if isinstance(node, ast.ImportFrom) and node.module is None:  # from . import a, b
+        return [alias.name for alias in node.names]
+    names = [node.module] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]
+    return [name.removeprefix("wittcount.") for name in names]
+
+
+def test_function_level_imports_break_an_import_cycle():
+    # an import inside a function is allowed only where the imported module
+    # imports this one at top level, so that hoisting it would be circular
+    trees = {path.stem: ast.parse(path.read_text(), str(path))
+             for path in Path(wittcount.__file__).parent.glob("*.py")}
+    top = {name: {module for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+                  for module in _imported_modules(node)}
+           for name, tree in trees.items()}
+    found = [f"{name}.py:{node.lineno}:{module}" for name, tree in sorted(trees.items())
+             for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom)) and node not in tree.body
+             for module in _imported_modules(node) if name not in top.get(module, ())]
+    assert not found, found
+
+
 def test_import_loads_no_dataclasses_or_inspect():
     # every library and CLI call starts a process that imports the package,
     # ``dataclasses`` alone pulls in inspect, ast, dis and tokenize, and

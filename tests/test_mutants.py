@@ -160,7 +160,7 @@ COUNTING_ROWS = [
       (test_counting.test_as_classes_over_prime_power_fields, (2, 2, 2, 4)),
       (test_counting.test_as_classes_over_prime_power_fields, (3, 2, 1, 5)),
       (test_counting.test_asw_classes_n1_matches_as_classes, ())]),
-    (counting._lifted_candidates, "_mul(fld, (c,), lift)", "lift",
+    (counting._lifted_candidates, "(c, c)", "(c, 1)",
      "the lift column of c*T^e adding the image of T^e for every c",
      [(_records_pass, (checks.checks_degree_p_classes,)),
       (_records_pass, (checks.checks_conductor,)),
