@@ -222,12 +222,8 @@ def _hasse_parts(beta: RationalFunction):
         g = g + step_poly.frobenius() - step_poly
 
     if g.is_constant() and g.constant_coeff():
-        v = g.constant_coeff()
-        rep = fld.wp_coset_rep_val(v)
-        if rep != v:
-            a = fld.wp_solve_val(fld.sub_val(rep, v))
-            if a is None:
-                raise AssertionError(f"coset representative {rep} - {v} is not in the image of wp")
+        rep, a = fld.wp_coset_rep_val(g.constant_coeff())
+        if a:
             correction = correction + RationalFunction.const(fld, a)
             g = Polynomial.const(fld, rep)
     return g, normal_terms, correction

@@ -213,12 +213,12 @@ def _gcd(fld, a: dict, b: dict) -> dict:
     return {i: {e: row[c] for e, c in terms.items()} for i, terms in a.items()}
 
 
-def carlitz_gcd_check(m: Polynomial, n: Polynomial, cap: int = DEFAULT_GCD_CAP) -> bool:
-    """gcd_u(C_M, C_N) = C_gcd(M, N), via exact gcd in the variable u."""
+def carlitz_gcd_check(m: Polynomial, n: Polynomial) -> bool:
+    """gcd_u(C_M, C_N) = C_gcd(M, N), via exact gcd in u, up to u-degree DEFAULT_GCD_CAP."""
     if m.is_zero() or n.is_zero():
         raise ValueError("gcd check needs nonzero inputs")
     top = max(m.degree, n.degree)
-    if m.field.q**top > cap:
-        raise CapExceededError(f"u-degree q^{top} exceeds cap {cap}")
+    if m.field.q**top > DEFAULT_GCD_CAP:
+        raise CapExceededError(f"u-degree q^{top} exceeds cap {DEFAULT_GCD_CAP}")
     got = _gcd(m.field, _carlitz_sparse(m), _carlitz_sparse(n))
     return got == _carlitz_sparse(m.gcd(n))  # Polynomial.gcd is monic, so C_gcd is too

@@ -55,17 +55,15 @@ _TRUE_WORDS = ("1", "true", "yes", "on")
 _FALSE_WORDS = ("0", "false", "no", "off")
 
 
-_LEAST = {"cap": 1}  # no enumeration fits in a cap below 1
-
-
-def _at_least(name: str, value: int, given: str) -> int:
-    if value < _LEAST.get(name, value):
-        raise ValueError(f"{given} is below {_LEAST[name]}, the least that can work")
+def _check_cap(value: int, given: str) -> int:
+    if value < 1:  # no enumeration fits in a cap below 1
+        raise ValueError(f"{given} is below 1, the least that can work")
     return value
 
 
-def _env(name: str, fallback, choices=None):
-    """The flag default from WITTCOUNT_<NAME>, checked as the flag is checked."""
+def _env(name: str):
+    """Shared flag ``name``'s WITTCOUNT_<NAME>, checked as the flag is, or its fallback."""
+    fallback, keywords = _FLAGS[name]
     key = ENV_PREFIX + name.upper().replace("-", "_")
     raw = os.environ.get(key)
     if raw is None:
@@ -80,34 +78,35 @@ def _env(name: str, fallback, choices=None):
             value = int(raw)
         except ValueError:
             raise ValueError(f"{key}={raw!r} is not an integer") from None
-        return _at_least(name, value, f"{key}={raw!r}")
+        return _check_cap(value, f"{key}={raw!r}") if name == "cap" else value
+    choices = keywords.get("choices")
     if choices is not None and raw not in choices:
         raise ValueError(f"{key}={raw!r} is not one of {', '.join(choices)}")
     return raw
 
 
+_FLAGS = {  # the shared flags: name -> (default without WITTCOUNT_<NAME>, argparse keywords)
+    "p": (2, dict(type=int, help="characteristic")),
+    "s": (1, dict(type=int, help="extension degree, q = p^s")),
+    "d": (1, dict(type=int, help="degree of the prime P")),
+    "alpha": (3, dict(type=int, help="conductor bound exponent")),
+    "n": (1, dict(type=int, help="extension log-degree")),
+    "prime": (None, dict(type=str, help="override the canonical prime P (polynomial text)")),
+    "cap": (DEFAULT_ENUM_CAP, dict(type=int, help="enumeration cap (ring elements)")),
+    "format": ("table", dict(choices=("table", "jsonl"), help="report format")),
+    "seed": (0, dict(type=int, help="seed for sampled property checks")),
+    "timing": (False, dict(action="store_true",
+                           help="include wall-clock millis in records (breaks byte determinism)")),
+}
+
+
 def _add_flags(parser: argparse.ArgumentParser, names: str):
     """Add the shared flags in ``names`` (space-separated), the ones this
-    subcommand reads; any other is a usage error."""
-    formats = ("table", "jsonl")
-    flags = {
-        "p": dict(type=int, default=_env("p", 2), help="characteristic"),
-        "s": dict(type=int, default=_env("s", 1), help="extension degree, q = p^s"),
-        "d": dict(type=int, default=_env("d", 1), help="degree of the prime P"),
-        "alpha": dict(type=int, default=_env("alpha", 3), help="conductor bound exponent"),
-        "n": dict(type=int, default=_env("n", 1), help="extension log-degree"),
-        "prime": dict(type=str, default=_env("prime", None),
-                      help="override the canonical prime P (polynomial text)"),
-        "cap": dict(type=int, default=_env("cap", DEFAULT_ENUM_CAP),
-                    help="enumeration cap (ring elements)"),
-        "format": dict(choices=formats, default=_env("format", "table", formats),
-                       help="report format"),
-        "seed": dict(type=int, default=_env("seed", 0), help="seed for sampled property checks"),
-        "timing": dict(action="store_true", default=_env("timing", False),
-                       help="include wall-clock millis in records (breaks byte determinism)"),
-    }
+    subcommand reads; any other is a usage error.  ``main`` reads the default
+    of each one not given, for the chosen subcommand only (:func:`_env`)."""
     for name in names.split():
-        parser.add_argument("--" + name, **flags[name])
+        parser.add_argument("--" + name, default=argparse.SUPPRESS, **_FLAGS[name][1])
+    parser.set_defaults(shared_flags=names.split())
 
 
 def _record_to_json(rec: VerificationReport) -> str:
@@ -383,9 +382,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)  # flag defaults read WITTCOUNT_* here
-        for name in _LEAST.keys() & vars(args).keys():  # the bounded flags this subcommand has
-            _at_least(name, vars(args)[name], f"--{name.replace('_', '-')} {vars(args)[name]}")
+        args = build_parser().parse_args(argv)
+        for name in args.shared_flags:
+            if not hasattr(args, name):
+                setattr(args, name, _env(name))
+        _check_cap(args.cap, f"--cap {args.cap}")  # every subcommand takes --cap
         return args.func(args)
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

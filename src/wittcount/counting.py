@@ -26,9 +26,9 @@ always, so no lift can lose a pole and none is checked.  The length-n
 oracle takes its corrections c = (h_i/P^b) through v = [P^b]c =
 (h_i P^(b (p^i - 1))): [P^(p b)]wp(c) = F(v) - [P^((p-1) b)]v.  Every sum
 is then a ``Polynomial`` sum, with no gcd, and is looked up among the
-scaled candidates.  At length 1 the degree-p oracle builds its correction
-lifts directly as coefficient tuples, h^p P^(E-p gamma0) - h P^(E-gamma0),
-so each generating transform is one ``polys._sum`` or scaling.
+scaled candidates.  At length 1 the degree-p oracle lifts only the F_p-basis
+of its corrections, as tuples h^p P^(E-p gamma0) - h P^(E-gamma0), so each
+generating transform is one ``polys._sum`` or scaling.
 """
 
 from __future__ import annotations
@@ -381,12 +381,12 @@ def _as_classes_cached(p, s, prime_coeffs, alpha, cap):
 
     Works on the lifts by [P^E], E = alpha - 1, as coefficient tuples: a
     candidate Q/P^lam is Q P^(E-lam) (:func:`_lifted_candidates`), and the
-    correction wp(h/P^gamma0) is h^p P^(E-p gamma0) - h P^(E-gamma0)
-    (:func:`_lifted_wp_images`).  wp is F_p-linear, so the corrections are
-    the F_p-span of the images of h = p^t T^e (encoding p^t q^e), and the
-    transforms j*beta + wp(c) are generated by beta -> j*beta, 2 <= j < p,
-    and beta -> beta + each such image: (p - 2) + s gamma0 deg P lookups
-    per candidate.  Each generator is asserted to map the finite candidate
+    correction wp(h/P^gamma0) is h^p P^(E-p gamma0) - h P^(E-gamma0).  wp is
+    F_p-linear, so the corrections are the F_p-span of the images of the
+    basis h = p^t T^e (:func:`_lifted_wp_basis`), and the transforms
+    j*beta + wp(c) are generated by beta -> j*beta, 2 <= j < p, and
+    beta -> beta + each such image: (p - 2) + s gamma0 deg P lookups per
+    candidate.  Each generator is asserted to map the finite candidate
     set into itself, so the classes are the components they link."""
     fld = field(p, s)
     prime = Polynomial(fld, prime_coeffs)
@@ -404,9 +404,7 @@ def _as_classes_cached(p, s, prime_coeffs, alpha, cap):
     for i, (lam, x) in enumerate(zip(lams, lifted)):
         gamma0 = lam // p
         if gamma0 not in basis:
-            images = _lifted_wp_images(fld, prime, e_bound, gamma0)
-            basis[gamma0] = [images[p**t * fld.q**e] for e in range(gamma0 * prime.degree)
-                             for t in range(s)]
+            basis[gamma0] = _lifted_wp_basis(fld, prime, e_bound, gamma0)
         scaled = [_mul(fld, (j,), x) for j in range(2, p)]  # j in F_p is encoded as j
         for image in scaled + [_sum(fld, x, b) for b in basis[gamma0]]:
             other = index.get(image)
@@ -439,15 +437,16 @@ def _lifted_candidates(fld, prime, lam, e_bound, cap):
     return [x for x, residue in zip(lifts, residues) if residue]
 
 
-def _lifted_wp_images(fld, prime, e_bound, gamma0):
-    """[P^E] wp(h/P^gamma0) = h^p P^(E-p gamma0) - h P^(E-gamma0), E =
-    ``e_bound``, as coefficient tuples, for every h with deg h < gamma0 deg P.
-    Callers bound gamma0 deg P by a numerator degree that passed the cap."""
+def _lifted_wp_basis(fld, prime, e_bound, gamma0):
+    """[P^E] wp(h/P^gamma0) = h^p P^(E-p gamma0) - h P^(E-gamma0), E = ``e_bound``,
+    as coefficient tuples, for the F_p-basis h = p^t T^e, e < gamma0 deg P outer
+    and t < s inner: h^p is ``_frob_table[p^t]`` at T^(p e).  Callers bound
+    gamma0 deg P by a numerator degree that passed the cap."""
     frob_factor = _prime_power(prime, e_bound - fld.p * gamma0).coeffs
     factor = _prime_power(prime, e_bound - gamma0).coeffs
-    return [_sum(fld, _mul(fld, h.frobenius().coeffs, frob_factor),
-                 _mul(fld, (-h).coeffs, factor))
-            for h in polys_below(fld, gamma0 * prime.degree)]
+    return [_sum(fld, (0,) * (fld.p * e) + _mul(fld, (fld._frob_table[fld.p**t],), frob_factor),
+                 (0,) * e + _mul(fld, (fld._neg_table[fld.p**t],), factor))
+            for e in range(gamma0 * prime.degree) for t in range(fld.s)]
 
 
 class AswClassesResult(namedtuple("AswClassesResult",
@@ -480,6 +479,8 @@ def oracle_asw_classes_detail(params: CountParams, prime: Polynomial = None,
     if n > 3:
         raise ValueError("class enumeration is limited to n <= 3")
     prime = _resolve_prime(params, prime)
+    if alpha <= p**(n - 1):  # level 0 has no pole order, so there is no generator
+        return AswClassesResult(count=0, candidates=0, bounds_tried=(), counts_per_bound=())
 
     start_bound = _ceil_div(alpha, p)
     e_start = p * start_bound  # >= alpha, above every candidate pole order
@@ -494,8 +495,6 @@ def oracle_asw_classes_detail(params: CountParams, prime: Polynomial = None,
         total *= len(choices)
     if total > cap:
         raise CapExceededError(f"{total} candidate vectors exceed cap {cap}")
-    if total == 0:
-        return AswClassesResult(count=0, candidates=0, bounds_tried=(), counts_per_bound=())
     cands = [WittVector(p, comps) for comps in itertools.product(*level_choices)]
 
     multipliers = [m for m in range(1, p**n) if m % p]

@@ -257,17 +257,12 @@ class FiniteField:
         if image != by_trace:
             raise AssertionError(f"trace criterion disagrees with a^p - a image in {self!r}")
 
-    def wp_solve_val(self, v: int):
-        """Some a with a^p - a = v, or None when v is not in the image."""
-        for a in range(self.q):
-            if self.wp_val(a) == v:
-                return a
-        return None
-
     @functools.lru_cache(maxsize=None)
-    def wp_coset_rep_val(self, v: int) -> int:
-        """Smallest-encoded element of v + (a^p - a image)."""
-        return min(self.add_val(v, self.wp_val(a)) for a in range(self.q))
+    def wp_coset_rep_val(self, v: int) -> tuple:
+        """(rep, a) from one scan of F_q: rep is the smallest-encoded element
+        of v + (a^p - a image), and a the smallest-encoded a with
+        v + a^p - a = rep (0 when v is its own representative)."""
+        return min((self.add_val(v, self.wp_val(a)), a) for a in range(self.q))
 
     # -- element construction --
 

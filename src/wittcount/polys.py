@@ -13,11 +13,11 @@ Text format: terms ``c*T^k`` joined by ``+``, where ``c`` is the integer
 encoding of the coefficient and a coefficient of 1 is omitted, e.g.
 ``T^3+T+1`` or ``2*T^2+1``.  Printing and parsing round-trip.
 
-Every exhaustive walk over polynomials (the class oracles' corrections,
-the searches of :func:`monic_irreducibles` and :func:`canonical_prime`)
-goes through the single enumerator :func:`polys_below`, or its monic
-variant, in increasing :meth:`Polynomial.to_int` order, and is bounded by
-a cap.  The oracles' residues and numerators are the one exception:
+Every exhaustive walk over polynomials (the length-n class oracle's
+corrections, the searches of :func:`monic_irreducibles` and
+:func:`canonical_prime`) decodes a range of encodings with the one decoder
+:meth:`Polynomial.from_int`, in increasing order, and is bounded by a cap.
+The oracles' residues and numerators are the one exception:
 ``counting._linear_columns`` walks them in the same order as images of
 F_q-linear maps, one monomial block at a time.
 Irreducibility and factoring enumerate nothing: both take polynomial time,
@@ -27,11 +27,10 @@ by the distinct-degree sieve and Cantor-Zassenhaus splitting.
 from __future__ import annotations
 
 import functools
-import itertools
 import random
 import re
 
-from .fields import FiniteField, FqElem, _power, field
+from .fields import FiniteField, FqElem, _power
 
 NEG_INF = float("-inf")
 
@@ -391,9 +390,8 @@ def parse_poly(fld: FiniteField, text: str) -> Polynomial:
 
 def polys_below(fld: FiniteField, k: int):
     """Every polynomial of degree < k, in increasing :meth:`Polynomial.to_int` order."""
-    # product varies its last coordinate fastest; reversed, that is the constant term
-    for digits in itertools.product(range(fld.q), repeat=k):
-        yield Polynomial(fld, digits[::-1])
+    for encoding in range(fld.q**k):
+        yield Polynomial.from_int(fld, encoding)
 
 
 def _monics(fld: FiniteField, d: int):

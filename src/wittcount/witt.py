@@ -167,7 +167,6 @@ def witt_tables(p: int, n: int) -> WittUniversalTables:
     return tables
 
 
-@functools.lru_cache(maxsize=None)
 def _plan(p: int, n: int, op: str, modular: bool) -> tuple:
     """The table ``op`` of ``witt_tables(p, n)`` compiled for evaluation: per
     output component, the terms ``(coeff, ((idx, e), ...))``, e >= 1.  For

@@ -8,6 +8,8 @@ p-power column entries from scratch, the reference for the columns that
 oracle builds by additivity; ``as_classes_by_every_transform`` links each
 degree-p class candidate to every one of its transforms j*beta + wp(c), the
 reference for the class oracle that links only generators of that group;
+``_lifted_wp_images`` lifts every correction wp(h/P^gamma0) of that oracle,
+the reference for the F_p-basis of them that it lifts;
 ``_coprime_numerators`` walks the numerators Q/P^lam one ``%`` each;
 ``_pole_parts``, ``_lift`` and ``_lifted_wp`` build the class oracles'
 candidates and corrections over F_q(T) and move them into W_n(F_q[T]) by
@@ -25,7 +27,7 @@ against the T -> 1/T symmetry.
 from collections import Counter
 
 from wittcount.asw import AswGenerator, AswNormalForm
-from wittcount.counting import _DSU, _lifted_candidates, _lifted_wp_images, _prime_power
+from wittcount.counting import _DSU, _lifted_candidates, _prime_power
 from wittcount.polys import (DEFAULT_ENUM_CAP, CapExceededError, Polynomial, _monics, _mul, _sum,
                               phi, polys_below)
 from wittcount.rationals import RationalFunction
@@ -113,6 +115,17 @@ def as_classes_by_every_transform(prime: Polynomial, alpha: int):
                 dsu.union(i, index[_sum(fld, _mul(fld, (j,), lifted[i]), wpc)])
     roots = [i for i in range(len(lams)) if dsu.find(i) == i]
     return len(roots), dict(Counter(lams[i] for i in roots))
+
+
+def _lifted_wp_images(fld, prime, e_bound, gamma0):
+    """[P^E] wp(h/P^gamma0) = h^p P^(E-p gamma0) - h P^(E-gamma0), E =
+    ``e_bound``, as coefficient tuples, for every h with deg h < gamma0 deg P,
+    in encoding order."""
+    frob_factor = _prime_power(prime, e_bound - fld.p * gamma0).coeffs
+    factor = _prime_power(prime, e_bound - gamma0).coeffs
+    return [_sum(fld, _mul(fld, h.frobenius().coeffs, frob_factor),
+                 _mul(fld, (-h).coeffs, factor))
+            for h in polys_below(fld, gamma0 * prime.degree)]
 
 
 def _coprime_numerators(fld, prime, lam, cap):

@@ -252,10 +252,11 @@ def _rational_peel(beta):
         correction = correction + RationalFunction(step_poly)
         g = g + step_poly.frobenius() - step_poly
     if g.is_constant() and g.constant_coeff():
-        v = g.constant_coeff()
-        rep = fld.wp_coset_rep_val(v)
-        if rep != v:
-            correction = correction + RationalFunction.const(fld, fld.wp_solve_val(fld.sub_val(rep, v)))
+        v = fld.elem(g.constant_coeff())
+        # the smallest-encoded v + a^p - a over all of F_q, and the smallest a reaching it
+        rep, a = min(((v + x.wp()).val, x.val) for x in fld.elements())
+        if rep != v.val:
+            correction = correction + RationalFunction.const(fld, a)
             g = Polynomial.const(fld, rep)
     return g, normal_terms, correction
 

@@ -1,5 +1,4 @@
 import argparse
-import hashlib
 import json
 import re
 from pathlib import Path
@@ -250,7 +249,7 @@ def test_bad_env_value_is_usage_error(capsys, monkeypatch):
                                         ("WITTCOUNT_TIMING", "maybe")])
 def test_env_value_outside_choices_is_usage_error(capsys, monkeypatch, key, value):
     monkeypatch.setenv(key, value)
-    code, out, err = run_cli(capsys, "count")
+    code, out, err = run_cli(capsys, "verify-all")
     assert code == EXIT_USAGE and not out
     assert err.startswith(f"error: {key}={value!r}")
 
@@ -259,8 +258,16 @@ def test_env_boolean_spellings(capsys, monkeypatch):
     monkeypatch.setenv("WITTCOUNT_FORMAT", "jsonl")
     for value in ("OFF", "0", "no", "yes", "True"):
         monkeypatch.setenv("WITTCOUNT_TIMING", value)
-        code, out, _ = run_cli(capsys, "count")
+        code, out, _ = run_cli(capsys, "verify-all", "--only", "supporting")
         assert code == EXIT_PASS and out.startswith("{")
+
+
+def test_env_is_read_only_for_the_flags_the_subcommand_takes(capsys, monkeypatch):
+    # count takes no --seed, so a bad WITTCOUNT_SEED is not its usage error
+    monkeypatch.setenv("WITTCOUNT_SEED", "x")
+    assert run_cli(capsys, "count", "--p", "2", "--alpha", "3")[0] == EXIT_PASS
+    assert run_cli(capsys, "verify-all", "--only", "supporting") == \
+        (EXIT_USAGE, "", "error: WITTCOUNT_SEED='x' is not an integer\n")
 
 
 def test_count_oracle_large_characteristic(capsys):
@@ -291,17 +298,6 @@ def test_conductor_divisibility_fault_is_a_record(capsys, monkeypatch):
     assert code == EXIT_FAIL
     records = {r["check_id"]: r for r in map(json.loads, out.strip().splitlines())}
     assert records["c09-exact-conductor/q3"]["status"] == "fail"
-
-
-def test_verify_jsonl_golden_digest(capsys):
-    # these groups walk the numerator, residue and irreducible enumerations;
-    # the digest pins their verify-all output byte for byte
-    code, out, _ = run_cli(capsys, "verify-all", "--only", "criterion-2-oracle",
-                           "--only", "criterion-9", "--only", "criterion-10",
-                           "--format", "jsonl")
-    assert code == EXIT_PASS
-    digest = hashlib.sha256(out.encode()).hexdigest()
-    assert digest == "e035fb469c677d6ec02cdd1deb8ba516e367111e62688882ed658c764100455e"
 
 
 def test_count_class_oracle_work_is_capped(capsys):
@@ -369,16 +365,17 @@ def test_failing_carlitz_pair_is_named(capsys, monkeypatch):
     assert lines[start + 6].startswith("c11-gcd/q3")  # at most five are named
 
 
-def test_verify_sweeps_golden_digest(capsys):
-    # the identity sweeps of criteria 2, 4, 5, 6 and the supporting group
-    code, out, _ = run_cli(capsys, "verify-all", "--only", "criterion-2-identity",
-                           "--only", "criterion-4", "--only", "criterion-5",
-                           "--only", "criterion-6", "--only", "supporting",
+def test_verify_only_prints_its_groups_lines_of_the_full_run(capsys, verify_all):
+    # two --only prefixes print their groups' records byte for byte as the
+    # session's full run does, whose every byte test_acceptance pins
+    selected = ("criterion-6", "supporting")
+    code, out, _ = run_cli(capsys, "verify-all", "--only", selected[0], "--only", selected[1],
                            "--format", "jsonl")
-    assert code == EXIT_PASS
-    assert len(out.splitlines()) == 50
-    digest = hashlib.sha256(out.encode()).hexdigest()
-    assert digest == "e9a0ccf2cd7685bec3eba420cfeea691fbf49e64edf4b46c91d5387c9c9aaed1"
+    ids = {rec.check_id for name, group in ALL_CHECK_GROUPS if name in selected
+           for rec in verify_all.records[group]}
+    assert code == EXIT_PASS and len(ids) == 5
+    assert out.splitlines() == [line for line in verify_all.out.splitlines()
+                                if json.loads(line)["check_id"] in ids]
 
 
 def test_sweep_cases_over_cap_are_a_skip(capsys):

@@ -27,7 +27,7 @@ from wittcount.counting import (
     w,
     _DSU,
     _lifted_candidates,
-    _lifted_wp_images,
+    _lifted_wp_basis,
     _p_power_order_counts,
     _power_columns,
     _teich,
@@ -38,8 +38,8 @@ from wittcount.polys import (DEFAULT_ENUM_CAP, CapExceededError, Polynomial, can
 from wittcount.rationals import RationalFunction
 from wittcount.witt import WittVector
 
-from oracles import (ResidueRing, _coprime_numerators, _lift, _lifted_wp, _pole_parts,
-                     as_classes_by_every_transform, power_images)
+from oracles import (ResidueRing, _coprime_numerators, _lift, _lifted_wp, _lifted_wp_images,
+                     _pole_parts, as_classes_by_every_transform, power_images)
 
 
 def params(p, s, d, alpha, n):
@@ -315,6 +315,9 @@ def test_class_oracle_lifts_match_the_witt_lift(p, s, d, alpha):
         expected = [_lifted_wp(WittVector(p, (RationalFunction(h, prime**gamma0),)), prime,
                                e_bound).comps[0].coeffs for h in hs]
         assert _lifted_wp_images(fld, prime, e_bound, gamma0) == expected
+        # the oracle lifts only the images of the F_p-basis p^t T^e, at p^t q^e
+        assert _lifted_wp_basis(fld, prime, e_bound, gamma0) == \
+            [expected[p**t * fld.q**e] for e in range(gamma0 * d) for t in range(s)]
         moved = moved or any(h.frobenius() != h for h in hs)
     assert moved
 
@@ -463,6 +466,16 @@ def test_asw_classes_detail_pinned_cells(p, s, d, alpha, n, expected):
     detail = oracle_asw_classes_detail(params(p, s, d, alpha, n))
     assert (detail.count, detail.candidates, detail.bounds_tried,
             detail.counts_per_bound) == expected
+
+
+def test_asw_classes_without_a_level_0_pole_order_build_no_lift(monkeypatch):
+    # alpha <= p^(n-1) leaves level 0 no pole order, so no generator exists;
+    # here level 1 would first raise P to the power 131*131*131 - 1
+    def unreachable(*args):
+        raise AssertionError("a lift was built for an empty class set")
+
+    monkeypatch.setattr("wittcount.counting._lifted_candidates", unreachable)
+    assert oracle_asw_classes_detail(params(131, 1, 1, 2, 3)) == (0, 0, (), ())
 
 
 def test_asw_class_counts_never_rise():

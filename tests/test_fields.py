@@ -144,11 +144,13 @@ def test_wp_image_matches_exhaustive(p, s):
 def test_wp_coset_representative_is_canonical():
     f4 = field(2, 2)
     for x in f4.elements():
-        rep = f4.wp_coset_rep_val(x.val)
-        coset = {f4.add_val(x.val, f4.wp_val(a)) for a in range(4)}
+        rep, a = f4.wp_coset_rep_val(x.val)
+        coset = [f4.add_val(x.val, f4.wp_val(b)) for b in range(4)]
         assert rep == min(coset)
-        # a representative of the image coset is 0
-    assert f4.wp_coset_rep_val(0) == 0
+        # a moves x to rep, and no smaller-encoded element does
+        assert coset[a] == rep and rep not in coset[:a]
+    # a representative of the image coset is 0, reached with no move
+    assert f4.wp_coset_rep_val(0) == (0, 0)
 
 
 def test_integer_encoding_digits():

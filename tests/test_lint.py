@@ -48,6 +48,23 @@ def test_elements_are_built_only_in_fields():
     assert not found, found
 
 
+def test_every_top_level_import_binds_a_name_the_module_reads():
+    # an import that nothing reads loads a module, or states a dependency,
+    # for no caller; ``__init__.py`` imports only to re-export
+    found = []
+    for path in sorted(Path(wittcount.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and \
+                    getattr(node, "module", None) != "__future__":
+                found += [f"{path.name}:{node.lineno}:{alias.name}" for alias in node.names
+                          if (alias.asname or alias.name.partition(".")[0]) not in read]
+    assert not found, found
+
+
 def _imported_modules(node):
     """The modules an import statement names, those of the package by their bare name."""
     if isinstance(node, ast.ImportFrom) and node.module is None:  # from . import a, b

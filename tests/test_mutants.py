@@ -95,7 +95,6 @@ def _without_last_top_sum_term(plan):
 
 
 def _clear_witt_plans():
-    witt._plan.cache_clear()
     witt._compiled.cache_clear()
 
 
@@ -154,7 +153,7 @@ def test_records_kill_a_swapped_inverse(monkeypatch):
 # (function, source text, mutant text, what the fault is, the tests that kill it
 # as (test function, its parametrize arguments))
 COUNTING_ROWS = [
-    (counting._as_classes_cached, "for t in range(s)", "for t in range(1)",
+    (counting._lifted_wp_basis, "range(fld.s)", "range(1)",
      "class links through a wp basis without its digits t >= 1",
      [(test_counting.test_as_classes_over_prime_power_fields, (2, 2, 1, 6)),
       (test_counting.test_as_classes_over_prime_power_fields, (2, 2, 2, 4)),

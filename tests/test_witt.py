@@ -437,7 +437,6 @@ def test_plan_source_is_pinned_and_compiled_once():
 
 
 def test_plans_are_compiled_once_and_reduced():
-    assert _plan(3, 3, "prod_polys", True) is _plan(3, 3, "prod_polys", True)
     for p, n in ((2, 3), (3, 3), (5, 2)):
         tables = witt_tables(p, n)
         for op in ("sum_polys", "neg_polys", "prod_polys"):
