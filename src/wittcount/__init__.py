@@ -12,7 +12,6 @@ from .asw import (
     AswNormalForm,
     InfinityBehavior,
     conductor_exponent,
-    conductor_power,
     hasse_normalize,
     infinity_behavior,
     is_single_ramified_form,
@@ -57,7 +56,7 @@ __all__ = [
     "FiniteField", "FqElem", "InfinityBehavior", "Polynomial", "RationalFunction",
     "VerificationReport", "WittVector",
     "canonical_prime", "carlitz_compose_check", "carlitz_eval", "carlitz_gcd_check",
-    "carlitz_poly", "conductor_exponent", "conductor_power", "factor", "field",
+    "carlitz_poly", "conductor_exponent", "factor", "field",
     "hasse_normalize", "infinity_behavior",
     "is_single_ramified_form", "is_irreducible", "is_normal_form", "lemma42_ceil", "lemma42_floor",
     "ln1_bound", "monic_irreducibles", "oracle_as_classes", "oracle_asw_classes",

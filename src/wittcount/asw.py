@@ -219,7 +219,10 @@ def _hasse_parts(beta: RationalFunction):
         b = fld.pth_root_val(fld.neg_val(g.leading()))
         step_poly = Polynomial(fld, (0,) * (g.degree // p) + (b,))
         correction = correction + RationalFunction(step_poly)
-        g = g + step_poly.frobenius() - step_poly
+        peeled = g + step_poly.frobenius() - step_poly
+        if peeled.degree >= g.degree:  # (b T^(deg/p))^p cancels the top term unless arithmetic is broken
+            raise AssertionError(f"peeling the top term of {g} left degree {peeled.degree}")
+        g = peeled
 
     if g.is_constant() and g.constant_coeff():
         rep, a = fld.wp_coset_rep_val(g.constant_coeff())
@@ -352,11 +355,6 @@ def conductor_exponent(lambdas, p: int) -> int:
     if closed != rec:
         raise AssertionError("conductor closed form disagrees with its recursion")
     return closed
-
-
-def conductor_power(lambdas, p: int) -> int:
-    """Exponent of the conductor itself: the conductor is P^(M_n + 1)."""
-    return conductor_exponent(lambdas, p) + 1
 
 
 def infinity_behavior(nf: AswNormalForm) -> InfinityBehavior:

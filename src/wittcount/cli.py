@@ -8,9 +8,9 @@ corresponding calculators.
 
 Each subcommand takes only the shared flags it reads, and each shared flag
 is mirrored by an environment variable with the ``WITTCOUNT_`` prefix
-(e.g. ``WITTCOUNT_CAP``).  Exit codes: 0 all passed,
-1 some check failed, 2 usage error, 3 a requested oracle was infeasible
-under the cap.
+(e.g. ``WITTCOUNT_CAP``).  Exit codes: 0 all passed, 1 some check failed
+(a raising check group fails one record; a failed self-check prints one
+``error:`` line), 2 usage error, 3 a requested oracle was infeasible under the cap.
 
 The json-lines output is byte-deterministic for a fixed config and seed;
 the ``millis`` field is 0 unless ``--timing`` is given (wall-clock values
@@ -127,23 +127,22 @@ def _jsonable(value):
     return str(value)
 
 
-def _emit(records, fmt: str, out=None):
-    out = out or sys.stdout
+def _emit(records, fmt: str):
     records = sorted(records, key=lambda r: r.check_id)
     if fmt == "jsonl":
         for rec in records:
-            print(_record_to_json(rec), file=out)
+            print(_record_to_json(rec))
         return
     width = max((len(r.check_id) for r in records), default=10) + 2
-    print(f"{'check':<{width}}{'formula':>14}{'oracle':>14}  {'status':<8}{'millis':>8}", file=out)
+    print(f"{'check':<{width}}{'formula':>14}{'oracle':>14}  {'status':<8}{'millis':>8}")
     for rec in records:
         formula = "-" if rec.formula_value is None else str(rec.formula_value)
         oracle = "-" if rec.oracle_value is None else str(rec.oracle_value)
         print(f"{rec.check_id:<{width}}{formula:>14}{oracle:>14}  {rec.status:<8}"
-              f"{rec.wall_time_ms:>8}", file=out)
+              f"{rec.wall_time_ms:>8}")
         for name, flag in rec.identity_checks:
             if not flag:
-                print(f"{'':<{width}}  !! {name}", file=out)
+                print(f"{'':<{width}}  !! {name}")
 
 
 def _exit_code(records) -> int:
@@ -161,7 +160,11 @@ def cmd_verify_all(args) -> int:
     records = []
     for name, group in ALL_CHECK_GROUPS:
         if not args.only or name in chosen:
-            records.extend(group(cfg))
+            try:
+                records.extend(group(cfg))
+            except Exception as exc:  # a fault in a group fails its one record; the run goes on
+                note = (f"error:{type(exc).__name__}: {exc}", False)
+                records.append(VerificationReport.compare(name, {}, None, None, identity_checks=(note,)))
     _emit(records, args.format)
     return _exit_code(records)
 
@@ -394,6 +397,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except AssertionError as exc:  # a self-check of the library failed
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return EXIT_FAIL
 
 
 if __name__ == "__main__":

@@ -513,8 +513,8 @@ def oracle_asw_classes_detail(params: CountParams, prime: Polynomial = None,
     for round_idx in itertools.count():
         bound = start_bound + round_idx
         check_round_work(bound)
-        index = {_teich(wv, prime, p * round_idx): i for i, wv in enumerate(cands)}
         lifted = [[_teich(wv, prime, p * round_idx) for wv in row] for row in scaled]
+        index = {row[0]: i for i, row in enumerate(lifted)}  # the multiplier 1 comes first
         pads = [_prime_power(prime, bound * (p**i - 1)) for i in range(n)]
         for hs in itertools.product(polys_below(fld, bound * prime.degree), repeat=n):
             v = WittVector(p, [h * pad for h, pad in zip(hs, pads)])  # [P^b]c

@@ -216,10 +216,13 @@ class FiniteField:
         self._elems = tuple(FqElem(self, v) for v in range(q))  # one object per value
 
     def _primitive_powers(self):
-        """[g^0, ..., g^(q-2)] for the smallest-encoded generator g of F_q^*."""
+        """[g^0, ..., g^(q-2)] for the smallest-encoded generator g of F_q^*; as
+        ord(g) divides q - 1, powers not back at 1 after q - 1 products raise."""
         for g in range(1, self.q):
             powers, x = [1], g
             while x != 1:
+                if len(powers) == self.q:
+                    raise AssertionError(f"the powers of {g} in {self!r} do not return to 1")
                 powers.append(x)
                 x = self._mul_untabled(x, g)
             if len(powers) == self.q - 1:
@@ -371,8 +374,7 @@ class FqElem:
         return self.field.trace_val(self.val)
 
     def wp(self) -> "FqElem":
-        f, a = self.field, self.val
-        return f._elems[f._add_table[f._frob_table[a]][f._neg_table[a]]]
+        return self.field._elems[self.field.wp_val(self.val)]
 
     def in_wp_image(self) -> bool:
         return self.field.in_wp_image_val(self.val)

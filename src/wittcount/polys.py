@@ -3,11 +3,11 @@
 Coefficients are stored as raw integer encodings (see ``fields``), lowest
 degree first, with no trailing zeros; the zero polynomial has an empty
 coefficient tuple and degree ``NEG_INF``.  Each operation has one kernel on
-coefficient tuples, ``_sum``, ``_mul``, ``_divmod``, the quotient-free
-``_rem`` and the monic ``_gcd``, which index the field's rows (``fields``)
-directly and skip zero coefficients; the ``Polynomial`` operators are thin
-wrappers around them, and ``rationals`` calls them on its numerators and
-denominators directly.
+coefficient tuples, ``_sum``, ``_mul``, ``_divmod`` and the monic ``_gcd``,
+which index the field's rows (``fields``) directly and skip zero
+coefficients; ``%``, ``modpow`` and ``_gcd`` read ``_divmod``'s remainder.
+The ``Polynomial`` operators are thin wrappers around the kernels, and
+``rationals`` calls them on its numerators and denominators directly.
 
 Text format: terms ``c*T^k`` joined by ``+``, where ``c`` is the integer
 encoding of the coefficient and a coefficient of 1 is omitted, e.g.
@@ -167,7 +167,7 @@ class Polynomial:
 
     def __mod__(self, other):
         self._check(other)
-        return _wrap(self.field, _rem(self.field, self.coeffs, other.coeffs))
+        return _wrap(self.field, _divmod(self.field, self.coeffs, other.coeffs)[1])
 
     def __pow__(self, e: int):
         if e < 0:
@@ -190,7 +190,7 @@ class Polynomial:
         if not e:
             return Polynomial.one(self.field) % mod
         x, f, m = (self % mod).coeffs, self.field, mod.coeffs
-        return _wrap(f, _power(x, e, lambda a, b: _rem(f, _mul(f, a, b), m)))
+        return _wrap(f, _power(x, e, lambda a, b: _divmod(f, _mul(f, a, b), m)[1]))
 
     def modinv(self, mod: "Polynomial") -> "Polynomial":
         """Inverse modulo ``mod`` via the extended Euclidean algorithm."""
@@ -203,13 +203,14 @@ class Polynomial:
             t0, t1 = t1, _sum(f, t0, _mul(f, _mul(f, minus_one, q), t1))
         if len(r0) != 1:
             raise ZeroDivisionError("element is not invertible modulo the given polynomial")
-        return _wrap(f, _rem(f, _mul(f, (f._inv_table[r0[0]],), t0), mod.coeffs))
+        return _wrap(f, _divmod(f, _mul(f, (f._inv_table[r0[0]],), t0), mod.coeffs)[1])
 
-    def eval(self, x):
-        """Horner evaluation at an FqElem (or raw encoding)."""
+    def eval(self, x: FqElem) -> FqElem:
+        """Horner evaluation at an element of this polynomial's field."""
         f = self.field
-        xv = x.val if isinstance(x, FqElem) else x % f.q
-        add, x_row = f._add_table, f._mul_table[xv]
+        if not isinstance(x, FqElem) or x.field is not f:
+            raise ValueError(f"cannot evaluate a polynomial over {f!r} at {x!r}")
+        add, x_row = f._add_table, f._mul_table[x.val]
         acc = 0
         for c in reversed(self.coeffs):
             acc = add[x_row[acc]][c]
@@ -309,7 +310,7 @@ def _gcd(fld: FiniteField, a: tuple, b: tuple) -> tuple:
     while b:
         if len(b) == 1:
             return (1,)
-        a, b = b, _rem(fld, a, b)
+        a, b = b, _divmod(fld, a, b)[1]
     return a if not a or a[-1] == 1 else _mul(fld, (fld._inv_table[a[-1]],), a)
 
 
@@ -336,30 +337,6 @@ def _divmod(fld: FiniteField, a: tuple, b: tuple):
                     rem[k] = add[rem[k]][row[d]]
     del rem[db:]
     return tuple(quot), _stripped(rem)
-
-
-def _rem(fld: FiniteField, a: tuple, b: tuple) -> tuple:
-    """The remainder of :func:`_divmod`, stripped, with no quotient built."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    db = len(b) - 1
-    if len(a) <= db:
-        return a
-    if not db:
-        return ()
-    add, mul = fld._add_table, fld._mul_table
-    factor_row = mul[fld._neg_table[fld._inv_table[b[-1]]]]  # top -> -top / lead(b)
-    low = b[:db]
-    rem = list(a)
-    for shift in range(len(rem) - 1 - db, -1, -1):
-        top = rem[shift + db]
-        if top:
-            row = mul[factor_row[top]]  # rem -= (top / lead(b)) * T^shift * b
-            for k, d in enumerate(low, shift):
-                if d:
-                    rem[k] = add[rem[k]][row[d]]
-    del rem[db:]
-    return _stripped(rem)
 
 
 _TERM_RE = re.compile(r"^(?:(\d+)\*)?T(?:\^(\d+))?$|^(\d+)$")
@@ -418,12 +395,12 @@ def is_irreducible(f: Polynomial) -> bool:
     return f.degree >= 1
 
 
-def monic_irreducibles(fld: FiniteField, d: int, cap: int = DEFAULT_ENUM_CAP):
+def monic_irreducibles(fld: FiniteField, d: int):
     """All monic irreducibles of degree d, in increasing encoding order."""
     if d < 1:
         raise ValueError("degree must be positive")
-    if fld.q**d > cap:
-        raise CapExceededError(f"enumeration of degree {d} over GF({fld.q}) exceeds cap {cap}")
+    if fld.q**d > DEFAULT_ENUM_CAP:
+        raise CapExceededError(f"enumeration of degree {d} over GF({fld.q}) exceeds cap {DEFAULT_ENUM_CAP}")
     return [g for g in _monics(fld, d) if is_irreducible(g)]
 
 

@@ -1,6 +1,7 @@
 import argparse
 import json
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -403,6 +404,50 @@ def test_sweep_cases_fault_is_a_failure(capsys, monkeypatch):
     assert records["c10-efg-product"]["status"] == "pass"
     _, out, _ = run_cli(capsys, "verify-all", "--only", "criterion-10")
     assert "!! error:ValueError: injected" in out
+
+
+@pytest.mark.parametrize("error", [ValueError, TypeError])
+def test_group_fault_fails_one_record_and_the_run_goes_on(capsys, monkeypatch, error):
+    # criterion 2 builds its CountParams outside any record, where a fault
+    # used to exit 2 with no records (ValueError) or escape main (TypeError)
+    def broken(*args):
+        raise error("injected")
+
+    monkeypatch.setattr("wittcount.checks.CountParams", broken)
+    argv = ("verify-all", "--only", "criterion-2-oracle", "--only", "criterion-6")
+    code, out, err = run_cli(capsys, *argv, "--format", "jsonl")
+    assert (code, err) == (EXIT_FAIL, "")
+    records = {r["check_id"]: r for r in map(json.loads, out.strip().splitlines())}
+    assert records.pop("criterion-2-oracle") == {
+        "check_id": "criterion-2-oracle", "params": {}, "formula": None, "oracle": None,
+        "status": "fail", "millis": 0}
+    assert len(records) == 3 and all(r["status"] == "pass" for r in records.values())
+    _, out, _ = run_cli(capsys, *argv)
+    assert f"!! error:{error.__name__}: injected" in out
+
+
+def test_failed_self_check_is_one_error_line(capsys, monkeypatch):
+    # an AssertionError of the library used to escape main as a traceback
+    def broken(*args):
+        raise AssertionError("injected")
+
+    monkeypatch.setattr("wittcount.cli.v_n", broken)
+    assert run_cli(capsys, "count", "--p", "2", "--alpha", "4") == \
+        (EXIT_FAIL, "", "error: internal check failed: injected\n")
+
+
+def _readme_examples():
+    """The ``wittcount`` command lines of the README's CLI example block."""
+    block = re.search(r"```sh\n(# full verification grid.*?)```", README.read_text(), re.S)
+    return [shlex.split(line)[1:] for line in block.group(1).splitlines()
+            if line.startswith("wittcount ")]
+
+
+# the verify_all fixture already runs verify-all
+@pytest.mark.parametrize("argv", [argv for argv in _readme_examples() if argv[0] != "verify-all"],
+                         ids=" ".join)
+def test_readme_examples_run(capsys, argv):
+    assert run_cli(capsys, *argv)[0] == EXIT_PASS
 
 
 def test_sweep_failures_before_the_cap_are_a_failure(capsys, monkeypatch):

@@ -254,3 +254,17 @@ def test_unary_tables_and_log_powers_match_untabled(p, s):
         fld.zero() ** -1
     with pytest.raises(ZeroDivisionError):
         fld.inv_val(0)
+
+
+def test_primitive_element_search_stops_under_a_broken_multiply(bounded_python):
+    # with x*g = x, the powers of g never return to 1: the search stops after
+    # q - 1 products of a candidate, where it used to loop forever (the sleep
+    # keeps such a loop from filling memory before the timeout)
+    run = bounded_python(
+        "import time\n"
+        "from wittcount.fields import FiniteField\n"
+        "FiniteField._mul_untabled = lambda self, a, b: (time.sleep(0.001), a)[1]\n"
+        "FiniteField(5, 1)\n")
+    assert run.returncode == 1
+    assert run.stderr.splitlines()[-1] == \
+        "AssertionError: the powers of 2 in GF(5) do not return to 1"

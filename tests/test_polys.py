@@ -10,9 +10,9 @@ from wittcount.polys import (
     NEG_INF,
     CapExceededError,
     Polynomial,
+    _divmod,
     _gcd,
     _mul,
-    _rem,
     _sum,
     canonical_prime,
     factor,
@@ -72,6 +72,13 @@ def test_gcd_is_monic():
 def test_eval():
     assert P("T^2+1").eval(F2.elem(1)).val == 0
     assert P("T^2+2", F3).eval(F3.elem(2)).val == 0  # 4+2 = 6 = 0 mod 3
+
+
+@pytest.mark.parametrize("x", [1, F4.elem(1), None], ids=["int", "other-field", "none"])
+def test_eval_takes_only_an_element_of_its_own_field(x):
+    # an element of F_4 would index F_2's rows with its encoding
+    with pytest.raises(ValueError):
+        P("T^2+1").eval(x)
 
 
 def test_text_roundtrip():
@@ -297,7 +304,7 @@ def test_enumeration_cap():
     with pytest.raises(CapExceededError):
         list(ResidueRing(P("T^8")).elements(cap=100))
     with pytest.raises(CapExceededError):
-        monic_irreducibles(F4, 4, cap=100)
+        monic_irreducibles(F4, 11)  # 4^11 monics pass DEFAULT_ENUM_CAP = 2^20
 
 
 def spread(poly, step):
@@ -464,7 +471,7 @@ def test_kernels_match_schoolbook_reference(p, s):
 
 
 def _check_tuple_kernels(fld, ref, rng, a, b):
-    """_sum, _mul, _rem and _gcd called directly: constant and unit factors,
+    """_sum, _mul, _divmod's remainder and _gcd called directly: constant and unit factors,
     sums that cancel, remainders by constants and by longer divisors, gcds of
     non-monic inputs and with a unit, every result a stripped tuple."""
     ta, tb = a.coeffs, b.coeffs
@@ -479,13 +486,13 @@ def _check_tuple_kernels(fld, ref, rng, a, b):
                                  ref.poly_gcd(ca, cb)),
                "gcd-unit": (_gcd(fld, ta, (c,)), [1]),
                "unit-gcd": (_gcd(fld, (c,), ta), [1]),
-               "rem-unit": (_rem(fld, ta, (c,)), []),
-               "rem-longer": (_rem(fld, ta, longer), ref.poly_divmod(ca, list(longer))[1])}
+               "rem-unit": (_divmod(fld, ta, (c,))[1], []),
+               "rem-longer": (_divmod(fld, ta, longer)[1], ref.poly_divmod(ca, list(longer))[1])}
     if tb:
-        results["rem"] = (_rem(fld, ta, tb), ref.poly_divmod(ca, cb)[1])
+        results["rem"] = (_divmod(fld, ta, tb)[1], ref.poly_divmod(ca, cb)[1])
     else:
         with pytest.raises(ZeroDivisionError):
-            _rem(fld, ta, tb)
+            _divmod(fld, ta, tb)
     for k in (1, c):
         results[f"{k}*a"] = (_mul(fld, (k,), ta), ref.poly_mul([k], ca))
         results[f"a*{k}"] = (_mul(fld, ta, (k,)), ref.poly_mul(ca, [k]))
