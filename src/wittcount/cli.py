@@ -6,9 +6,9 @@ against the enumeration oracles); ``normalize`` brings a generator vector
 to normal form; ``witt-eval``, ``carlitz`` and ``infinity`` expose the
 corresponding calculators.
 
-Each subcommand takes only the shared flags it reads, and each shared flag
-is mirrored by an environment variable with the ``WITTCOUNT_`` prefix
-(e.g. ``WITTCOUNT_CAP``).  Exit codes: 0 all passed, 1 some check failed
+Each subcommand takes only the shared flags it reads.  A flag's value comes
+from the command line or, when it is not given, its default, and from
+nowhere else.  Exit codes: 0 all passed, 1 some check failed
 (a raising check group fails one record; a failed self-check prints one
 ``error:`` line), 2 usage error, 3 a requested oracle was infeasible under the cap.
 
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 
@@ -43,70 +42,32 @@ from .fields import field
 from .polys import CapExceededError, DEFAULT_ENUM_CAP, parse_poly
 from .witt import MAX_WITT_LENGTH, parse_witt
 
-ENV_PREFIX = "WITTCOUNT_"
-
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
 
 
-_TRUE_WORDS = ("1", "true", "yes", "on")
-_FALSE_WORDS = ("0", "false", "no", "off")
-
-
-def _check_cap(value: int, given: str) -> int:
-    if value < 1:  # no enumeration fits in a cap below 1
-        raise ValueError(f"{given} is below 1, the least that can work")
-    return value
-
-
-def _env(name: str):
-    """Shared flag ``name``'s WITTCOUNT_<NAME>, checked as the flag is, or its fallback."""
-    fallback, keywords = _FLAGS[name]
-    key = ENV_PREFIX + name.upper().replace("-", "_")
-    raw = os.environ.get(key)
-    if raw is None:
-        return fallback
-    if isinstance(fallback, bool):
-        if raw.lower() not in _TRUE_WORDS + _FALSE_WORDS:
-            raise ValueError(f"{key}={raw!r} is not a boolean "
-                             f"(one of {', '.join(_TRUE_WORDS + _FALSE_WORDS)})")
-        return raw.lower() in _TRUE_WORDS
-    if isinstance(fallback, int):
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ValueError(f"{key}={raw!r} is not an integer") from None
-        return _check_cap(value, f"{key}={raw!r}") if name == "cap" else value
-    choices = keywords.get("choices")
-    if choices is not None and raw not in choices:
-        raise ValueError(f"{key}={raw!r} is not one of {', '.join(choices)}")
-    return raw
-
-
-_FLAGS = {  # the shared flags: name -> (default without WITTCOUNT_<NAME>, argparse keywords)
-    "p": (2, dict(type=int, help="characteristic")),
-    "s": (1, dict(type=int, help="extension degree, q = p^s")),
-    "d": (1, dict(type=int, help="degree of the prime P")),
-    "alpha": (3, dict(type=int, help="conductor bound exponent")),
-    "n": (1, dict(type=int, help="extension log-degree")),
-    "prime": (None, dict(type=str, help="override the canonical prime P (polynomial text)")),
-    "cap": (DEFAULT_ENUM_CAP, dict(type=int, help="enumeration cap (ring elements)")),
-    "format": ("table", dict(choices=("table", "jsonl"), help="report format")),
-    "seed": (0, dict(type=int, help="seed for sampled property checks")),
-    "timing": (False, dict(action="store_true",
-                           help="include wall-clock millis in records (breaks byte determinism)")),
+_FLAGS = {  # the shared flags: name -> argparse keywords
+    "p": dict(type=int, default=2, help="characteristic"),
+    "s": dict(type=int, default=1, help="extension degree, q = p^s"),
+    "d": dict(type=int, default=1, help="degree of the prime P"),
+    "alpha": dict(type=int, default=3, help="conductor bound exponent"),
+    "n": dict(type=int, default=1, help="extension log-degree"),
+    "prime": dict(type=str, help="override the canonical prime P (polynomial text)"),
+    "cap": dict(type=int, default=DEFAULT_ENUM_CAP, help="enumeration cap (ring elements)"),
+    "format": dict(choices=("table", "jsonl"), default="table", help="report format"),
+    "seed": dict(type=int, default=0, help="seed for sampled property checks"),
+    "timing": dict(action="store_true",
+                   help="include wall-clock millis in records (breaks byte determinism)"),
 }
 
 
 def _add_flags(parser: argparse.ArgumentParser, names: str):
     """Add the shared flags in ``names`` (space-separated), the ones this
-    subcommand reads; any other is a usage error.  ``main`` reads the default
-    of each one not given, for the chosen subcommand only (:func:`_env`)."""
+    subcommand reads; any other is a usage error."""
     for name in names.split():
-        parser.add_argument("--" + name, default=argparse.SUPPRESS, **_FLAGS[name][1])
-    parser.set_defaults(shared_flags=names.split())
+        parser.add_argument("--" + name, **_FLAGS[name])
 
 
 def _record_to_json(rec: VerificationReport) -> str:
@@ -386,10 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        for name in args.shared_flags:
-            if not hasattr(args, name):
-                setattr(args, name, _env(name))
-        _check_cap(args.cap, f"--cap {args.cap}")  # every subcommand takes --cap
+        if args.cap < 1:  # every subcommand takes --cap; no enumeration fits below 1
+            raise ValueError(f"--cap {args.cap} is below 1, the least that can work")
         return args.func(args)
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

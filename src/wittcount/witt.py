@@ -313,19 +313,11 @@ class WittVector:
     def frobenius(self) -> "WittVector":
         if isinstance(self.comps[0], int):
             raise ValueError("Frobenius needs a characteristic-p coefficient domain")
-        return WittVector._raw(self.p, tuple(c**self.p for c in self.comps))
+        return WittVector._raw(self.p, tuple(c.frobenius() for c in self.comps))
 
     def wp(self) -> "WittVector":
         """The operator x -> Frobenius(x) - x (componentwise p-power, Witt minus)."""
         return self.frobenius().sub(self)
-
-    def ghost(self):
-        """Ghost coordinates; only defined over the exact integers."""
-        if not isinstance(self.comps[0], int):
-            raise ValueError("ghost map requires integer components (it is not injective in characteristic p)")
-        p = self.p
-        return tuple(sum(p ** (j - 1) * self.comps[j - 1] ** (p ** (m - j)) for j in range(1, m + 1))
-                     for m in range(1, self.n + 1))
 
     def __str__(self):
         return "(" + ", ".join(str(c) for c in self.comps) + ")"

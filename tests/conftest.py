@@ -2,10 +2,9 @@
 for code that may never end.
 
 The ``verify_all`` fixture runs ``wittcount verify-all --format jsonl`` once
-per session, in-process through ``cli.main``, with every ``WITTCOUNT_``
-variable cleared so that the flag defaults hold.  It keeps the exit code,
-the output text and, for each check group of ``ALL_CHECK_GROUPS``, the
-records it returned and the seconds it took.
+per session, in-process through ``cli.main`` with the flag defaults.  It
+keeps the exit code, the output text and, for each check group of
+``ALL_CHECK_GROUPS``, the records it returned and the seconds it took.
 
 The ``bounded_python`` fixture runs Python source in a fresh interpreter
 that imports this package, under a timeout: a test of a loop bound fails
@@ -14,7 +13,6 @@ there, rather than hanging the suite, when the bound is missing.
 
 import contextlib
 import io
-import os
 import subprocess
 import sys
 import time
@@ -43,8 +41,6 @@ def verify_all():
 
     out = io.StringIO()
     with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(out):
-        for key in [key for key in os.environ if key.startswith(cli.ENV_PREFIX)]:
-            patch.delenv(key)
         patch.setattr(cli, "ALL_CHECK_GROUPS",
                       tuple((name, recorded(group)) for name, group in cli.ALL_CHECK_GROUPS))
         code = cli.main(["verify-all", "--format", "jsonl"])

@@ -15,6 +15,8 @@ the reference for the F_p-basis of them that it lifts;
 candidates and corrections over F_q(T) and move them into W_n(F_q[T]) by
 [P^E] with a check of every denominator, the reference for the lifts those
 oracles build directly over F_q[T];
+``ghost`` maps an integer Witt vector to its ghost coordinates, where
+the ring operations become componentwise ``+``, ``*`` and ``-``;
 ``recombine`` is the round-trip oracle of ``partial_fractions``;
 ``is_irreducible_by_trial_division`` and ``factor_by_trial_division``
 divide by every monic of each degree, the reference for the
@@ -171,6 +173,16 @@ def _lift(vec: WittVector, prime: Polynomial, e_bound: int) -> WittVector:
 def _lifted_wp(vec: WittVector, prime: Polynomial, e_bound: int) -> WittVector:
     """[P^E] wp(vec) = [P^E] F(vec) - [P^E] vec, a Witt difference over F_q[T]."""
     return _lift(vec.frobenius(), prime, e_bound).sub(_lift(vec, prime, e_bound))
+
+
+def ghost(vec: WittVector) -> tuple:
+    """The ghost coordinates g_m = sum_{j<=m} p^(j-1) W_j^(p^(m-j)) of a vector
+    over the integers, where the ghost map is injective."""
+    if not isinstance(vec.comps[0], int):
+        raise ValueError("ghost map requires integer components (it is not injective in characteristic p)")
+    p = vec.p
+    return tuple(sum(p ** (j - 1) * vec.comps[j - 1] ** (p ** (m - j)) for j in range(1, m + 1))
+                 for m in range(1, vec.n + 1))
 
 
 def int_prime_factors(n: int):

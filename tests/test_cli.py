@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from wittcount import cli
-from wittcount.checks import ALL_CHECK_GROUPS
+from wittcount.checks import ALL_CHECK_GROUPS, checks_cyclic_subgroup_oracle
 from wittcount.cli import EXIT_FAIL, EXIT_INFEASIBLE, EXIT_PASS, EXIT_USAGE, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -186,14 +186,16 @@ def test_verify_only_that_names_no_group_is_usage_error(capsys, prefixes):
     assert all(name in err for name, _ in ALL_CHECK_GROUPS)
 
 
-def test_env_mirror(capsys, monkeypatch):
-    monkeypatch.setenv("WITTCOUNT_ALPHA", "4")
-    monkeypatch.setenv("WITTCOUNT_FORMAT", "jsonl")
-    code, out, _ = run_cli(capsys, "count", "--p", "2", "--n", "1")
-    assert code == EXIT_PASS
-    records = [json.loads(line) for line in out.strip().splitlines()]
-    vn = next(r for r in records if r["check_id"] == "count/v_n")
-    assert vn["params"]["alpha"] == 4 and vn["formula"] == 3
+def test_the_flags_do_not_read_the_environment(capsys, monkeypatch, verify_all):
+    # variables named like the flags change nothing: no record is skipped for
+    # the cap, and the seed is not a usage error
+    monkeypatch.setenv("WITTCOUNT_CAP", "1")
+    monkeypatch.setenv("WITTCOUNT_SEED", "x")
+    ids = {rec.check_id for rec in verify_all.records[checks_cyclic_subgroup_oracle]}
+    lines = [line for line in verify_all.out.splitlines() if json.loads(line)["check_id"] in ids]
+    assert lines
+    assert run_cli(capsys, "verify-all", "--only", "criterion-1", "--format", "jsonl") == \
+        (EXIT_PASS, "".join(line + "\n" for line in lines), "")
 
 
 def test_usage_error_exit_code():
@@ -219,14 +221,7 @@ def test_flag_the_subcommand_does_not_read_is_a_usage_error(argv):
     assert exc.value.code == 2
 
 
-def test_readme_flag_table_matches_the_parser(monkeypatch):
-    shared, add_flags = set(), cli._add_flags
-
-    def recording(parser, names):  # the shared flags, as build_parser hands them out
-        shared.update(names.split())
-        add_flags(parser, names)
-
-    monkeypatch.setattr(cli, "_add_flags", recording)
+def test_readme_flag_table_matches_the_parser():
     parser = cli.build_parser()
     subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     text = README.read_text()
@@ -235,40 +230,6 @@ def test_readme_flag_table_matches_the_parser(monkeypatch):
     for name, sub in subparsers.choices.items():
         options = {opt for action in sub._actions for opt in action.option_strings}
         assert set(re.findall(r"--[\w-]+", rows[name])) == options - {"-h", "--help"}, name
-    mirrored = re.search(r"The shared flags `([^`]*)` are mirrored", text).group(1).split()
-    assert sorted(mirrored) == sorted("--" + name for name in shared)
-
-
-def test_bad_env_value_is_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("WITTCOUNT_CAP", "abc")
-    code, _, err = run_cli(capsys, "count")
-    assert code == EXIT_USAGE
-    assert err.startswith("error:") and "WITTCOUNT_CAP" in err
-
-
-@pytest.mark.parametrize("key, value", [("WITTCOUNT_FORMAT", "bogus"),
-                                        ("WITTCOUNT_TIMING", "maybe")])
-def test_env_value_outside_choices_is_usage_error(capsys, monkeypatch, key, value):
-    monkeypatch.setenv(key, value)
-    code, out, err = run_cli(capsys, "verify-all")
-    assert code == EXIT_USAGE and not out
-    assert err.startswith(f"error: {key}={value!r}")
-
-
-def test_env_boolean_spellings(capsys, monkeypatch):
-    monkeypatch.setenv("WITTCOUNT_FORMAT", "jsonl")
-    for value in ("OFF", "0", "no", "yes", "True"):
-        monkeypatch.setenv("WITTCOUNT_TIMING", value)
-        code, out, _ = run_cli(capsys, "verify-all", "--only", "supporting")
-        assert code == EXIT_PASS and out.startswith("{")
-
-
-def test_env_is_read_only_for_the_flags_the_subcommand_takes(capsys, monkeypatch):
-    # count takes no --seed, so a bad WITTCOUNT_SEED is not its usage error
-    monkeypatch.setenv("WITTCOUNT_SEED", "x")
-    assert run_cli(capsys, "count", "--p", "2", "--alpha", "3")[0] == EXIT_PASS
-    assert run_cli(capsys, "verify-all", "--only", "supporting") == \
-        (EXIT_USAGE, "", "error: WITTCOUNT_SEED='x' is not an integer\n")
 
 
 def test_count_oracle_large_characteristic(capsys):
@@ -518,19 +479,6 @@ def test_sweep_failures_before_the_cap_are_a_failure(capsys, monkeypatch):
 ])
 def test_bad_input_is_one_usage_error_line(capsys, argv, err):
     assert run_cli(capsys, *argv) == (EXIT_USAGE, "", err)
-
-
-# cap 1 is accepted though it makes the oracle infeasible
-@pytest.mark.parametrize("key, value, least, code", [
-    ("WITTCOUNT_CAP", "-1", 1, EXIT_INFEASIBLE),
-])
-def test_env_budget_below_the_least_is_usage_error(capsys, monkeypatch, key, value, least, code):
-    monkeypatch.setenv(key, value)
-    argv = ("count", "--p", "2", "--alpha", "4", "--oracle", "--format", "jsonl")
-    assert run_cli(capsys, *argv) == \
-        (EXIT_USAGE, "", f"error: {key}={value!r} is below {least}, the least that can work\n")
-    monkeypatch.setenv(key, str(least))
-    assert run_cli(capsys, *argv)[0] == code
 
 
 def test_normalize_reads_a_unit_multiple_prime_as_monic(capsys):

@@ -48,6 +48,16 @@ def test_elements_are_built_only_in_fields():
     assert not found, found
 
 
+def test_the_package_reads_no_process_environment():
+    # every input comes through an argument or a command-line flag, so no
+    # environment variable can change a result without showing in the call
+    names = {"environ", "environb", "getenv"}
+    found = [f"{name}:{node.lineno}" for name, node in _package_nodes()
+             if getattr(node, "attr", None) in names or getattr(node, "id", None) in names
+             or isinstance(node, ast.alias) and node.name in names]
+    assert not found, found
+
+
 def test_every_top_level_import_binds_a_name_the_module_reads():
     # an import that nothing reads loads a module, or states a dependency,
     # for no caller; ``__init__.py`` imports only to re-export

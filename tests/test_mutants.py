@@ -5,10 +5,11 @@ Sayward, *Hints on test data selection*, 1978).
 A Carlitz row replaces one module attribute with its mutant through
 ``monkeypatch``; so do the Witt row, whose mutant is a plan that the compiled
 Witt functions are then built from, and the field row, whose mutant is a row
-of F_4's arithmetic.  A counting row gives one function the code of its
-mutant, so that every name bound to it, in the test modules too, runs the
-mutant, and names the tests that must then fail.  A mutant that no row kills
-marks a check that is vacuous against that fault.
+of F_4's arithmetic.  A code row (the counting rows and one normaliser row)
+gives one function the code of its mutant, so that every name bound to it,
+in the test modules too, runs the mutant, and names the tests that must then
+fail.  A mutant that no row kills marks a check that is vacuous against that
+fault.
 """
 
 import inspect
@@ -18,7 +19,7 @@ import textwrap
 import pytest
 
 import test_counting
-from wittcount import carlitz, checks, counting, polys, rationals, witt
+from wittcount import asw, carlitz, checks, counting, polys, rationals, witt
 from wittcount.fields import FiniteField, field
 from wittcount.polys import Polynomial
 
@@ -152,7 +153,7 @@ def test_records_kill_a_swapped_inverse(monkeypatch):
 
 # (function, source text, mutant text, what the fault is, the tests that kill it
 # as (test function, its parametrize arguments))
-COUNTING_ROWS = [
+CODE_ROWS = [
     (counting._lifted_wp_basis, "range(fld.s)", "range(1)",
      "class links through a wp basis without its digits t >= 1",
      [(test_counting.test_as_classes_over_prime_power_fields, (2, 2, 1, 6)),
@@ -189,6 +190,11 @@ COUNTING_ROWS = [
       (test_counting.test_asw_classes_n1_matches_as_classes, ()),
       (test_counting.test_class_oracles_with_other_primes, ()),
       (test_counting.test_ln1_bounds_oracle_growth, ())]),
+    # c08-normcert/q3 kills it; the c07-laws and c10 records do not
+    (asw._hasse_parts, "while q_num and not (qr := divmod(q_num, prime))[1]:",
+     "if q_num and not (qr := divmod(q_num, prime))[1]:",
+     "a peeled numerator with the prime P divided out of it only once",
+     [(_records_pass, (checks.checks_normalizer_certificates,))]),
 ]
 
 
@@ -197,8 +203,8 @@ def _clear_counting_memos():
     counting._p_power_order_counts.cache_clear()
 
 
-@pytest.mark.parametrize("func, old, new, fault, killers", COUNTING_ROWS,
-                         ids=[row[0].__name__ for row in COUNTING_ROWS])
+@pytest.mark.parametrize("func, old, new, fault, killers", CODE_ROWS,
+                         ids=[row[0].__name__ for row in CODE_ROWS])
 def test_counting_tests_kill_the_mutant(monkeypatch, func, old, new, fault, killers):
     # memoised counts of the unmutated oracles would hide the mutant, and
     # the mutant's counts must not outlive it
