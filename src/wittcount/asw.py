@@ -25,10 +25,6 @@ class AswGenerator(namedtuple("AswGenerator", "beta")):
     __slots__ = ()
 
     @property
-    def n(self) -> int:
-        return self.beta.n
-
-    @property
     def field(self) -> FiniteField:
         return self.beta.comps[0].field
 

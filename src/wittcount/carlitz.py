@@ -39,17 +39,6 @@ class CarlitzPoly(namedtuple("CarlitzPoly", "m coeffs")):
     def serialize(self) -> list:
         return [[i, str(c)] for i, c in self.coeffs]
 
-    def __str__(self):
-        q = self.m.field.q
-        parts = []
-        for i, c in reversed(self.coeffs):
-            cs = str(c)
-            if "+" in cs:
-                cs = f"({cs})"
-            u = "u" if i == 0 else f"u^{q**i}"
-            parts.append(u if cs == "1" else f"{cs}*{u}")
-        return "+".join(parts)
-
 
 def _to_polys(fld, x: dict) -> tuple:
     """{i: {e: c}} as sorted (i, Polynomial) pairs."""
@@ -129,13 +118,9 @@ def _carlitz_sparse(m: Polynomial) -> dict:
     return _carlitz_step(m)
 
 
-def _carlitz_coeffs(m: Polynomial) -> tuple:
-    return _to_polys(m.field, _carlitz_sparse(m))
-
-
 def carlitz_poly(m: Polynomial) -> CarlitzPoly:
     """Build C_M and check its structural invariants."""
-    coeffs = _carlitz_coeffs(m)
+    coeffs = _to_polys(m.field, _carlitz_sparse(m))
     if coeffs[0] != (0, m) or coeffs[-1] != (m.degree, Polynomial.const(m.field, m.leading())):
         raise AssertionError("C_M is not M*u + ... + lc(M)*u^(q^deg M)")
     return CarlitzPoly(m=m, coeffs=coeffs)

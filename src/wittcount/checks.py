@@ -124,6 +124,17 @@ QS_SMALL = ((2, 1), (3, 1), (2, 2))  # q in {2, 3, 4}
 QS_WIDE = ((2, 1), (3, 1), (2, 2), (2, 3), (3, 2))  # q in {2, 3, 4, 8, 9}
 
 
+def _count_sweeps(cfg, name, extra, ns, check):
+    """Per q in QS_WIDE and d <= 3, a sweep of ``check(par)`` over n in ``ns``, alpha <= 200."""
+    out = []
+    for p, s in QS_WIDE:
+        for d in (1, 2, 3):
+            cases = ((("n={},alpha={}", n, alpha), partial(check, CountParams(p, s, d, alpha, n)))
+                     for n in ns for alpha in range(1, 201))
+            out.append(_sweep(f"{name}/q{p**s}/d{d}", {"q": p**s, "d": d, **extra}, cfg, cases))
+    return out
+
+
 # -- criterion 1: cyclic subgroup counts vs full unit enumeration --
 
 def checks_cyclic_subgroup_oracle(cfg: CheckConfig):
@@ -161,14 +172,8 @@ def checks_degree_p_classes(cfg: CheckConfig):
 
 
 def checks_t1_identity(cfg: CheckConfig):
-    out = []
-    for p, s in QS_WIDE:
-        for d in (1, 2, 3):
-            cases = ((("alpha={}", alpha), partial(t1, alpha, CountParams(p, s, d, alpha, 1)))
-                     for alpha in range(1, 201))
-            out.append(_sweep(f"c02-t1v1/q{p**s}/d{d}", {"q": p**s, "d": d, "alpha": "1..200"},
-                              cfg, cases))
-    return out
+    return _count_sweeps(cfg, "c02-t1v1", {"alpha": "1..200"}, (1,),
+                         lambda par: t1(par.alpha, par))
 
 
 # -- criterion 3: length-n classes by saturation --
@@ -193,14 +198,7 @@ def checks_asw_class_oracle(cfg: CheckConfig):
 # -- criterion 4: the product identity for s_n --
 
 def checks_s_n_identity(cfg: CheckConfig):
-    out = []
-    for p, s in QS_WIDE:
-        for d in (1, 2, 3):
-            cases = ((("n={},alpha={}", n, alpha), partial(s_n, CountParams(p, s, d, alpha, n)))
-                     for n in (1, 2, 3, 4) for alpha in range(1, 201))
-            out.append(_sweep(f"c04-sn/q{p**s}/d{d}",
-                              {"q": p**s, "d": d, "n": "1..4", "alpha": "1..200"}, cfg, cases))
-    return out
+    return _count_sweeps(cfg, "c04-sn", {"n": "1..4", "alpha": "1..200"}, (1, 2, 3, 4), s_n)
 
 
 # -- criterion 5: the ratio identity --
@@ -213,14 +211,7 @@ def _ratio_case(par):
 
 
 def checks_ratio_identity(cfg: CheckConfig):
-    out = []
-    for p, s in QS_WIDE:
-        for d in (1, 2, 3):
-            cases = ((("n={},alpha={}", n, alpha),
-                      partial(_ratio_case, CountParams(p, s, d, alpha, n)))
-                     for n in (2, 3, 4) for alpha in range(1, 201))
-            out.append(_sweep(f"c05-ratio/q{p**s}/d{d}", {"q": p**s, "d": d}, cfg, cases))
-    return out
+    return _count_sweeps(cfg, "c05-ratio", {}, (2, 3, 4), _ratio_case)
 
 
 # -- criterion 6: floor/ceil lemmas --

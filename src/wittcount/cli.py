@@ -10,7 +10,8 @@ Each subcommand takes only the shared flags it reads.  A flag's value comes
 from the command line or, when it is not given, its default, and from
 nowhere else.  Exit codes: 0 all passed, 1 some check failed
 (a raising check group fails one record; a failed self-check prints one
-``error:`` line), 2 usage error, 3 a requested oracle was infeasible under the cap.
+``error:`` line; a reader that closes stdout early gets 1 and no traceback),
+2 usage error, 3 a requested oracle was infeasible under the cap.
 
 The json-lines output is byte-deterministic for a fixed config and seed;
 the ``millis`` field is 0 unless ``--timing`` is given (wall-clock values
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -101,9 +103,9 @@ def _emit(records, fmt: str):
         oracle = "-" if rec.oracle_value is None else str(rec.oracle_value)
         print(f"{rec.check_id:<{width}}{formula:>14}{oracle:>14}  {rec.status:<8}"
               f"{rec.wall_time_ms:>8}")
-        for name, flag in rec.identity_checks:
-            if not flag:
-                print(f"{'':<{width}}  !! {name}")
+        for name, flag in rec.identity_checks:  # a skip reason, or a failing note
+            if rec.status == "skipped" or not flag:
+                print(f"{'':<{width}}  {'--' if flag else '!!'} {name}")
 
 
 def _exit_code(records) -> int:
@@ -130,10 +132,6 @@ def cmd_verify_all(args) -> int:
     return _exit_code(records)
 
 
-def _params_from_args(args) -> CountParams:
-    return CountParams(p=args.p, s=args.s, d=args.d, alpha=args.alpha, n=args.n)
-
-
 _T_POWER_RE = re.compile(r"T(?:\^(\d+))?")
 
 
@@ -155,7 +153,7 @@ def _prime_from_args(args, fld, degree=None):
 
 
 def cmd_count(args) -> int:
-    par = _params_from_args(args)
+    par = CountParams(p=args.p, s=args.s, d=args.d, alpha=args.alpha, n=args.n)
     fld = field(par.p, par.s)
     prime = _prime_from_args(args, fld, par.d)  # checked with or without --oracle
     records = [
@@ -245,22 +243,14 @@ def cmd_witt_eval(args) -> int:
     if x.n > MAX_WITT_LENGTH:
         print(f"error: Witt length {x.n} exceeds bound {MAX_WITT_LENGTH}", file=sys.stderr)
         return EXIT_USAGE
-    op = args.op
-    if op in ("add", "sub", "mul"):
-        if y is None:
-            print("error: --y required for binary operations", file=sys.stderr)
-            return EXIT_USAGE
-        result = getattr(x, op)(y)
-    elif op == "neg":
-        result = x.neg()
-    elif op == "frobenius":
-        result = x.frobenius()
-    elif op == "wp":
-        result = x.wp()
-    elif op == "int-mul":
+    binary = args.op in ("add", "sub", "mul")
+    if binary and y is None:
+        print("error: --y required for binary operations", file=sys.stderr)
+        return EXIT_USAGE
+    if args.op == "int-mul":
         result = x.int_mul(args.m)
-    else:
-        raise AssertionError(op)
+    else:  # the WittVector method of that name, with y for add, sub and mul
+        result = getattr(x, args.op)(y) if binary else getattr(x, args.op)()
     print(str(result))
     return EXIT_PASS
 
@@ -349,7 +339,12 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         if args.cap < 1:  # every subcommand takes --cap; no enumeration fits below 1
             raise ValueError(f"--cap {args.cap} is below 1, the least that can work")
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed reader shows here, not in the exit flush
+        return code
+    except BrokenPipeError:  # the reader closed stdout early: the rest goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_FAIL
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

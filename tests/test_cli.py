@@ -1,7 +1,10 @@
 import argparse
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -167,6 +170,39 @@ def test_verify_cap_skips_oracles(capsys):
     assert skipped and not any(r["status"] == "fail" for r in records)
     # rings above the cap are skipped, never silently dropped
     assert any(r["check_id"].startswith("c01-cyclic/q4/d2") for r in skipped)
+
+
+def test_the_table_prints_why_a_record_was_skipped(capsys):
+    # each skipped row is followed by one line giving its reason
+    code, out, _ = run_cli(capsys, "verify-all", "--only", "criterion-1", "--cap", "10")
+    lines = out.splitlines()
+    skipped = [k for k, line in enumerate(lines) if line.split()[3:4] == ["skipped"]]
+    reasons = [k for k, line in enumerate(lines) if line.lstrip().startswith("-- ")]
+    assert code == EXIT_PASS and skipped
+    assert reasons == [k + 1 for k in skipped]
+    assert all(re.fullmatch(r" +-- skip-reason:unit enumeration of size \d+ exceeds cap 10",
+                            lines[k]) for k in reasons)
+
+
+@pytest.mark.parametrize("fmt", ["table", "jsonl"])
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_a_closed_stdout_exits_1_without_a_traceback(fmt, unbuffered):
+    # the reader is gone before the child writes: buffered, the exit flush
+    # meets the closed pipe; unbuffered, the first print does
+    read, write = os.pipe()
+    os.close(read)
+    src = str(Path(cli.__file__).parents[1])
+    code = "import sys; sys.path.insert(0, sys.argv[1]); from wittcount.cli import main; " \
+           "sys.exit(main(sys.argv[2:]))"
+    try:
+        run = subprocess.run(
+            [sys.executable, "-c", code, src, "verify-all", "--only", "criterion-6",
+             "--format", fmt],
+            stdout=write, stderr=subprocess.PIPE, text=True, timeout=60,
+            env={**os.environ, "PYTHONUNBUFFERED": unbuffered})
+    finally:
+        os.close(write)
+    assert (run.returncode, run.stderr) == (EXIT_FAIL, "")
 
 
 def test_verify_records_sorted(capsys):

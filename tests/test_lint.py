@@ -108,3 +108,19 @@ def test_import_loads_no_dataclasses_or_inspect():
     run = subprocess.run([sys.executable, "-S", "-c", code, src],
                          capture_output=True, text=True, check=True)
     assert run.stdout.split() == []
+
+
+MODULE_ORDER = ("fields", "polys", "rationals", "witt", "asw", "counting", "carlitz", "checks", "cli")
+
+
+def test_top_level_imports_follow_one_module_order():
+    # a module imports at top level only modules before it in MODULE_ORDER,
+    # which names every module but ``__init__``, so no new cycle can creep in
+    package = Path(wittcount.__file__).parent
+    assert sorted(MODULE_ORDER) == sorted(path.stem for path in package.glob("*.py")
+                                          if path.stem != "__init__")
+    found = [f"{name}.py:{node.lineno}:{module}" for k, name in enumerate(MODULE_ORDER)
+             for node in ast.parse((package / f"{name}.py").read_text()).body
+             if isinstance(node, ast.ImportFrom) and node.level
+             for module in _imported_modules(node) if module not in MODULE_ORDER[:k]]
+    assert not found, found

@@ -5,7 +5,7 @@ Sayward, *Hints on test data selection*, 1978).
 A Carlitz row replaces one module attribute with its mutant through
 ``monkeypatch``; so do the Witt row, whose mutant is a plan that the compiled
 Witt functions are then built from, and the field row, whose mutant is a row
-of F_4's arithmetic.  A code row (the counting rows and one normaliser row)
+of F_4's arithmetic.  A code row (the counting rows and two normaliser rows)
 gives one function the code of its mutant, so that every name bound to it,
 in the test modules too, runs the mutant, and names the tests that must then
 fail.  A mutant that no row kills marks a check that is vacuous against that
@@ -194,6 +194,11 @@ CODE_ROWS = [
     (asw._hasse_parts, "while q_num and not (qr := divmod(q_num, prime))[1]:",
      "if q_num and not (qr := divmod(q_num, prime))[1]:",
      "a peeled numerator with the prime P divided out of it only once",
+     [(_records_pass, (checks.checks_normalizer_certificates,))]),
+    # every c08-normcert record kills it, and c10-efg-product; the c07-laws records do not
+    (asw.witt_normalize, "running.comps[:level] + tail.comps",
+     "running.comps[:level + 1] + tail.comps[1:]",
+     "a Witt level update that keeps level L and slices the sum at L + 1",
      [(_records_pass, (checks.checks_normalizer_certificates,))]),
 ]
 
