@@ -11,7 +11,9 @@ C_M is built by direct C_T steps, C_(T*N + m_0) = (T + tau) C_N + m_0, and
 memoised for inputs and prefixes N; the compose check builds C_MN by one step
 and drops it (a seed-0 carlitz-grid pass reads its 1,570 products again 230
 times, and they held over half the memo), and compares it with the generic
-product, which never builds it.  One kernel, ``_mul_into``, adds term-pair
+product, which never builds it.  The gcd check walks the Euclid chain of M
+and N and compares each right remainder of C_M by C_N with the memoised
+C_(M mod N); no gcd in u is built.  One kernel, ``_mul_into``, adds term-pair
 products; each caller builds the multiplication-table rows of a left factor's
 tau-coefficient once and reuses them for every right coefficient.  ``_strip``
 deletes cancelled zeros in place, so it is only ever given fresh maps.
@@ -160,21 +162,15 @@ def carlitz_compose_check(m: Polynomial, n: Polynomial) -> bool:
 
 # -- gcd of additive polynomials in the variable u --
 
-def _lead_inverse(fld, a: dict) -> int:
-    """The encoding of 1/beta for a's leading tau-coefficient beta in F_q^x."""
-    lead = a[max(a)]
-    if list(lead) != [0]:
-        raise ValueError("leading tau-coefficient is not a nonzero constant: not a Carlitz input")
-    return fld._inv_table[lead[0]]
-
-
 def _right_rem(fld, a: dict, b: dict) -> dict:
     """R with A = Q*B + R and deg_tau R < deg_tau B.  B's lead beta is a
     constant, fixed by tau, so the quotient term that cancels a_m*tau^m is
     (a_m/beta)*tau^(m-k): one scale, then c*b_j^(q^s) at tau^(s+j)."""
     k = max(b)
+    if list(b[k]) != [0]:
+        raise ValueError("leading tau-coefficient is not a nonzero constant: not a Carlitz input")
     add, mul = fld._add_table, fld._mul_table
-    neg_inv = mul[fld._neg_table[_lead_inverse(fld, b)]]
+    neg_inv = mul[fld._neg_table[fld._inv_table[b[k][0]]]]
     low = [(j, bj) for j, bj in b.items() if j != k]
     r = {i: dict(terms) for i, terms in a.items()}  # a may be a cached C_M
     for m in range(max(r, default=-1), k - 1, -1):
@@ -186,24 +182,19 @@ def _right_rem(fld, a: dict, b: dict) -> dict:
     return _strip(r)
 
 
-def _gcd(fld, a: dict, b: dict) -> dict:
-    """Monic gcd in u by right Euclid: A = Q*B + R gives A(u) = Q(B(u)) + R(u)
-    and B(u) | Q(B(u)) (Ore 1933).  For Carlitz inputs each remainder is
-    C_(M mod N), with constant lead; any other lead raises ValueError."""
-    while b:
-        a, b = b, _right_rem(fld, a, b)
-    if not a:
-        return {}
-    row = fld._mul_table[_lead_inverse(fld, a)]
-    return {i: {e: row[c] for e, c in terms.items()} for i, terms in a.items()}
-
-
 def carlitz_gcd_check(m: Polynomial, n: Polynomial) -> bool:
-    """gcd_u(C_M, C_N) = C_gcd(M, N), via exact gcd in u, up to u-degree DEFAULT_GCD_CAP."""
+    """gcd_u(C_M, C_N) = C_gcd(M, N), up to u-degree DEFAULT_GCD_CAP.  A right
+    remainder keeps the u-gcd (A = Q*B + R gives A(u) = Q(B(u)) + R(u), Ore
+    1933), and as C is a ring map and C_N's lead a constant, the right
+    remainder of C_M by C_N is C_(M mod N) exactly: each step is compared."""
     if m.is_zero() or n.is_zero():
         raise ValueError("gcd check needs nonzero inputs")
+    fld = m.field
     top = max(m.degree, n.degree)
-    if m.field.q**top > DEFAULT_GCD_CAP:
+    if fld.q**top > DEFAULT_GCD_CAP:
         raise CapExceededError(f"u-degree q^{top} exceeds cap {DEFAULT_GCD_CAP}")
-    got = _gcd(m.field, _carlitz_sparse(m), _carlitz_sparse(n))
-    return got == _carlitz_sparse(m.gcd(n))  # Polynomial.gcd is monic, so C_gcd is too
+    while n:
+        m, n, r = n, m % n, _right_rem(fld, _carlitz_sparse(m), _carlitz_sparse(n))
+        if r != (_carlitz_sparse(n) if n else {}):
+            return False
+    return True

@@ -209,7 +209,7 @@ def cmd_normalize(args) -> int:
     _bound_witt_work(args, fld, args.beta, args.prime)
     _bound_fq_scan(args, fld)
     try:
-        beta = parse_witt(fld, args.p, args.beta)
+        beta = parse_witt(fld, args.beta)
     except ValueError as exc:
         print(f"error: cannot parse Witt vector: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -238,8 +238,8 @@ def cmd_normalize(args) -> int:
 def cmd_witt_eval(args) -> int:
     fld = field(args.p, args.s)
     _bound_witt_work(args, fld, args.x, args.y, frobenius=args.op in ("wp", "frobenius"))
-    x = parse_witt(fld, args.p, args.x)
-    y = parse_witt(fld, args.p, args.y) if args.y else None
+    x = parse_witt(fld, args.x)
+    y = parse_witt(fld, args.y) if args.y else None
     if x.n > MAX_WITT_LENGTH:
         print(f"error: Witt length {x.n} exceeds bound {MAX_WITT_LENGTH}", file=sys.stderr)
         return EXIT_USAGE
@@ -282,7 +282,7 @@ def cmd_infinity(args) -> int:
     fld = field(args.p, args.s)
     _bound_witt_work(args, fld, args.beta)
     _bound_fq_scan(args, fld)
-    beta = parse_witt(fld, args.p, args.beta)
+    beta = parse_witt(fld, args.beta)
     nf = witt_normalize(AswGenerator(beta))
     b = infinity_behavior(nf)
     print(json.dumps({"s": b.s, "t": b.t, "e": b.e, "f": b.f, "g": b.g, "label": b.label},

@@ -30,7 +30,7 @@ import functools
 import random
 import re
 
-from .fields import FiniteField, FqElem, _power
+from .fields import FiniteField, _power
 
 NEG_INF = float("-inf")
 
@@ -61,11 +61,7 @@ class Polynomial:
         return _wrap(fld, (1,))
 
     @staticmethod
-    def const(fld: FiniteField, val) -> "Polynomial":
-        if isinstance(val, FqElem):
-            if val.field is not fld:
-                raise ValueError("constant from a different field")
-            val = val.val
+    def const(fld: FiniteField, val: int) -> "Polynomial":
         return Polynomial(fld, (val % fld.q,))
 
     @staticmethod
@@ -147,7 +143,7 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            other = Polynomial.const(self.field, self.field.from_int(other).val)
+            other = Polynomial.const(self.field, other % self.field.p)
         self._check(other)
         return _wrap(self.field, _mul(self.field, self.coeffs, other.coeffs))
 
@@ -204,17 +200,6 @@ class Polynomial:
         if len(r0) != 1:
             raise ZeroDivisionError("element is not invertible modulo the given polynomial")
         return _wrap(f, _divmod(f, _mul(f, (f._inv_table[r0[0]],), t0), mod.coeffs)[1])
-
-    def eval(self, x: FqElem) -> FqElem:
-        """Horner evaluation at an element of this polynomial's field."""
-        f = self.field
-        if not isinstance(x, FqElem) or x.field is not f:
-            raise ValueError(f"cannot evaluate a polynomial over {f!r} at {x!r}")
-        add, x_row = f._add_table, f._mul_table[x.val]
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = add[x_row[acc]][c]
-        return f._elems[acc]
 
     def frobenius(self) -> "Polynomial":
         """self**p (coefficientwise p-power, exponents spread by p)."""

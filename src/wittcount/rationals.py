@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 
-from .fields import FiniteField, FqElem
+from .fields import FiniteField
 from .polys import Polynomial, _divmod, _gcd, _mul, _sum, _wrap, factor, parse_poly
 
 
@@ -82,8 +82,6 @@ class RationalFunction:
         if isinstance(other, int):
             # ordinary integers act through the ring map n -> n mod p
             other = Polynomial.const(fld, other % fld.p)
-        elif isinstance(other, FqElem):
-            other = Polynomial.const(fld, other)  # rejects another field's element
         elif not isinstance(other, Polynomial):
             return None
         elif other.field is not fld:

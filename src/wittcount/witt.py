@@ -326,10 +326,10 @@ class WittVector:
         return f"WittVector(p={self.p}, {self})"
 
 
-def parse_witt(fld, p: int, text: str) -> WittVector:
-    """Parse "(c_1, ..., c_n)" with rational-function components."""
+def parse_witt(fld, text: str) -> WittVector:
+    """Parse "(c_1, ..., c_n)" with components in F_q(T), over fld.p."""
     text = text.strip()
     if not (text.startswith("(") and text.endswith(")")):
         raise ValueError("Witt vector text must be parenthesised")
     comps = [parse_rational(fld, part.strip()) for part in _split_top_level(text[1:-1], ",")]
-    return WittVector(p, comps)
+    return WittVector(fld.p, comps)

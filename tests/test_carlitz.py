@@ -8,7 +8,6 @@ from wittcount.carlitz import (
     carlitz_gcd_check,
     carlitz_poly,
     _carlitz_sparse,
-    _gcd,
     _right_rem,
     _to_polys,
     _twisted_add,
@@ -185,13 +184,23 @@ def _dense_gcd_u(a, b, fld):
     return tuple((i, c / lead) for i, c in enumerate(a[: d + 1]) if not c.is_zero())
 
 
+def _monic(fld, a):
+    """a scaled by the inverse of its constant leading tau-coefficient."""
+    row = fld._mul_table[fld._inv_table[a[max(a)][0]]]
+    return {i: {e: row[c] for e, c in terms.items()} for i, terms in a.items()}
+
+
 @pytest.mark.parametrize("fld,max_deg", [(F2, 3), (F3, 2), (F4, 1)])
 def test_additive_gcd_matches_dense_euclid(fld, max_deg):
+    # the monic form of the last nonzero right remainder is the gcd in u
     polys = [m for m in all_nonzero_polys(fld, max_deg)]
     rng = random.Random(71)
     pairs = [(rng.choice(polys), rng.choice(polys)) for _ in range(30)]
     for m, n in pairs:
-        sparse = _to_polys(fld, _gcd(fld, _carlitz_sparse(m), _carlitz_sparse(n)))
+        a, b = _carlitz_sparse(m), _carlitz_sparse(n)
+        while b:
+            a, b = b, _right_rem(fld, a, b)
+        sparse = _to_polys(fld, _monic(fld, a))
         dense = _dense_gcd_u(
             _dense_from_sparse(dict(carlitz_poly(m).coeffs), fld),
             _dense_from_sparse(dict(carlitz_poly(n).coeffs), fld),
@@ -203,19 +212,22 @@ def test_additive_gcd_matches_dense_euclid(fld, max_deg):
 
 def test_additive_gcd_rejects_a_non_constant_lead():
     t = {1: 1}  # T*u + T*u^q
-    with pytest.raises(ValueError):
-        _gcd(F2, _carlitz_sparse(P("T^2")), {0: t, 1: t})
-    with pytest.raises(ValueError):
-        _gcd(F2, {0: t, 1: t}, {})
+    for a in (_carlitz_sparse(P("T^2")), {0: t, 1: t}):
+        with pytest.raises(ValueError, match="not a nonzero constant"):
+            _right_rem(F2, a, {0: t, 1: t})
 
 
 def test_additive_gcd_is_monic_over_polynomials():
-    # non-monic inputs, so the last remainder's lead is not 1 before scaling
+    # non-monic inputs, so the chain's remainders are C_R for non-monic R, and
+    # only the monic form of the last one is C_gcd(M, N)
     for m, n in (("2*T^2", "2*T"), ("2*T^2+2", "T^2+1"), ("T+1", "2*T^2+1")):
         m, n = parse_poly(F3, m), parse_poly(F3, n)
-        got = _gcd(F3, _carlitz_sparse(m), _carlitz_sparse(n))
-        assert got[max(got)] == {0: 1}
-        assert got == _carlitz_sparse(m.gcd(n))
+        assert carlitz_gcd_check(m, n)
+        a, b = m, n
+        while b:
+            a, b, got = b, a % b, _right_rem(F3, _carlitz_sparse(a), _carlitz_sparse(b))
+            assert got == (_carlitz_sparse(b) if b else {}), (m, n, a)
+        assert _monic(F3, _carlitz_sparse(a)) == _carlitz_sparse(m.gcd(n))
 
 
 def _e(k, x):
@@ -309,7 +321,6 @@ def test_cached_carlitz_forms_survive_gcd_and_checks():
         touched = {x for m, n in pairs for x in (m, n, m * n, m.gcd(n), m + n) if x}
         before = {m: carlitz_poly(m).coeffs for m in touched}
         for m, n in pairs:
-            _gcd(fld, _carlitz_sparse(m), _carlitz_sparse(n))
             assert carlitz_compose_check(m, n) and carlitz_gcd_check(m, n)
         assert {m: carlitz_poly(m).coeffs for m in touched} == before
 
@@ -344,8 +355,7 @@ def test_every_term_map_is_fully_stripped(fld):
         a, b = term_map(_random_twisted(rng, fld)), term_map(_random_twisted(rng, fld))
         results = [cm, cn, _twisted_mul(fld, cm, cn), _twisted_mul(fld, a, b),
                    _twisted_add(fld, cm, cn), _twisted_add(fld, a, b), _twisted_add(fld, a, a),
-                   _right_rem(fld, cm, cn), _right_rem(fld, a, cn), _gcd(fld, cm, cn),
-                   _gcd(fld, _twisted_mul(fld, cm, cn), cn)]
+                   _right_rem(fld, cm, cn), _right_rem(fld, a, cn)]
         assert all(map(_fully_stripped, results)), (m, n)
         if (m + n).is_zero():
             assert _twisted_add(fld, cm, cn) == {}

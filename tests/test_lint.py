@@ -48,6 +48,15 @@ def test_elements_are_built_only_in_fields():
     assert not found, found
 
 
+def test_only_fields_imports_the_element_class():
+    # F_q elements reach F_q[T] and F_q(T) only as their integer encodings;
+    # ``__init__.py`` imports the class only to re-export it
+    found = [f"{name}:{node.lineno}" for name, node in _package_nodes()
+             if name not in ("fields.py", "__init__.py") and isinstance(node, ast.ImportFrom)
+             and any(alias.name == "FqElem" for alias in node.names)]
+    assert not found, found
+
+
 def test_the_package_reads_no_process_environment():
     # every input comes through an argument or a command-line flag, so no
     # environment variable can change a result without showing in the call

@@ -45,10 +45,21 @@ def _no_frobenius_spread(step):
     return _rewritten(step, "f *= q", "pass")
 
 
+def _unit_scaled(right_rem):
+    # q - 1 encodes a unit, 1 only at q = 2: a gcd compared only up to a unit
+    # would pass every pair
+    def mutant(fld, a, b):
+        row = fld._mul_table[fld.q - 1]
+        return {i: {e: row[c] for e, c in terms.items()}
+                for i, terms in right_rem(fld, a, b).items()}
+    return mutant
+
+
 # (module, attribute, mutant factory, what the fault is)
 CARLITZ_ROWS = [
     (carlitz, "_mul_into", _stride_one, "twisted products without the twist"),
     (carlitz, "_carlitz_step", _no_frobenius_spread, "C_T steps with n(T) for n(T^q)"),
+    (carlitz, "_right_rem", _unit_scaled, "right remainders scaled by a unit"),
 ]
 
 
@@ -160,6 +171,13 @@ CODE_ROWS = [
       (test_counting.test_as_classes_over_prime_power_fields, (2, 2, 2, 4)),
       (test_counting.test_as_classes_over_prime_power_fields, (3, 2, 1, 5)),
       (test_counting.test_asw_classes_n1_matches_as_classes, ())]),
+    # no record kills it: a class count depends only on how many images there
+    # are, so c02, c09 and c10 pass; the class-partition record of ROADMAP item 3 would
+    (counting._lifted_wp_basis, "(0,) * (fld.p * e)", "(0,) * e",
+     "the degree-p wp basis images with the T^(p e) of h^p put at T^e",
+     [(test_counting.test_class_oracle_lifts_match_the_witt_lift, (2, 2, 1, 5)),
+      (test_counting.test_class_oracle_lifts_match_the_witt_lift, (2, 1, 2, 5)),
+      (test_counting.test_class_oracle_lifts_match_the_witt_lift, (3, 1, 2, 4))]),
     (counting._lifted_candidates, "(c, c)", "(c, 1)",
      "the lift column of c*T^e adding the image of T^e for every c",
      [(_records_pass, (checks.checks_degree_p_classes,)),
@@ -208,8 +226,14 @@ def _clear_counting_memos():
     counting._p_power_order_counts.cache_clear()
 
 
-@pytest.mark.parametrize("func, old, new, fault, killers", CODE_ROWS,
-                         ids=[row[0].__name__ for row in CODE_ROWS])
+def _code_row_ids():
+    """A row is named by its function, a later row of the same function also by its place."""
+    names = [row[0].__name__ for row in CODE_ROWS]
+    return [f"{name}-{names[:k].count(name) + 1}" if name in names[:k] else name
+            for k, name in enumerate(names)]
+
+
+@pytest.mark.parametrize("func, old, new, fault, killers", CODE_ROWS, ids=_code_row_ids())
 def test_counting_tests_kill_the_mutant(monkeypatch, func, old, new, fault, killers):
     # memoised counts of the unmutated oracles would hide the mutant, and
     # the mutant's counts must not outlive it

@@ -69,18 +69,6 @@ def test_gcd_is_monic():
     assert f.gcd(g).is_monic()
 
 
-def test_eval():
-    assert P("T^2+1").eval(F2.elem(1)).val == 0
-    assert P("T^2+2", F3).eval(F3.elem(2)).val == 0  # 4+2 = 6 = 0 mod 3
-
-
-@pytest.mark.parametrize("x", [1, F4.elem(1), None], ids=["int", "other-field", "none"])
-def test_eval_takes_only_an_element_of_its_own_field(x):
-    # an element of F_4 would index F_2's rows with its encoding
-    with pytest.raises(ValueError):
-        P("T^2+1").eval(x)
-
-
 def test_text_roundtrip():
     rng = random.Random(11)
     for fld in (F2, F3, F4):

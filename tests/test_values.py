@@ -16,7 +16,7 @@ F2 = field(2, 1)
 
 
 def _beta():
-    return parse_witt(F2, 2, "(1/T^3 + T, 1/(T^2+T+1))")
+    return parse_witt(F2, "(1/T^3 + T, 1/(T^2+T+1))")
 
 
 def _normal_form():

@@ -333,11 +333,11 @@ def test_mixed_vectors_rejected():
 
 
 def test_parse_witt_roundtrip():
-    v = parse_witt(F2, 2, "(1/T, (T+1)/T^2)")
+    v = parse_witt(F2, "(1/T, (T+1)/T^2)")
     assert v.comps[0] == parse_rational(F2, "1/T")
     assert str(v) == "(1/T, (T+1)/T^2)"
     for text in ("((T+1)/T, 1)", "((T+1)/(T), (1))"):
-        assert parse_witt(F2, 2, text) == wv2("(T+1)/T", "1")
+        assert parse_witt(F2, text) == wv2("(T+1)/T", "1")
 
 
 def _reference_evaluate(poly, values):
