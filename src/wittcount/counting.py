@@ -4,9 +4,9 @@ The closed forms (v_n, w, t_1, s_n and the integer lemmas behind them) are
 pure arbitrary-precision arithmetic.  Each one is paired with an exhaustive
 oracle.  Cyclic-subgroup counting enumerates all of F_q[T]/(P^alpha) as
 pairs x = h + l of a high and a low half; x -> x^p is additive, so each
-half's p-power columns are built by additivity, one block of entries per
-monomial c T^e from the images of T^e scaled by c^(p^m), and every residue
-is counted once, exactly, through a tally of the low half.  That walk,
+half's p-power columns are walked over the F_p-basis p^t T^e, one packed
+add of base-p digits per entry (:class:`_Packing`), and every residue is
+counted once, exactly, through a tally of the low half.  That walk,
 :func:`_linear_columns`, is the one over the oracles' residues and
 numerators: the class oracles' numerators are its columns too.  The
 generator-class oracles enumerate normal-form generators and partition them
@@ -27,14 +27,15 @@ oracle takes its corrections c = (h_i/P^b) through v = [P^b]c =
 (h_i P^(b (p^i - 1))): [P^(p b)]wp(c) = F(v) - [P^((p-1) b)]v.  Every sum
 is then a ``Polynomial`` sum, with no gcd, and is looked up among the
 scaled candidates.  At length 1 the degree-p oracle lifts only the F_p-basis
-of its corrections, as tuples h^p P^(E-p gamma0) - h P^(E-gamma0), so each
-generating transform is one ``polys._sum`` or scaling.
+of its corrections, h^p P^(E-p gamma0) - h P^(E-gamma0), so each generating
+transform is one packed add.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import time
 from collections import Counter, namedtuple
 
@@ -207,44 +208,79 @@ def telescoped_phi_sum(params: CountParams, r: int, s: int) -> int:
 
 # -- oracle: cyclic subgroup count by full unit enumeration --
 
-def _linear_columns(fld, start, images, scales):
-    """Columns of F_q-linear maps over the polynomials r in encoding order:
-    column j starts at ``start[j]``, its entry of r = 0; ``images[e][j]`` is
-    the image of T^e under map j, and the image of c*T^e is that times
-    ``scales[c][j]`` (2 <= c < q).  The entries c*q^e + i, i < q^e, are the
-    entries i plus the image of c*T^e, so the columns grow one block per
-    monomial c*T^e.  This is the one walk over the oracles' residues and
-    numerators."""
-    cols = [[s] for s in start]
+class _Packing:
+    """Polynomials over F_q of degree < ``degree`` as ints: slot e s + t,
+    width = bitlen(p) + 1 bits, holds base-p digit t of coefficient e, the
+    coordinate at the F_p-basis element p^t T^e; ``unpack`` is the one
+    decoder.  ``add`` is slotwise mod p (Lamport, *Multiple byte processing
+    with full-word instructions*, 1975): a slot of x + y is at most 2p - 2 <
+    2^width, and adding 2^(width-1) - p sets its top bit exactly when it
+    reached p, so p is taken off those slots; at p = 2 it is XOR.  ``pack``
+    raises on a polynomial wider than the masks."""
+
+    def __init__(self, fld, degree):
+        self.fld, self.degree, self.width = fld, degree, fld.p.bit_length() + 1
+        p, top = fld.p, self.width - 1
+        ones = ((1 << self.width * fld.s * degree) - 1) // ((1 << self.width) - 1)
+        bias, tops = ones * ((1 << top) - p), ones << top
+        self.add = operator.xor if p == 2 else (
+            lambda x, y: (z := x + y) - ((z + bias & tops) >> top) * p)
+
+    def pack(self, coeffs):
+        if len(coeffs) > self.degree:
+            raise ValueError(f"{len(coeffs)} coefficients do not fit {self.degree} slots")
+        x, p, s = 0, self.fld.p, self.fld.s
+        digits = coeffs if s == 1 else [c // p**t % p for c in coeffs for t in range(s)]
+        for digit in reversed(digits):
+            x = x << self.width | digit
+        return x
+
+    def unpack(self, x):
+        s, mask = self.fld.s, (1 << self.width) - 1
+        digits = [x >> self.width * i & mask for i in range(_ceil_div(x.bit_length(), self.width))]
+        return tuple(self.fld._undigits(digits[i:i + s]) for i in range(0, len(digits), s))
+
+
+def _linear_columns(pk, start, images):
+    """Columns of F_p-linear maps over the polynomials r in encoding order, as
+    ``pk``-packed ints: column j starts at ``start[j]``, its entry of r = 0,
+    and ``images[i][j]`` is the image under map j of the F_p-basis element
+    p^t T^e, i = e s + t, whose encoding is p^i; both are coefficient tuples.
+    The entries d p^i + r, r < p^i, are the entries (d - 1) p^i + r plus that
+    image, so each column grows by p - 1 blocks of packed adds per basis
+    element.  This is the one walk over the oracles' residues and numerators."""
+    add, p = pk.add, pk.fld.p
+    cols = [[pk.pack(s)] for s in start]
     for image in images:
         size = len(cols[0])
-        for c in range(1, fld.q):
-            terms = [_mul(fld, (a,), t) for a, t in zip(scales[c], image)] if c > 1 else image
-            for col, term in zip(cols, terms):
-                col += [_sum(fld, x, term) for x in col[:size]]
+        for col, term in zip(cols, map(pk.pack, image)):
+            for _ in range(1, p):
+                col += [add(x, term) for x in col[-size:]]
     return cols
 
 
 def _power_columns(fld, prime, modulus, k, shift, start):
-    """Columns [g mod P, g, g^p, ..., g^(p^n_max)] of coefficient tuples, the
+    """Columns [g mod P, g, g^p, ..., g^(p^n_max)] of packed ints, the
     powers mod M = P^alpha, for g = r*T^shift and r over the polynomials of
     degree < k in encoding order; column j starts at ``start[j]`` (the entry
     of r = 0) and n_max + 2 = len(start).
 
     Every map here is additive, so these are :func:`_linear_columns` from the
-    images of T^e (the only ``frobenius()`` and ``%`` calls), scaled by c,
-    or by c^(p^m) in the g^(p^m) column.
+    images of T^e (the only ``frobenius()`` and ``%`` calls) times the basis
+    scale c = p^t, and times c^(p^m) in the g^(p^m) column, packed to deg M.
     """
     images = []
     for e in range(k):
         g = Polynomial(fld, (0,) * (e + shift) + (1,))
-        images.append([(g % prime).coeffs, g.coeffs])
+        powers = [(g % prime).coeffs, g.coeffs]
         for _ in start[2:]:
             g = g.frobenius() % modulus
-            images[-1].append(g.coeffs)
-    scales = {c: [c, c] + [fld.pow_val(c, fld.p**m) for m in range(1, len(start) - 1)]
-              for c in range(2, fld.q)}
-    return _linear_columns(fld, start, images, scales)
+            powers.append(g.coeffs)
+        images.append(powers)  # c = 1
+        for c in (fld.p**t for t in range(1, fld.s)):
+            scales = [c, c] + [fld.pow_val(c, fld.p**m) for m in range(1, len(start) - 1)]
+            images.append([_mul(fld, (a,), f) for a, f in zip(scales, powers)])
+    return _linear_columns(_Packing(fld, modulus.degree), start, images)
 
 
 @functools.lru_cache(maxsize=32)
@@ -379,21 +415,22 @@ def _as_classes(params, prime, cap):
 def _as_classes_cached(p, s, prime_coeffs, alpha, cap):
     """(class count, classes by pole order) of one ring; the caller copies the dict.
 
-    Works on the lifts by [P^E], E = alpha - 1, as coefficient tuples: a
-    candidate Q/P^lam is Q P^(E-lam) (:func:`_lifted_candidates`), and the
+    Works on the lifts by [P^E], E = alpha - 1, packed (:class:`_Packing`): a
+    candidate Q/P^lam is Q P^(E-lam) (:func:`_packed_candidates`), and the
     correction wp(h/P^gamma0) is h^p P^(E-p gamma0) - h P^(E-gamma0).  wp is
     F_p-linear, so the corrections are the F_p-span of the images of the
     basis h = p^t T^e (:func:`_lifted_wp_basis`), and the transforms
     j*beta + wp(c) are generated by beta -> j*beta, 2 <= j < p, and
-    beta -> beta + each such image: (p - 2) + s gamma0 deg P lookups per
-    candidate.  Each generator is asserted to map the finite candidate
-    set into itself, so the classes are the components they link."""
+    beta -> beta + each such image: (p - 2) + s gamma0 deg P packed adds and
+    lookups per candidate.  Each generator is asserted to map the finite
+    candidate set into itself, so the classes are the components they link."""
     fld = field(p, s)
     prime = Polynomial(fld, prime_coeffs)
     e_bound = alpha - 1
+    pk = _Packing(fld, e_bound * prime.degree)
     lams, lifted = [], []
     for lam in _pole_orders(p, alpha - 1):
-        lifts = _lifted_candidates(fld, prime, lam, e_bound, cap)
+        lifts = _packed_candidates(pk, prime, lam, e_bound, cap)
         lams += [lam] * len(lifts)
         lifted += lifts
         if len(lams) > cap:
@@ -404,36 +441,48 @@ def _as_classes_cached(p, s, prime_coeffs, alpha, cap):
     for i, (lam, x) in enumerate(zip(lams, lifted)):
         gamma0 = lam // p
         if gamma0 not in basis:
-            basis[gamma0] = _lifted_wp_basis(fld, prime, e_bound, gamma0)
-        scaled = [_mul(fld, (j,), x) for j in range(2, p)]  # j in F_p is encoded as j
-        for image in scaled + [_sum(fld, x, b) for b in basis[gamma0]]:
+            basis[gamma0] = list(map(pk.pack, _lifted_wp_basis(fld, prime, e_bound, gamma0)))
+        images, multiple = [pk.add(x, b) for b in basis[gamma0]], x
+        for _ in range(2, p):  # the multiples j x, 2 <= j < p
+            multiple = pk.add(multiple, x)
+            images.append(multiple)
+        for image in images:
             other = index.get(image)
             if other is None:
                 raise AssertionError(f"transform left the normal-form set: "
-                                     f"({Polynomial(fld, image)})/({prime})^{e_bound}")
+                                     f"({Polynomial(fld, pk.unpack(image))})/({prime})^{e_bound}")
             dsu.union(i, other)
     by_lambda = Counter(lam for i, lam in enumerate(lams) if dsu.find(i) == i)
     return sum(by_lambda.values()), by_lambda
 
 
 def _lifted_candidates(fld, prime, lam, e_bound, cap):
-    """[P^E](Q/P^lam) = Q P^(E-lam), E = ``e_bound``, as coefficient tuples,
+    """:func:`_packed_candidates` as coefficient tuples."""
+    pk = _Packing(fld, e_bound * prime.degree)
+    return list(map(pk.unpack, _packed_candidates(pk, prime, lam, e_bound, cap)))
+
+
+def _packed_candidates(pk, prime, lam, e_bound, cap):
+    """[P^E](Q/P^lam) = Q P^(E-lam), E = ``e_bound``, as ``pk``-packed ints,
     for every Q with deg Q < lam deg P that the prime P does not divide, in
     encoding order; with E = lam these are the Q themselves.
     CapExceededError unless the q^(lam deg P) numerators fit in ``cap``.
 
     Q -> Q mod P and Q -> Q P^(E-lam) are F_q-linear, so both are
-    :func:`_linear_columns`, from T^e mod P and T^e P^(E-lam), each scaled
-    by c.  The lifts with a nonzero residue are kept.
+    :func:`_linear_columns`, from the images of the F_p-basis p^t T^e: T^e
+    mod P and T^e P^(E-lam), each times c = p^t.  The lifts with a nonzero
+    residue are kept.
     """
+    fld = pk.fld
     deg = lam * prime.degree
     if fld.q**deg > cap:
         raise CapExceededError(f"numerator enumeration of size {fld.q**deg} exceeds cap {cap}")
     factor = _prime_power(prime, e_bound - lam).coeffs
-    images = [((Polynomial(fld, (0,) * e + (1,)) % prime).coeffs, (0,) * e + factor)
-              for e in range(deg)]
-    residues, lifts = _linear_columns(fld, [(), ()], images,
-                                      {c: (c, c) for c in range(2, fld.q)})
+    images = []
+    for e in range(deg):
+        monomial = ((Polynomial(fld, (0,) * e + (1,)) % prime).coeffs, (0,) * e + factor)
+        images += [[_mul(fld, (fld.p**t,), f) for f in monomial] for t in range(fld.s)]
+    residues, lifts = _linear_columns(pk, [(), ()], images)
     return [x for x, residue in zip(lifts, residues) if residue]
 
 

@@ -19,7 +19,7 @@ corrections, the searches of :func:`monic_irreducibles` and
 :meth:`Polynomial.from_int`, in increasing order, and is bounded by a cap.
 The oracles' residues and numerators are the one exception:
 ``counting._linear_columns`` walks them in the same order as images of
-F_q-linear maps, one monomial block at a time.
+linear maps on the F_p-basis p^t T^e, as packed base-p digits.
 Irreducibility and factoring enumerate nothing: both take polynomial time,
 by the distinct-degree sieve and Cantor-Zassenhaus splitting.
 """

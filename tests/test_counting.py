@@ -26,6 +26,7 @@ from wittcount.counting import (
     v_n,
     w,
     _DSU,
+    _Packing,
     _lifted_candidates,
     _lifted_wp_basis,
     _p_power_order_counts,
@@ -33,8 +34,8 @@ from wittcount.counting import (
     _teich,
 )
 from wittcount.fields import field
-from wittcount.polys import (DEFAULT_ENUM_CAP, CapExceededError, Polynomial, canonical_prime,
-                             monic_irreducibles, parse_poly, phi, polys_below)
+from wittcount.polys import (DEFAULT_ENUM_CAP, CapExceededError, Polynomial, _sum,
+                             canonical_prime, monic_irreducibles, parse_poly, phi, polys_below)
 from wittcount.rationals import RationalFunction
 from wittcount.witt import WittVector
 
@@ -191,12 +192,33 @@ def test_oracle_cyclic_split_non_canonical_prime():
 
 @pytest.mark.parametrize("p", [131, 257])
 def test_oracle_cyclic_large_characteristic(p):
-    # digit sums above 255 overflowed a one-byte-per-digit packing here
+    # digit sums above 255 overflowed a one-byte-per-digit packing here; the
+    # class oracle makes each of its p - 1 candidates' p - 2 multiples by
+    # repeated packed adds
     fld = field(p, 1)
     t_plus_1 = Polynomial(fld, (1, 1))
     for n in (1, 2, 3):
         par = params(p, 1, 1, 2, n)
         assert oracle_cyclic_subgroups(par, prime=t_plus_1) == v_n(par)
+    par = params(p, 1, 1, 2, 1)
+    assert oracle_as_classes(par, prime=t_plus_1) == t1(2, par) == 1
+
+
+@pytest.mark.parametrize("s", [1, 2])
+@pytest.mark.parametrize("p", [2, 3, 5, 131, 257])
+def test_packed_sums_match_the_tuple_sum(p, s):
+    fld = field(p, s)
+    degree = 5
+    pk = _Packing(fld, degree)
+    rng = random.Random(p * s)
+    pairs = [[Polynomial(fld, [rng.randrange(fld.q) for _ in range(length)]).coeffs
+              for _ in range(2)] for length in range(degree + 1) for _ in range(10)]
+    pairs.append([(fld.q - 1,) * degree] * 2)  # every digit is p - 1, so every slot wraps
+    for a, b in pairs:
+        assert pk.unpack(pk.pack(a)) == a
+        assert pk.unpack(pk.add(pk.pack(a), pk.pack(b))) == _sum(fld, a, b)
+    with pytest.raises(ValueError, match="do not fit"):
+        pk.pack((1,) * (degree + 1))
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -210,14 +232,16 @@ def test_power_columns_match_per_residue_images(p, s, d):
     for alpha in range(1, 4 // d + 1):
         modulus = prime**alpha
         k = d * alpha // 2
+        pk = _Packing(fld, d * alpha)
         low = _power_columns(fld, prime, modulus, k, 0, [()] * (n_max + 2))
         expected = list(zip(*power_images(polys_below(fld, k), prime, modulus, n_max)))
-        assert low == [[g.coeffs for g in col] for col in expected]
+        assert [list(map(pk.unpack, col)) for col in low] == \
+            [[g.coeffs for g in col] for col in expected]
         high = _power_columns(fld, prime, modulus, d * alpha - k, k,
                               [()] + [(1,)] * (n_max + 1))
         highs = (Polynomial(fld, (0,) * k + h.coeffs) for h in polys_below(fld, d * alpha - k))
         residues, *powers = zip(*power_images(highs, prime, modulus, n_max))
-        assert high == [[g.coeffs for g in residues]] + \
+        assert [list(map(pk.unpack, col)) for col in high] == [[g.coeffs for g in residues]] + \
             [[(one + g).coeffs for g in col] for col in powers]
 
 

@@ -178,8 +178,10 @@ CODE_ROWS = [
      [(test_counting.test_class_oracle_lifts_match_the_witt_lift, (2, 2, 1, 5)),
       (test_counting.test_class_oracle_lifts_match_the_witt_lift, (2, 1, 2, 5)),
       (test_counting.test_class_oracle_lifts_match_the_witt_lift, (3, 1, 2, 4))]),
-    (counting._lifted_candidates, "(c, c)", "(c, 1)",
-     "the lift column of c*T^e adding the image of T^e for every c",
+    # at s = 1 the F_p-basis scale p^t is 1, so the multiples d p^t T^e that
+    # the walk makes by repeated adds are the only scaling q = 3 records see
+    (counting._linear_columns, "col[-size:]", "col[:size]",
+     "the columns of d p^t T^e adding the image of p^t T^e once for every d",
      [(_records_pass, (checks.checks_degree_p_classes,)),
       (_records_pass, (checks.checks_conductor,)),
       (test_counting.test_as_classes_frozen_examples, ()),
