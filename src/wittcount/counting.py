@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 import time
 from collections import Counter, namedtuple
 
@@ -208,47 +207,40 @@ def telescoped_phi_sum(params: CountParams, r: int, s: int) -> int:
 
 # -- oracle: cyclic subgroup count by full unit enumeration --
 
+@functools.lru_cache(maxsize=32)  # shared by a ring's oracles: the digit table has q entries
 class _Packing:
-    """Polynomials over F_q of degree < ``degree`` as ints: slot e s + t,
-    width = bitlen(p) + 1 bits, holds base-p digit t of coefficient e, the
-    coordinate at the F_p-basis element p^t T^e; ``unpack`` is the one
-    decoder.  ``add`` is slotwise mod p (Lamport, *Multiple byte processing
-    with full-word instructions*, 1975): a slot of x + y is at most 2p - 2 <
-    2^width, and adding 2^(width-1) - p sets its top bit exactly when it
-    reached p, so p is taken off those slots; at p = 2 it is XOR.  ``pack``
-    raises on a polynomial wider than the masks."""
+    """Polynomials over F_q of degree < ``degree`` as ints: slot e s + t, w =
+    bitlen(p) + 1 bits, holds base-p digit t of coefficient e (table ``slots``).
+    ``add`` is slotwise mod p (Lamport, *Multiple byte processing with full-word
+    instructions*, 1975): a slot of x + y is at most 2p - 2, and adding 2^(w-1)
+    - p sets its top bit exactly when it reached p, so p is taken off it."""
 
     def __init__(self, fld, degree):
-        self.fld, self.degree, self.width = fld, degree, fld.p.bit_length() + 1
-        p, top = fld.p, self.width - 1
-        ones = ((1 << self.width * fld.s * degree) - 1) // ((1 << self.width) - 1)
-        bias, tops = ones * ((1 << top) - p), ones << top
-        self.add = operator.xor if p == 2 else (
-            lambda x, y: (z := x + y) - ((z + bias & tops) >> top) * p)
+        self.fld, self.degree, w = fld, degree, fld.p.bit_length() + 1
+        self.slots = [sum(d << w * t for t, d in enumerate(fld._digits(c))) for c in range(fld.q)]
+        self.stride, self.values = w * fld.s, {x: c for c, x in enumerate(self.slots)}
+        ones = ((1 << self.stride * degree) - 1) // ((1 << w) - 1)
+        bias, tops, p = ones * ((1 << w - 1) - fld.p), ones << w - 1, fld.p
+        self.add = lambda x, y: (z := x + y) - ((z + bias & tops) >> w - 1) * p
 
     def pack(self, coeffs):
         if len(coeffs) > self.degree:
             raise ValueError(f"{len(coeffs)} coefficients do not fit {self.degree} slots")
-        x, p, s = 0, self.fld.p, self.fld.s
-        digits = coeffs if s == 1 else [c // p**t % p for c in coeffs for t in range(s)]
-        for digit in reversed(digits):
-            x = x << self.width | digit
+        x = 0
+        for c in reversed(coeffs):
+            x = x << self.stride | self.slots[c]
         return x
 
     def unpack(self, x):
-        s, mask = self.fld.s, (1 << self.width) - 1
-        digits = [x >> self.width * i & mask for i in range(_ceil_div(x.bit_length(), self.width))]
-        return tuple(self.fld._undigits(digits[i:i + s]) for i in range(0, len(digits), s))
+        mask = (1 << self.stride) - 1
+        return tuple(self.values[x >> i & mask] for i in range(0, x.bit_length(), self.stride))
 
 
 def _linear_columns(pk, start, images):
     """Columns of F_p-linear maps over the polynomials r in encoding order, as
-    ``pk``-packed ints: column j starts at ``start[j]``, its entry of r = 0,
-    and ``images[i][j]`` is the image under map j of the F_p-basis element
-    p^t T^e, i = e s + t, whose encoding is p^i; both are coefficient tuples.
-    The entries d p^i + r, r < p^i, are the entries (d - 1) p^i + r plus that
-    image, so each column grows by p - 1 blocks of packed adds per basis
-    element.  This is the one walk over the oracles' residues and numerators."""
+    ``pk``-packed ints: column j starts at tuple ``start[j]`` (r = 0), and map
+    j takes p^t T^e, encoded p^i = p^(e s + t), to tuple ``images[i][j]``, so
+    the entries d p^i + r, r < p^i, are the entries (d - 1) p^i + r plus it."""
     add, p = pk.add, pk.fld.p
     cols = [[pk.pack(s)] for s in start]
     for image in images:
@@ -266,9 +258,11 @@ def _power_columns(fld, prime, modulus, k, shift, start):
     of r = 0) and n_max + 2 = len(start).
 
     Every map here is additive, so these are :func:`_linear_columns` from the
-    images of T^e (the only ``frobenius()`` and ``%`` calls) times the basis
-    scale c = p^t, and times c^(p^m) in the g^(p^m) column, packed to deg M.
+    images of T^e (the only ``frobenius()`` and ``%`` calls), scaled by the
+    basis element's c = p^t, or by c^(p^m) in the g^(p^m) column.
     """
+    scales = [[c, c] + [fld.pow_val(c, fld.p**m) for m in range(1, len(start) - 1)]
+              for c in (fld.p**t for t in range(fld.s))]
     images = []
     for e in range(k):
         g = Polynomial(fld, (0,) * (e + shift) + (1,))
@@ -276,10 +270,7 @@ def _power_columns(fld, prime, modulus, k, shift, start):
         for _ in start[2:]:
             g = g.frobenius() % modulus
             powers.append(g.coeffs)
-        images.append(powers)  # c = 1
-        for c in (fld.p**t for t in range(1, fld.s)):
-            scales = [c, c] + [fld.pow_val(c, fld.p**m) for m in range(1, len(start) - 1)]
-            images.append([_mul(fld, (a,), f) for a, f in zip(scales, powers)])
+        images += [[_mul(fld, (a,), f) for a, f in zip(scale, powers)] for scale in scales]
     return _linear_columns(_Packing(fld, modulus.degree), start, images)
 
 
@@ -442,11 +433,8 @@ def _as_classes_cached(p, s, prime_coeffs, alpha, cap):
         gamma0 = lam // p
         if gamma0 not in basis:
             basis[gamma0] = list(map(pk.pack, _lifted_wp_basis(fld, prime, e_bound, gamma0)))
-        images, multiple = [pk.add(x, b) for b in basis[gamma0]], x
-        for _ in range(2, p):  # the multiples j x, 2 <= j < p
-            multiple = pk.add(multiple, x)
-            images.append(multiple)
-        for image in images:
+        multiples = itertools.accumulate(itertools.repeat(x, p - 2), pk.add, initial=x)
+        for image in [pk.add(x, b) for b in basis[gamma0]] + list(multiples)[1:]:
             other = index.get(image)
             if other is None:
                 raise AssertionError(f"transform left the normal-form set: "
@@ -469,19 +457,16 @@ def _packed_candidates(pk, prime, lam, e_bound, cap):
     CapExceededError unless the q^(lam deg P) numerators fit in ``cap``.
 
     Q -> Q mod P and Q -> Q P^(E-lam) are F_q-linear, so both are
-    :func:`_linear_columns`, from the images of the F_p-basis p^t T^e: T^e
-    mod P and T^e P^(E-lam), each times c = p^t.  The lifts with a nonzero
-    residue are kept.
+    :func:`_linear_columns` from the images of the F_p-basis h = p^t T^e;
+    the lifts with a nonzero residue are kept.
     """
     fld = pk.fld
     deg = lam * prime.degree
     if fld.q**deg > cap:
         raise CapExceededError(f"numerator enumeration of size {fld.q**deg} exceeds cap {cap}")
     factor = _prime_power(prime, e_bound - lam).coeffs
-    images = []
-    for e in range(deg):
-        monomial = ((Polynomial(fld, (0,) * e + (1,)) % prime).coeffs, (0,) * e + factor)
-        images += [[_mul(fld, (fld.p**t,), f) for f in monomial] for t in range(fld.s)]
+    basis = [(0,) * e + (fld.p**t,) for e in range(deg) for t in range(fld.s)]
+    images = [((Polynomial(fld, h) % prime).coeffs, _mul(fld, h, factor)) for h in basis]
     residues, lifts = _linear_columns(pk, [(), ()], images)
     return [x for x, residue in zip(lifts, residues) if residue]
 

@@ -190,6 +190,14 @@ CODE_ROWS = [
       (test_counting.test_class_oracle_lifts_match_the_witt_lift, (3, 1, 2, 4)),
       (test_counting.test_asw_classes_detail_pinned_cells,
        (3, 1, 1, 5, 1, (13, 62, (2, 3), (13, 13))))]),
+    # no record kills it: c02 and c09 run q = 2, 3 only, where p^t = 1
+    (counting._packed_candidates, "_mul(fld, h, factor)", "_mul(fld, h[:-1] + (1,), factor)",
+     "the lift column of p^t T^e without its basis scale p^t",
+     [(test_counting.test_class_oracle_lifts_match_the_witt_lift, (2, 2, 1, 5)),
+      (test_counting.test_lifted_candidates_at_their_own_pole_order_are_the_numerators,
+       (2, 2, 1)),
+      (test_counting.test_as_classes_over_prime_power_fields, (2, 2, 1, 6)),
+      (test_counting.test_asw_classes_n1_matches_as_classes, ())]),
     (counting._power_columns, "fld.pow_val(c, fld.p**m)", "c",
      "the g^(p^m) column of c*T^e scaled by c in place of c^(p^m)",
      [(test_counting.test_power_columns_match_per_residue_images, (2, 2, 1)),
