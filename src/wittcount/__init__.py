@@ -16,7 +16,6 @@ from .asw import (
     infinity_behavior,
     is_single_ramified_form,
     is_normal_form,
-    split_constants,
     witt_normalize,
 )
 from .carlitz import CarlitzPoly, carlitz_compose_check, carlitz_eval, carlitz_gcd_check, carlitz_poly
@@ -61,6 +60,6 @@ __all__ = [
     "is_single_ramified_form", "is_irreducible", "is_normal_form", "lemma42_ceil", "lemma42_floor",
     "ln1_bound", "monic_irreducibles", "oracle_as_classes", "oracle_asw_classes",
     "oracle_cyclic_subgroups", "parse_poly", "parse_rational", "parse_witt",
-    "partial_fractions", "phi", "ratio_check", "s_n", "split_constants", "t1", "v_n",
+    "partial_fractions", "phi", "ratio_check", "s_n", "t1", "v_n",
     "w", "witt_normalize", "witt_tables",
 ]

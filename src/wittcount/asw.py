@@ -74,10 +74,6 @@ class AswNormalForm(namedtuple("AswNormalForm",
     __slots__ = ()
 
     @property
-    def field(self) -> FiniteField:
-        return self.normalized_beta.comps[0].field
-
-    @property
     def p(self) -> int:
         return self.normalized_beta.p
 
@@ -117,51 +113,6 @@ class AswNormalForm(namedtuple("AswNormalForm",
             "certificate": str(self.certificate),
             "normalized": str(self.normalized_beta),
         }
-
-    def blocks(self):
-        """Exact decomposition normalized = delta_1 (+) ... (+) delta_r (+) mu.
-
-        The per-prime vectors are solved level by level so the Witt-sum
-        identity holds exactly; in the presence of several primes or
-        constants their higher-level pole orders need not stay coprime
-        to p (only the componentwise data in ``primes`` does).
-        """
-        zero = RationalFunction.zero(self.field)
-        index_of = {b.prime: i for i, b in enumerate(self.primes, 1)}
-
-        def split(target):
-            poly_part, terms = partial_fractions(target)
-            parts = [RationalFunction(poly_part)] + [zero] * len(self.primes)
-            for term in terms:
-                if term[0] not in index_of:
-                    raise AssertionError("block peeling produced an unexpected prime")
-                parts[index_of[term[0]]] = pole_part(term)
-            return parts
-
-        (mu_vec, *deltas), total = _peel(self.normalized_beta, 1 + len(self.primes), split)
-        if total != self.normalized_beta:
-            raise AssertionError("block decomposition failed to reassemble the generator")
-        return deltas, mu_vec
-
-
-def _peel(beta: WittVector, count: int, split):
-    """Solve beta = v_1 (+) ... (+) v_count level by level: ``split`` cuts
-    what the lower levels leave of a component into the count components
-    of that level.  Returns the vectors and their Witt sum."""
-    p, n = beta.p, beta.n
-    zero = RationalFunction.zero(beta.comps[0].field)
-    comps = [[zero] * n for _ in range(count)]
-
-    def total():
-        acc = WittVector(p, comps[0])
-        for c in comps[1:]:
-            acc = acc.add(WittVector(p, c))
-        return acc
-
-    for level in range(n):
-        for c, part in zip(comps, split(beta.comps[level] - total().comps[level])):
-            c[level] = part
-    return [WittVector(p, c) for c in comps], total()
 
 
 def _pth_root_mod(v: Polynomial, prime: Polynomial) -> Polynomial:
@@ -305,31 +256,6 @@ def witt_normalize(gen: AswGenerator) -> AswNormalForm:
         normalized_beta=running,
         source_beta=beta,
     ).validate()
-
-
-def split_constants(gen: AswGenerator):
-    """Split a normal-form generator as eps (+) gamma with constant eps.
-
-    Requires every polynomial part to be constant (the shape with the
-    infinite place unramified); raises NotNormalFormError otherwise.
-    Returns (eps over F_q, gamma over F_q(T)) with eps (+) gamma = beta.
-    """
-    beta = gen.beta
-    fld = gen.field
-    p = beta.p
-    if not is_normal_form(beta):
-        raise NotNormalFormError("split_constants requires a normalized generator")
-
-    def split(target):
-        poly_part, proper = target.poly_and_proper_parts()
-        if not poly_part.is_constant():
-            raise NotNormalFormError("split_constants requires constant polynomial parts")
-        return RationalFunction(poly_part), proper
-
-    (eps, gam), total = _peel(beta, 2, split)
-    if total != beta:
-        raise AssertionError("constant split failed to reassemble the generator")
-    return WittVector(p, [fld._elems[c.num.constant_coeff()] for c in eps.comps]), gam
 
 
 def conductor_exponent(lambdas, p: int) -> int:

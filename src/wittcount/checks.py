@@ -163,7 +163,7 @@ def _degree_p_classes(par, cap):
 
 def checks_degree_p_classes(cfg: CheckConfig):
     out = []
-    for p, s in ((2, 1), (3, 1)):
+    for p, s in QS_SMALL:
         for alpha in range(1, 7):
             par = CountParams(p, s, 1, alpha, 1)
             out.append(_oracle(f"c02-asclasses/q{p**s}/a{alpha}", par.as_dict(), cfg,
@@ -355,7 +355,7 @@ def checks_conductor(cfg: CheckConfig):
                  for n in (1, 2, 3, 4) for lams in _conductor_grid(p, n))
         out.append(_sweep(f"c09-conductor/p{p}", {"p": p, "entries": "<=20", "n": "1..4"},
                           cfg, cases))
-    for p, s in ((2, 1), (3, 1)):
+    for p, s in QS_SMALL:
         par = CountParams(p, s, 1, 6, 1)
         out.append(_oracle(f"c09-exact-conductor/q{p**s}", par.as_dict(), cfg,
                            partial(_exact_conductor_counts, par, cfg.cap)))

@@ -595,9 +595,6 @@ class VerificationReport(namedtuple(
                                   identity_checks=(("skip-reason:" + reason, True),),
                                   status="skipped")
 
-    def passed(self) -> bool:
-        return self.status == "pass"
-
 
 def _elapsed_ms(started) -> int:
     if started is None:

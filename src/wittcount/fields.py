@@ -272,19 +272,6 @@ class FiniteField:
     def elem(self, val: int) -> "FqElem":
         return self._elems[val % self.q]
 
-    def from_int(self, n: int) -> "FqElem":
-        """Image of an ordinary integer (i.e. n mod p embedded in F_q)."""
-        return self._elems[n % self.p]
-
-    def zero(self) -> "FqElem":
-        return self._elems[0]
-
-    def one(self) -> "FqElem":
-        return self._elems[1]
-
-    def elements(self):
-        return map(self._elems.__getitem__, range(self.q))
-
     def __repr__(self):
         return f"GF({self.q})"
 
@@ -360,24 +347,8 @@ class FqElem:
     def __bool__(self):
         return self.val != 0
 
-    @property
-    def coeffs(self):
-        return tuple(self.field._digits(self.val))
-
     def frobenius(self) -> "FqElem":
         return self.field._elems[self.field._frob_table[self.val]]
-
-    def pth_root(self) -> "FqElem":
-        return self.field._elems[self.field._root_table[self.val]]
-
-    def trace(self) -> int:
-        return self.field.trace_val(self.val)
-
-    def wp(self) -> "FqElem":
-        return self.field._elems[self.field.wp_val(self.val)]
-
-    def in_wp_image(self) -> bool:
-        return self.field.in_wp_image_val(self.val)
 
     def __str__(self):
         return str(self.val)

@@ -47,10 +47,6 @@ class RationalFunction:
         return RationalFunction._raw(Polynomial.zero(fld), Polynomial.one(fld))
 
     @staticmethod
-    def one(fld: FiniteField) -> "RationalFunction":
-        return RationalFunction._raw(Polynomial.one(fld), Polynomial.one(fld))
-
-    @staticmethod
     def const(fld: FiniteField, val) -> "RationalFunction":
         return RationalFunction(Polynomial.const(fld, val))
 
@@ -67,9 +63,6 @@ class RationalFunction:
 
     def is_poly(self) -> bool:
         return self.den.degree == 0
-
-    def is_constant(self) -> bool:
-        return self.is_poly() and self.num.is_constant()
 
     # -- arithmetic --
 
@@ -192,9 +185,6 @@ class RationalFunction:
         """self**p; numerator and denominator stay coprime and the
         denominator stays monic, so no re-reduction is needed."""
         return RationalFunction._raw(self.num.frobenius(), self.den.frobenius())
-
-    def wp(self) -> "RationalFunction":
-        return self.frobenius() - self
 
     def poly_and_proper_parts(self):
         """Split into polynomial part and proper fraction part (exact sum)."""

@@ -383,7 +383,7 @@ def test_sweep_cases_over_cap_are_a_skip(capsys):
                            "--only", "criterion-10", "--format", "jsonl")
     assert code == EXIT_PASS
     records = {r["check_id"]: r for r in map(json.loads, out.strip().splitlines())}
-    assert len(records) == 7
+    assert len(records) == 8
     assert records["c10-trichotomy"]["status"] == "skipped"
     assert records["c10-efg-product"]["status"] == "pass"
     assert records["c09-exact-conductor/q2"]["status"] == "skipped"

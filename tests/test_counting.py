@@ -550,11 +550,11 @@ def test_ln1_bounds_oracle_growth():
 
 def test_report_pass_fail_semantics():
     rec = VerificationReport.compare("x", {}, 3, 3)
-    assert rec.passed() and rec.status == "pass"
+    assert rec.status == "pass"
     rec = VerificationReport.compare("x", {}, 3, 4)
-    assert not rec.passed() and rec.status == "fail"
+    assert rec.status == "fail"
     rec = VerificationReport.skipped("x", {}, "cap")
-    assert rec.status == "skipped" and not rec.passed()
+    assert rec.status == "skipped"
 
 
 def test_params_validation():

@@ -133,3 +133,75 @@ def test_top_level_imports_follow_one_module_order():
              if isinstance(node, ast.ImportFrom) and node.level
              for module in _imported_modules(node) if module not in MODULE_ORDER[:k]]
     assert not found, found
+
+
+# read from outside the package until ROADMAP item 12 traces by the profiler
+LIBRARY_CALLER_EXEMPT = {
+    "asw.hasse_normalize": "bench/tracing.py TARGETS wraps it by name",
+    "fields.FiniteField.mul_val": "bench/tracing.py field_op_ns times it",
+}
+
+
+def _unreferenced_definitions(sources):
+    """``module.f`` and ``module.C.m`` for each module function and method of
+    the {module: source} dict that no other place in it refers to, sorted.
+    A function is referred to by its bare name, the name an import binds, or
+    ``module.f``; a method ``C.m`` by ``C.m``, or by ``self.m`` or ``cls.m``
+    inside ``C``, and any other ``x.m`` refers to every class's ``m``.
+    Dunders are left out."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    defined, classes = set(), {}
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defined.add((module, node.name))
+            elif isinstance(node, ast.ClassDef):
+                classes[node.name] = module
+                defined.update((module, f"{node.name}.{f.name}") for f in node.body
+                               if isinstance(f, ast.FunctionDef))
+    used = set()
+    for module, tree in trees.items():
+        # name -> (module, name) it was imported as, the name None for a module
+        bound = {alias.asname or alias.name: (node.module, alias.name) if node.module
+                 else (alias.name, None)
+                 for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level
+                 for alias in node.names}
+
+        def visit(node, cls):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.Name):
+                    used.add(bound.get(child.id, (module, child.id)))
+                elif isinstance(child, ast.Attribute):
+                    receiver = getattr(child.value, "id", None)
+                    owner, name = bound.get(receiver, (module, receiver))
+                    if cls and receiver in ("self", "cls"):
+                        used.add((module, f"{cls}.{child.attr}"))
+                    elif receiver and name is None:
+                        used.add((owner, child.attr))
+                    elif name in classes:
+                        used.add((classes[name], f"{name}.{child.attr}"))
+                    else:
+                        used.update((m, f"{c}.{child.attr}") for c, m in classes.items())
+                visit(child, child.name if isinstance(child, ast.ClassDef) else cls)
+
+        visit(tree, None)
+    return sorted(f"{module}.{name}" for module, name in defined - used
+                  if not name.rpartition(".")[2].startswith("__"))
+
+
+def test_every_library_function_has_a_library_caller():
+    # code that only tests reach is not on the count's path or the CLI's;
+    # ``__init__.py`` only re-exports, so neither its imports nor ``__all__`` are uses
+    sources = {path.stem: path.read_text() for path in Path(wittcount.__file__).parent.glob("*.py")
+               if path.stem != "__init__"}
+    assert _unreferenced_definitions(sources) == sorted(LIBRARY_CALLER_EXEMPT)
+
+
+def test_the_caller_rule_reads_the_receiver():
+    two = "class A:\n    def f(self):\n        pass\n\n\nclass B:\n    def f(self):\n        pass\n"
+    assert _unreferenced_definitions({"m": two + "B.f(B())\n"}) == ["m.A.f"]
+    assert _unreferenced_definitions({"m": two + "def g(x):\n    x.f()\n\n\ng(A())\n"}) == []
+    # across modules, through an import alias and a module attribute
+    three = "def f():\n    pass\n\n\ndef g():\n    pass\n\n\ndef k():\n    pass\n"
+    assert _unreferenced_definitions({"a": three, "b": "from . import a\nfrom .a import f as h\n\n"
+                                                       "h()\na.g()\n"}) == ["a.k"]

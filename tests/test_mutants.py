@@ -93,7 +93,7 @@ def test_carlitz_checks_kill_the_mutant(monkeypatch, module, name, mutate, fault
 
 def _records_pass(group):
     """The records of one ``verify-all`` check group at the default config."""
-    failed = [rec.check_id for rec in group(checks.CheckConfig()) if not rec.passed()]
+    failed = [rec.check_id for rec in group(checks.CheckConfig()) if rec.status != "pass"]
     assert not failed, failed
 
 
@@ -167,7 +167,9 @@ def test_records_kill_a_swapped_inverse(monkeypatch):
 CODE_ROWS = [
     (counting._lifted_wp_basis, "range(fld.s)", "range(1)",
      "class links through a wp basis without its digits t >= 1",
-     [(test_counting.test_as_classes_over_prime_power_fields, (2, 2, 1, 6)),
+     [(_records_pass, (checks.checks_degree_p_classes,)),
+      (_records_pass, (checks.checks_conductor,)),
+      (test_counting.test_as_classes_over_prime_power_fields, (2, 2, 1, 6)),
       (test_counting.test_as_classes_over_prime_power_fields, (2, 2, 2, 4)),
       (test_counting.test_as_classes_over_prime_power_fields, (3, 2, 1, 5)),
       (test_counting.test_asw_classes_n1_matches_as_classes, ())]),
@@ -190,10 +192,11 @@ CODE_ROWS = [
       (test_counting.test_class_oracle_lifts_match_the_witt_lift, (3, 1, 2, 4)),
       (test_counting.test_asw_classes_detail_pinned_cells,
        (3, 1, 1, 5, 1, (13, 62, (2, 3), (13, 13))))]),
-    # no record kills it: c02 and c09 run q = 2, 3 only, where p^t = 1
     (counting._packed_candidates, "_mul(fld, h, factor)", "_mul(fld, h[:-1] + (1,), factor)",
      "the lift column of p^t T^e without its basis scale p^t",
-     [(test_counting.test_class_oracle_lifts_match_the_witt_lift, (2, 2, 1, 5)),
+     [(_records_pass, (checks.checks_degree_p_classes,)),
+      (_records_pass, (checks.checks_conductor,)),
+      (test_counting.test_class_oracle_lifts_match_the_witt_lift, (2, 2, 1, 5)),
       (test_counting.test_lifted_candidates_at_their_own_pole_order_are_the_numerators,
        (2, 2, 1)),
       (test_counting.test_as_classes_over_prime_power_fields, (2, 2, 1, 6)),

@@ -50,7 +50,7 @@ def test_arithmetic():
     assert str(a + b) == "1/(T^2+T)"
     assert (a - a).is_zero()
     assert str(a * b) == "1/(T^2+T)"
-    assert a / a == RationalFunction.one(F2)
+    assert a / a == RationalFunction.const(F2, 1)
     assert str(a**2) == "1/T^2"
     assert str(a**-1) == "T"
 
@@ -89,7 +89,7 @@ def test_field_axioms_random():
             assert a * (b + c) == a * b + a * c
             assert a + (-a) == RationalFunction.zero(fld)
             if not a.is_zero():
-                assert a / a == RationalFunction.one(fld)
+                assert a / a == RationalFunction.const(fld, 1)
 
 
 @st.composite
@@ -137,9 +137,9 @@ def test_arithmetic_matches_the_normalising_constructor(pair, e):
 def test_frobenius_and_wp():
     a = R("1/T")
     assert a.frobenius() == a * a
-    assert str(a.wp()) == "(T+1)/T^2"  # 1/T^2 + 1/T over F_2
+    assert str(a.frobenius() - a) == "(T+1)/T^2"  # 1/T^2 + 1/T over F_2
     c = RationalFunction.const(F3, 1)
-    assert c.wp().is_zero()  # 1^3 - 1
+    assert (c.frobenius() - c).is_zero()  # 1^3 - 1
 
 
 def test_text_roundtrip():

@@ -150,7 +150,7 @@ def test_add_frozen_examples():
     assert one0.add(one0) == WittVector(2, (F2.elem(0), F2.elem(1)))
     assert one0.neg() == WittVector(2, (F2.elem(1), F2.elem(1)))
     assert one0.int_mul(4).is_zero()
-    zero = WittVector.zero(2, 2, like=F2.zero())
+    zero = WittVector.zero(2, 2, like=F2.elem(0))
     assert one0.add(zero) == one0
 
 
@@ -162,7 +162,7 @@ def test_int_mul_frozen_example():
 
 
 def test_wp_frozen_examples():
-    zero = WittVector.zero(2, 2, like=F2.zero())
+    zero = WittVector.zero(2, 2, like=F2.elem(0))
     assert zero.wp().is_zero()
     one0 = WittVector(2, (F2.elem(1), F2.elem(0)))
     assert one0.wp().is_zero()
@@ -210,7 +210,7 @@ def _rand_rf_vector(rng, fld, n):
 @pytest.mark.parametrize("fld,n", [(F2, 3), (F4, 3), (F9, 2)])
 def test_ring_laws_sampled_fq(fld, n):
     rng = random.Random(23)
-    zero = WittVector.zero(fld.p, n, like=fld.zero())
+    zero = WittVector.zero(fld.p, n, like=fld.elem(0))
     for _ in range(120):
         x, y, z = (_rand_fq_vector(rng, fld, n) for _ in range(3))
         assert x.add(y) == y.add(x)
@@ -298,7 +298,7 @@ def test_fp_operations_match_integer_lifts(p, n):
     rng = random.Random(53 + 10 * p + n)
 
     def reduce(v):
-        return WittVector(p, tuple(fld.from_int(c) for c in v.comps))
+        return WittVector(p, tuple(fld.elem(c) for c in v.comps))
 
     for _ in range(200):
         xs = WittVector(p, tuple(rng.randrange(-3 * p, 3 * p) for _ in range(n)))
@@ -311,8 +311,8 @@ def test_fp_operations_match_integer_lifts(p, n):
 
 def test_zero_in_every_domain():
     rf = parse_rational(F2, "1/T")
-    for p, like, zero, one in ((2, 0, 0, 1), (3, F9.elem(5), F9.zero(), F9.one()),
-                               (2, rf, RationalFunction.zero(F2), RationalFunction.one(F2))):
+    for p, like, zero, one in ((2, 0, 0, 1), (3, F9.elem(5), F9.elem(0), F9.elem(1)),
+                               (2, rf, RationalFunction.zero(F2), RationalFunction.const(F2, 1))):
         z = WittVector.zero(p, 3, like)
         assert z == WittVector(p, (zero,) * 3) and z.is_zero()
         x = WittVector(p, (zero, one, zero))
@@ -377,7 +377,7 @@ def test_plans_match_the_reference_evaluator(fld, rational):
     elif rational:
         draw, zero = (lambda: _rand_rf(rng, fld)), RationalFunction.zero(fld)
     else:
-        draw, zero = (lambda: fld.elem(rng.randrange(1, fld.q))), fld.zero()
+        draw, zero = (lambda: fld.elem(rng.randrange(1, fld.q))), fld.elem(0)
     for n in (1, 2, 3):
         tables = witt_tables(p, n)
         vectors = [WittVector(p, c) for c in _zero_patterns(n, draw, zero)]
@@ -431,7 +431,7 @@ def test_plan_source_is_pinned_and_compiled_once():
     assert _plan_source(2, 2, "sum_polys", True) == SUM_2_2_MOD_2
     run = _compiled(2, 2, "sum_polys", True)
     assert run is _compiled(2, 2, "sum_polys", True)
-    assert run(F2.one(), F2.zero(), F2.one(), F2.zero()) == (F2.zero(), F2.one())
+    assert run(F2.elem(1), F2.elem(0), F2.elem(1), F2.elem(0)) == (F2.elem(0), F2.elem(1))
     # the powers a term reaches, and the integer coefficients of the ghost oracle
     source = _plan_source(3, 2, "prod_polys", False)
     assert "        if x0_3 is None: x0_3 = x0 ** 3\n" in source
@@ -474,8 +474,8 @@ def _galois_image(x, fld):
     image = [0] * fld.s
     for i, a in enumerate(x.comps):
         for _ in range(i):
-            a = a.pth_root()
-        base, omega, k = list(a.coeffs), [1] + [0] * (fld.s - 1), fld.q ** (n - 1)
+            a = fld.elem(fld.pth_root_val(a.val))
+        base, omega, k = fld._digits(a.val), [1] + [0] * (fld.s - 1), fld.q ** (n - 1)
         while k:
             if k & 1:
                 omega = _gr_mul(omega, base, fld, mod)
