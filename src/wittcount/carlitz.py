@@ -25,7 +25,6 @@ import functools
 from collections import namedtuple
 
 from .polys import CapExceededError, Polynomial
-from .rationals import RationalFunction
 
 DEFAULT_GCD_CAP = 2**16
 
@@ -128,23 +127,22 @@ def carlitz_poly(m: Polynomial) -> CarlitzPoly:
     return CarlitzPoly(m=m, coeffs=coeffs)
 
 
-def carlitz_eval(m: Polynomial, x):
-    """C_M(x) for a polynomial or rational function x, by the digits of M from
-    the top down: C_(T*N + m_0)(x) = T*C_N(x) + C_N(x)^q + m_0*x, where ^q is
-    s Frobenius steps, so no step multiplies two long operands."""
+def carlitz_eval(m: Polynomial, x: Polynomial) -> Polynomial:
+    """C_M(x) for a polynomial x, by the digits of M from the top down:
+    C_(T*N + m_0)(x) = T*C_N(x) + C_N(x)^q + m_0*x, where ^q is s Frobenius
+    steps, so no step multiplies two long operands."""
     if m.is_zero():
         raise ValueError("the Carlitz polynomial of zero is not defined")
-    if not isinstance(x, (Polynomial, RationalFunction)):
-        raise TypeError(f"unsupported evaluation domain {type(x).__name__}")
-    fld, kind = m.field, type(x)
-    t, acc = kind.T(fld), kind.zero(fld)
+    m._check(x)
+    fld = m.field
+    t, acc = Polynomial.T(fld), Polynomial.zero(fld)
     for c in reversed(m.coeffs):
         power = acc
         for _ in range(fld.s):
             power = power.frobenius()
         acc = t * acc + power
         if c:
-            acc = acc + x * kind.const(fld, c)
+            acc = acc + x * Polynomial.const(fld, c)
     return acc
 
 

@@ -262,14 +262,18 @@ def _ring_laws_hold(x, y, z):
     )
 
 
+def _random_rf_vector(rng, fld, n):
+    return WittVector(fld.p, tuple(_random_rf(rng, fld) for _ in range(n)))
+
+
 def checks_witt_ring_laws(cfg: CheckConfig):
     out, triples = [], 1000
     domains = [
         ("F2/n3", field(2, 1), 3, _random_fq_vector),
         ("F4/n3", field(2, 2), 3, _random_fq_vector),
         ("F9/n3", field(3, 2), 3, _random_fq_vector),
-        ("F2T/n2", field(2, 1), 2,
-         lambda rng, fld, n: WittVector(fld.p, tuple(_random_rf(rng, fld) for _ in range(n)))),
+        ("F2T/n2", field(2, 1), 2, _random_rf_vector),
+        ("F3T/n2", field(3, 1), 2, _random_rf_vector),
     ]
     for name, fld, n, make in domains:
         rng = random.Random(f"{cfg.seed}/{name}")  # str seeding is stable across runs

@@ -14,6 +14,8 @@ division takes at most 2^20 steps.
 
 Elements are encoded as integers in [0, q): the base-p digits of the
 encoding are the coordinates in the power basis, constant digit first.
+An element operator takes an element of the same field, and ``*`` an int
+too, as n mod p; there is no ``/`` (``inv_val`` inverts).
 
 Every field exposes its arithmetic as rows indexed by encodings:
 ``_add_table[a][b]``, ``_mul_table[a][b]``, ``_neg_table[a]``,
@@ -291,44 +293,25 @@ class FqElem:
         self.field = field
         self.val = val
 
-    def _rhs(self, other):
-        if isinstance(other, FqElem):
-            if other.field is not self.field:
-                raise ValueError("elements of different fields")
-            return other.val
-        return other % self.field.p if isinstance(other, int) else NotImplemented
+    def _rhs(self, other) -> int:
+        if not isinstance(other, FqElem):
+            raise TypeError(f"expected FqElem, got {type(other).__name__}")
+        if other.field is not self.field:
+            raise ValueError("elements of different fields")
+        return other.val
 
     def __add__(self, other):
-        v, f = self._rhs(other), self.field
-        return NotImplemented if v is NotImplemented else f._elems[f._add_table[self.val][v]]
-
-    __radd__ = __add__
+        return self.field._elems[self.field._add_table[self.val][self._rhs(other)]]
 
     def __sub__(self, other):
-        v, f = self._rhs(other), self.field
-        return (NotImplemented if v is NotImplemented
-                else f._elems[f._add_table[self.val][f._neg_table[v]]])
+        f = self.field
+        return f._elems[f._add_table[self.val][f._neg_table[self._rhs(other)]]]
 
-    def __rsub__(self, other):
-        v, f = self._rhs(other), self.field
-        return (NotImplemented if v is NotImplemented
-                else f._elems[f._add_table[v][f._neg_table[self.val]]])
-
-    def __mul__(self, other):
-        v, f = self._rhs(other), self.field
-        return NotImplemented if v is NotImplemented else f._elems[f._mul_table[self.val][v]]
+    def __mul__(self, other):  # an int n acts as n mod p
+        v = other % self.field.p if isinstance(other, int) else self._rhs(other)
+        return self.field._elems[self.field._mul_table[self.val][v]]
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        v, f = self._rhs(other), self.field
-        return (NotImplemented if v is NotImplemented
-                else f._elems[f._mul_table[self.val][f.inv_val(v)]])
-
-    def __rtruediv__(self, other):
-        v, f = self._rhs(other), self.field
-        return (NotImplemented if v is NotImplemented
-                else f._elems[f._mul_table[v][f.inv_val(self.val)]])
 
     def __pow__(self, e):
         return self.field._elems[self.field.pow_val(self.val, e)]

@@ -3,7 +3,8 @@
 A value is stored as ``num/den`` with ``den`` monic and gcd(num, den) = 1;
 zero is ``0/1``.  The text format is ``num`` for polynomials and ``num/den``
 otherwise, each side parenthesised when it contains a ``+``, for instance
-``1/T^2`` or ``(T^2+1)/(T^3+T)``.
+``1/T^2`` or ``(T^2+1)/(T^3+T)``.  An operator takes a RationalFunction over
+the same field, and ``*`` an int too, as n mod p; there is no ``/``.
 """
 
 from __future__ import annotations
@@ -50,10 +51,6 @@ class RationalFunction:
     def const(fld: FiniteField, val) -> "RationalFunction":
         return RationalFunction(Polynomial.const(fld, val))
 
-    @staticmethod
-    def T(fld: FiniteField) -> "RationalFunction":
-        return RationalFunction(Polynomial.T(fld))
-
     @property
     def field(self) -> FiniteField:
         return self.num.field
@@ -66,20 +63,11 @@ class RationalFunction:
 
     # -- arithmetic --
 
-    def _coerce(self, other):
-        fld = self.field
-        if isinstance(other, RationalFunction):
-            if other.field is not fld:
-                raise ValueError("rational functions over different fields")
-            return other
-        if isinstance(other, int):
-            # ordinary integers act through the ring map n -> n mod p
-            other = Polynomial.const(fld, other % fld.p)
-        elif not isinstance(other, Polynomial):
-            return None
-        elif other.field is not fld:
-            raise ValueError("rational function and polynomial over different fields")
-        return RationalFunction._raw(other, Polynomial.one(fld))
+    def _check(self, other):
+        if not isinstance(other, RationalFunction):
+            raise TypeError(f"expected RationalFunction, got {type(other).__name__}")
+        if other.field is not self.field:
+            raise ValueError("rational functions over different fields")
 
     def _add(self, c: tuple, d: tuple) -> "RationalFunction":
         """self + c/d, for coefficient tuples with c/d reduced and d monic,
@@ -114,68 +102,33 @@ class RationalFunction:
         return RationalFunction._raw(_wrap(f, _mul(f, a, c)), _wrap(f, _mul(f, b, d)))
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._add(o.num.coeffs, o.den.coeffs)
-
-    __radd__ = __add__
+        self._check(other)
+        return self._add(other.num.coeffs, other.den.coeffs)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._add((-o.num).coeffs, o.den.coeffs)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+        self._check(other)
+        return self._add((-other.num).coeffs, other.den.coeffs)
 
     def __neg__(self):
         return RationalFunction._raw(-self.num, self.den)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._mul(o.num.coeffs, o.den.coeffs)
+        if isinstance(other, int):  # n acts as n mod p, the constant n mod p over 1
+            return self._mul(Polynomial.const(self.field, other % self.field.p).coeffs, (1,))
+        self._check(other)
+        return self._mul(other.num.coeffs, other.den.coeffs)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        inv = self.field.inv_val(o.num.leading())
-        return self._mul(o.den.scale(inv).coeffs, o.num.scale(inv).coeffs)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
     def __pow__(self, e: int):
-        if e < 0:
-            if self.is_zero():
-                raise ZeroDivisionError("negative power of zero")
-            return RationalFunction(self.den, self.num) ** (-e)
         return RationalFunction._raw(self.num**e, self.den**e)  # coprime stays coprime
 
     def __eq__(self, other):
         if isinstance(other, RationalFunction):
-            return self.field is other.field and self.num == other.num and self.den == other.den
-        if isinstance(other, Polynomial):
-            return self.is_poly() and self.num == other
+            return self.num == other.num and self.den == other.den
         return NotImplemented
 
     def __hash__(self):
-        if self.is_poly():  # equal to its numerator, so hashed like it
-            return hash(self.num)
         return hash((self.num, self.den))
 
     def __bool__(self):

@@ -261,7 +261,7 @@ def _subst_inverse_t(rf: RationalFunction) -> RationalFunction:
         return acc
 
     den = horner(rf.den)
-    return horner(rf.num) / den
+    return horner(rf.num) * RationalFunction(den.den, den.num)
 
 
 def invert_variable(gen: AswGenerator) -> AswGenerator:

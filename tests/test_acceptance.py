@@ -32,9 +32,9 @@ def test_verify_all_jsonl_golden_digest(verify_all):
     # every byte of ``verify-all --format jsonl`` at the defaults; a change
     # to any record's formula, oracle, status or params changes the digest
     assert verify_all.code == EXIT_PASS
-    assert len(verify_all.out.splitlines()) == 207
+    assert len(verify_all.out.splitlines()) == 208
     digest = hashlib.sha256(verify_all.out.encode()).hexdigest()
-    assert digest == "a8490b8f5df89049f98cc59cfb29e0f89a307bc5d4f7ace5af7072f12d247986"
+    assert digest == "4a5801f82bf2a91b9cf96f1836f5890cdf3111ad0f93a1e3be6da225484672cd"
 
 
 def _run(verify_all, label, groups, expect_no_skips=True):

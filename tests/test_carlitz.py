@@ -96,35 +96,26 @@ def test_eval_module_action():
         assert carlitz_eval(m * n, x) == carlitz_eval(m, carlitz_eval(n, x))
 
 
-def test_eval_in_rational_functions():
-    x = RationalFunction(Polynomial.one(F2), P("T"))
-    value = carlitz_eval(P("T"), x)
-    assert value == RationalFunction.T(F2) * x + x**2
-
-
 def test_eval_rejects_other_domains_and_zero():
-    for x in (1, FqElem(F2, 1), P("T").coeffs):
+    for x in (1, FqElem(F2, 1), P("T").coeffs, RationalFunction(P("T"))):
         with pytest.raises(TypeError):
             carlitz_eval(P("T"), x)
     with pytest.raises(ValueError, match="Carlitz polynomial of zero"):
         carlitz_eval(Polynomial.zero(F2), P("T"))
 
 
-@pytest.mark.parametrize("rational", [False, True])
 @pytest.mark.parametrize("p,s", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)])
-def test_eval_matches_the_tau_expansion(p, s, rational):
+def test_eval_matches_the_tau_expansion(p, s):
     # sum c_i(T) * x^(q^i) with x^(q^i) by repeated squaring: the digit steps'
     # Frobenius powers are checked at q = p^s with s > 1, which the module
     # action alone cannot see (it holds for any operator in place of C_T);
     # the c_i are checked against e_k(M)/D_k below
     fld = field(p, s)
-    rng = random.Random(f"eval/{fld.q}/{rational}")
+    rng = random.Random(f"eval/{fld.q}")
     for _ in range(20):
         m = Polynomial.from_int(fld, rng.randrange(1, fld.q**3))
         x = Polynomial.from_int(fld, rng.randrange(fld.q**3))
-        if rational:
-            x = RationalFunction(x, Polynomial.from_int(fld, rng.randrange(fld.q, fld.q**3)))
-        expected = type(x).zero(fld)
+        expected = Polynomial.zero(fld)
         for i, c in _to_polys(fld, _carlitz_sparse(m)):
             expected = expected + x ** (fld.q**i) * c
         assert carlitz_eval(m, x) == expected, (m, x)
@@ -172,7 +163,7 @@ def _dense_gcd_u(a, b, fld):
         lead = g[dg]
         while deg(f) >= dg:
             df = deg(f)
-            c = f[df] / lead
+            c = f[df] * _inverse(lead)
             for i, gc in enumerate(g[: dg + 1]):
                 f[df - dg + i] = f[df - dg + i] - c * gc
         return f[:dg] if dg else []
@@ -181,7 +172,11 @@ def _dense_gcd_u(a, b, fld):
         a, b = b, rem(a, b)
     d = deg(a)
     lead = a[d]
-    return tuple((i, c / lead) for i, c in enumerate(a[: d + 1]) if not c.is_zero())
+    return tuple((i, c * _inverse(lead)) for i, c in enumerate(a[: d + 1]) if not c.is_zero())
+
+
+def _inverse(x):
+    return RationalFunction(x.den, x.num)
 
 
 def _monic(fld, a):
@@ -207,7 +202,7 @@ def test_additive_gcd_matches_dense_euclid(fld, max_deg):
             fld,
         )
         q = fld.q
-        assert {q**i: c for i, c in sparse} == dict(dense)
+        assert {q**i: RationalFunction(c) for i, c in sparse} == dict(dense)
 
 
 def test_additive_gcd_rejects_a_non_constant_lead():

@@ -57,6 +57,18 @@ def test_only_fields_imports_the_element_class():
     assert not found, found
 
 
+def test_no_class_defines_reflected_or_division_operators():
+    # an operator takes an operand of its own class, and only * also an int,
+    # on either side through __rmul__: no element divides or adds an int
+    names = {"__radd__", "__rsub__", "__truediv__", "__rtruediv__"}
+    found = [f"{name}:{stmt.lineno}:{target}" for name, node in _package_nodes()
+             if isinstance(node, ast.ClassDef) for stmt in node.body
+             for target in ([stmt.name] if isinstance(stmt, ast.FunctionDef) else
+                            [t.id for t in getattr(stmt, "targets", ()) if isinstance(t, ast.Name)])
+             if target in names]
+    assert not found, found
+
+
 def test_the_package_reads_no_process_environment():
     # every input comes through an argument or a command-line flag, so no
     # environment variable can change a result without showing in the call
