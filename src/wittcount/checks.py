@@ -414,8 +414,7 @@ def _efg_product_holds(seed, k):
             comps.append(RationalFunction.zero(fld))
         elif kind == 1:
             nonwp = [c for c in range(1, fld.q) if not fld.in_wp_image_val(c)]
-            comps.append(RationalFunction.const(fld, rng.choice(nonwp)) if nonwp
-                         else RationalFunction.zero(fld))
+            comps.append(RationalFunction.const(fld, rng.choice(nonwp)))
         elif kind == 2:
             deg = rng.choice([d_ for d_ in range(1, 5) if d_ % p])
             comps.append(RationalFunction(Polynomial(

@@ -291,7 +291,9 @@ def _p_power_order_counts(p, s, prime_coeffs, alpha, n_max, cap):
     and exactly.  The units of order dividing p^m are nested in m, so the
     order-exactly-p^m count is the difference of consecutive tallies.
 
-    Also cross-checks that the number of units found equals Phi(P^alpha).
+    Also cross-checks that the number of units found equals Phi(P^alpha) =
+    q^(d alpha) - q^(d (alpha - 1)), the closed form for an irreducible P:
+    the caller passes a prime that :func:`_resolve_prime` has proved so.
     """
     fld = field(p, s)
     prime = Polynomial(fld, prime_coeffs)
@@ -306,7 +308,7 @@ def _p_power_order_counts(p, s, prime_coeffs, alpha, n_max, cap):
     # non-units, then fixed[m]: residues with x^(p^m) = 1
     non_units, *fixed = [sum(map(tally.__getitem__, col)) for tally, col in zip(low, high)]
     units_found = size - non_units
-    expected_units = phi(modulus)
+    expected_units = size - fld.q ** (deg_full - prime.degree)
     if units_found != expected_units:
         raise AssertionError(f"unit enumeration found {units_found}, Phi says {expected_units}")
     return tuple(fixed[:1] + [b - a for a, b in zip(fixed, fixed[1:])])
@@ -321,9 +323,12 @@ def _resolve_prime(params: CountParams, prime: Polynomial = None) -> Polynomial:
     return monic_prime(prime, params.d)
 
 
+@functools.lru_cache(maxsize=256)
 def monic_prime(prime: Polynomial, degree: int = None) -> Polynomial:
     """The monic form of an override prime; ValueError unless it is irreducible
-    and, when ``degree`` is given, of that degree."""
+    and, when ``degree`` is given, of that degree.  Memoised, so the oracles
+    of one ring test its prime once; an error is not stored, so a rejected
+    prime raises on every call."""
     if degree is not None and prime.degree != degree:
         raise ValueError(f"override prime has degree {prime.degree}, expected {degree}")
     if prime.is_zero() or not is_irreducible(prime):
@@ -424,8 +429,6 @@ def _as_classes_cached(p, s, prime_coeffs, alpha, cap):
         lifts = _packed_candidates(pk, prime, lam, e_bound, cap)
         lams += [lam] * len(lifts)
         lifted += lifts
-        if len(lams) > cap:
-            raise CapExceededError(f"more than {cap} candidate generators")
     index = {f: i for i, f in enumerate(lifted)}
     dsu = _DSU(len(lifted))
     basis = {}  # gamma0 -> the lifted wp(p^t T^e/P^gamma0)

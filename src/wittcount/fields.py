@@ -277,11 +277,8 @@ class FiniteField:
     def __repr__(self):
         return f"GF({self.q})"
 
-    def __hash__(self):
+    def __hash__(self):  # == is identity (one instance per (p, s)); this hash is process-stable
         return hash((FiniteField, self.p, self.s))
-
-    def __eq__(self, other):
-        return self is other
 
 
 class FqElem:

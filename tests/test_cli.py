@@ -81,6 +81,14 @@ def test_normalize_two_components(capsys):
     assert record["conductors"]["T"]["conductor_exponent"] == 3
 
 
+def test_normalize_notes_a_prime_not_ramified_from_level_1(capsys):
+    code, out, _ = run_cli(capsys, "normalize", "--p", "2", "--beta", "(0,1/T)")
+    assert code == EXIT_PASS
+    record = json.loads(out)
+    assert record["normalized"] == "(0, 1/T)"
+    assert record["conductors"] == {"T": {"note": "not ramified from level 1"}}
+
+
 def test_normalize_parse_failure(capsys):
     code, _, err = run_cli(capsys, "normalize", "--beta", "1/T^2")
     assert code == EXIT_USAGE and "parse" in err
@@ -159,6 +167,18 @@ def test_verify_jsonl_byte_deterministic(capsys):
     assert out1 == out2
     for line in out1.strip().splitlines():
         assert json.loads(line)["millis"] == 0  # timing excluded by default
+
+
+def test_verify_timing_changes_only_the_millis(capsys):
+    args = ("verify-all", "--only", "criterion-6", "--format", "jsonl")
+    code, timed, _ = run_cli(capsys, *args, "--timing")
+    assert code == EXIT_PASS
+    timed = [json.loads(line) for line in timed.strip().splitlines()]
+    assert all(type(r["millis"]) is int and r["millis"] >= 0 for r in timed)
+    code, untimed, _ = run_cli(capsys, *args)
+    assert code == EXIT_PASS
+    untimed = [json.loads(line) for line in untimed.strip().splitlines()]
+    assert [dict(r, millis=0) for r in timed] == untimed
 
 
 def test_verify_cap_skips_oracles(capsys):
@@ -512,6 +532,9 @@ def test_sweep_failures_before_the_cap_are_a_failure(capsys, monkeypatch):
     (("verify-all", "--only", "criterion-3", "--cap", "-1"),
      "error: --cap -1 is below 1, the least that can work\n"),
     (("count", "--cap", "0"), "error: --cap 0 is below 1, the least that can work\n"),
+    # witt-eval's own length check, after parsing; normalize's is asw's
+    (("witt-eval", "--p", "2", "--op", "neg", "--x", "(1,1,1,1,1)"),
+     "error: Witt length 5 exceeds bound 4\n"),
 ])
 def test_bad_input_is_one_usage_error_line(capsys, argv, err):
     assert run_cli(capsys, *argv) == (EXIT_USAGE, "", err)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wittcount import counting
 from wittcount.counting import (
     MAX_COUNT_BITS,
     CountParams,
@@ -252,6 +253,25 @@ def test_p_power_order_counts_match_a_direct_tally(p, s, d, alpha):
     assert list(itertools.accumulate(counts)) == ResidueRing(prime**alpha).p_power_torsion(3)
 
 
+def test_unit_count_is_checked_without_factoring_the_modulus(monkeypatch):
+    # Phi(P^alpha) is q^(d alpha) - q^(d (alpha - 1)) for the validated prime,
+    # so the cross-check needs no factorisation of P^alpha
+    def no_phi(modulus):
+        raise AssertionError("phi called")
+
+    monkeypatch.setattr(counting, "phi", no_phi)
+    _p_power_order_counts.cache_clear()
+    try:
+        for p, s, d, alpha in ((2, 2, 2, 3), (3, 1, 1, 5), (2, 1, 1, 1)):
+            other = monic_irreducibles(field(p, s), d)[-1]
+            for n in (1, 2, 3):
+                par = params(p, s, d, alpha, n)
+                assert oracle_cyclic_subgroups(par) == oracle_cyclic_subgroups(par, prime=other) \
+                    == v_n(par)
+    finally:
+        _p_power_order_counts.cache_clear()
+
+
 def test_oracle_cyclic_agrees_with_formula_small_grid():
     for p, s in ((2, 1), (3, 1), (2, 2)):
         for d in (1, 2):
@@ -416,6 +436,43 @@ def test_monic_prime_reads_a_unit_multiple_as_monic():
             monic_prime(parse_poly(fld, text))
 
 
+def _counted_irreducibility_tests(monkeypatch):
+    calls = []
+    real = counting.is_irreducible
+    monkeypatch.setattr(counting, "is_irreducible", lambda g: calls.append(g) or real(g))
+    monic_prime.cache_clear()
+    return calls
+
+
+def test_an_override_prime_is_tested_once_per_process(monkeypatch):
+    # the five oracle calls of one enum-oracle bench ring
+    calls = _counted_irreducibility_tests(monkeypatch)
+    prime = parse_poly(field(3, 1), "2*T+1")
+    for n in (1, 2, 3):
+        assert oracle_cyclic_subgroups(params(3, 1, 1, 4, n), prime=prime) == \
+            v_n(params(3, 1, 1, 4, n))
+    par = params(3, 1, 1, 4, 1)
+    assert oracle_as_classes(par, prime=prime) == t1(4, par)
+    assert oracle_as_classes_by_conductor(par, prime=prime) == {1: 1, 2: 3}
+    assert calls == [prime]
+
+
+def test_a_rejected_prime_is_rejected_on_every_call(monkeypatch):
+    calls = _counted_irreducibility_tests(monkeypatch)
+    reducible = parse_poly(field(2, 1), "T^2+1")
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not irreducible"):
+            oracle_cyclic_subgroups(params(2, 1, 2, 2, 1), prime=reducible)
+    assert calls == [reducible, reducible]
+
+
+@pytest.mark.parametrize("oracle", [oracle_cyclic_subgroups, oracle_as_classes,
+                                    oracle_asw_classes])
+def test_oracles_reject_a_prime_over_another_field(oracle):
+    with pytest.raises(ValueError, match="override prime lies in the wrong field"):
+        oracle(params(2, 1, 1, 2, 1), prime=parse_poly(field(3, 1), "T+1"))
+
+
 def _random_p_power_vector(rng, prime, n, bound):
     """Length-n vector whose level-i component is N/P^e, e <= bound * p^i,
     deg N < (e + 2) deg P: a polynomial part is allowed."""
@@ -528,6 +585,13 @@ def test_asw_classes_work_is_capped():
         oracle_asw_classes_detail(par, cap=1000)
     with pytest.raises(CapExceededError, match="768"):
         oracle_asw_classes_detail(par, cap=700)
+
+
+def test_asw_classes_candidate_vectors_are_capped():
+    # every level's numerators fit the cap (3^8 at pole order 8), but the 8 level-0
+    # times 6057 level-1 choices of q3/a10/n2 do not
+    with pytest.raises(CapExceededError, match="^48456 candidate vectors exceed cap 6561$"):
+        oracle_asw_classes_detail(params(3, 1, 1, 10, 2), cap=3**8)
 
 
 def test_asw_classes_rejects_large_n():

@@ -133,7 +133,7 @@ def test_witt_records_kill_the_plan_mutant(monkeypatch):
 def _clear_field_memos():
     """The memos whose values a wrong F_q inverse can change."""
     for memo in (rationals._plan, polys._factor_monic, polys.canonical_prime,
-                 carlitz._carlitz_sparse, FiniteField.wp_coset_rep_val):
+                 carlitz._carlitz_sparse, FiniteField.wp_coset_rep_val, counting.monic_prime):
         memo.cache_clear()
     _clear_counting_memos()
 
@@ -205,6 +205,11 @@ CODE_ROWS = [
      "the g^(p^m) column of c*T^e scaled by c in place of c^(p^m)",
      [(test_counting.test_power_columns_match_per_residue_images, (2, 2, 1)),
       (test_counting.test_power_columns_match_per_residue_images, (3, 2, 2))]),
+    # every residue but 0 then reads as a unit, which the closed-form Phi(P^alpha) rejects
+    (counting._power_columns, "(g % prime).coeffs", "(g % modulus).coeffs",
+     "the unit test of each residue made mod P^alpha in place of mod P",
+     [(_records_pass, (checks.checks_cyclic_subgroup_oracle,)),
+      (test_counting.test_p_power_order_counts_match_a_direct_tally, (2, 2, 2, 3))]),
     (counting._teich, "e * vec.p**i", "e",
      "[P^e] scaling every level by P^e in place of P^(e p^i)",
      [(_records_pass, (checks.checks_asw_class_oracle,)),
