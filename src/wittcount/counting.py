@@ -6,14 +6,15 @@ oracle.  Cyclic-subgroup counting enumerates all of F_q[T]/(P^alpha) as
 pairs x = h + l of a high and a low half; x -> x^p is additive, so each
 half's p-power columns are walked over the F_p-basis p^t T^e, one packed
 add of base-p digits per entry (:class:`_Packing`), and every residue is
-counted once, exactly, through a tally of the low half.  That walk,
-:func:`_linear_columns`, is the one over the oracles' residues and
-numerators: the class oracles' numerators are its columns too.  The
-generator-class oracles enumerate normal-form generators and partition them
-under the scaling-plus-wp equivalence: the degree-p one links each to its
-images under generators of that group, the length-n one raises the
-correction pole bound until two rounds give the same class count, within
-the one budget ``cap`` (:func:`oracle_asw_classes_detail`).
+counted once, exactly, through a tally of the low half; the basis images
+are packed too, by walks of T^e mod P and P^alpha and a slot-wise
+Frobenius.  The column walk, :func:`_linear_columns`, is the one over the
+oracles' residues and numerators: the class oracles' numerators are its
+columns too.  The generator-class oracles enumerate normal-form generators
+and partition them under the scaling-plus-wp equivalence: the degree-p one
+links each to its images under generators of that group, the length-n one
+raises the correction pole bound until two rounds give the same class
+count, within the one budget ``cap`` (:func:`oracle_asw_classes_detail`).
 
 The class oracles work in W_n(F_q[T]).  Every value they add has
 denominators that are powers of the one prime P, so each is taken times the
@@ -238,40 +239,74 @@ class _Packing:
 
 def _linear_columns(pk, start, images):
     """Columns of F_p-linear maps over the polynomials r in encoding order, as
-    ``pk``-packed ints: column j starts at tuple ``start[j]`` (r = 0), and map
-    j takes p^t T^e, encoded p^i = p^(e s + t), to tuple ``images[i][j]``, so
+    ``pk``-packed ints: column j starts at packed ``start[j]`` (r = 0), and map
+    j takes p^t T^e, encoded p^i = p^(e s + t), to packed ``images[i][j]``, so
     the entries d p^i + r, r < p^i, are the entries (d - 1) p^i + r plus it."""
     add, p = pk.add, pk.fld.p
-    cols = [[pk.pack(s)] for s in start]
+    cols = [[x] for x in start]
     for image in images:
         size = len(cols[0])
-        for col, term in zip(cols, map(pk.pack, image)):
+        for col, term in zip(cols, image):
             for _ in range(1, p):
                 col += [add(x, term) for x in col[-size:]]
     return cols
 
 
-def _power_columns(fld, prime, modulus, k, shift, start):
-    """Columns [g mod P, g, g^p, ..., g^(p^n_max)] of packed ints, the
-    powers mod M = P^alpha, for g = r*T^shift and r over the polynomials of
-    degree < k in encoding order; column j starts at ``start[j]`` (the entry
-    of r = 0) and n_max + 2 = len(start).
+class _Rows(dict):
+    """``rows[key]`` is ``fn(key)``, made on its first lookup and kept."""
 
-    Every map here is additive, so these are :func:`_linear_columns` from the
-    images of T^e (the only ``frobenius()`` and ``%`` calls), scaled by the
-    basis element's c = p^t, or by c^(p^m) in the g^(p^m) column.
-    """
-    scales = [[c, c] + [fld.pow_val(c, fld.p**m) for m in range(1, len(start) - 1)]
-              for c in (fld.p**t for t in range(fld.s))]
-    images = []
-    for e in range(k):
-        g = Polynomial(fld, (0,) * (e + shift) + (1,))
-        powers = [(g % prime).coeffs, g.coeffs]
-        for _ in start[2:]:
-            g = g.frobenius() % modulus
-            powers.append(g.coeffs)
-        images += [[_mul(fld, (a,), f) for a, f in zip(scale, powers)] for scale in scales]
-    return _linear_columns(_Packing(fld, modulus.degree), start, images)
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, key):
+        return self.setdefault(key, self.fn(key))
+
+
+def _walk(pk, modulus, x, steps):
+    """[x T^j mod M, j < steps], packed, for M = ``modulus`` monic and deg x < deg M:
+    a step shifts by one slot, then takes a top slot c off and adds -c (M - T^deg M)."""
+    top, tail = pk.stride * modulus.degree, modulus.coeffs[:-1]
+    cut = _Rows(lambda c: pk.pack(_mul(pk.fld, (pk.fld._neg_table[pk.values[c]],), tail)))
+    walk = [x]
+    for _ in range(1, steps):
+        x = walk[-1] << pk.stride
+        walk.append(pk.add(x - (c << top), cut[c]) if (c := x >> top) else x)
+    return walk
+
+
+def _power_columns(fld, prime, modulus, k, n_max):
+    """Columns [g mod P, g, g^p, ..., g^(p^n_max)] of packed ints, the powers
+    mod M = P^alpha, of the low half, g of degree < k, then of the high half,
+    g = T^k r with deg r < deg M - k, each in encoding order; the high power
+    columns start at 1 (r = 0), so they hold 1 + g^(p^m), the rest at 0.
+
+    These are :func:`_linear_columns` from the images of the basis c T^j,
+    c = p^t, made on packed ints: c T^j mod P by a :func:`_walk` from c, c T^j
+    by a shift, and each power as the Frobenius of the one before, one row
+    c^p T^(i p) per nonzero slot c T^i, made once per (i, c) from one walk of
+    T^j mod M up to the top i p, (deg M - 1) p, not to (deg M - 1) p^n_max."""
+    pk, p, deg = _Packing(fld, modulus.degree), fld.p, modulus.degree
+    stride, add = pk.stride, pk.add
+    powers = _walk(pk, modulus, 1, (deg - 1) * p + 1)[::p]
+    masks = [((1 << stride) - 1) << stride * i for i in range(deg)]
+
+    def row(b):  # c^p T^(i p) mod M for b the packed c T^i
+        i = (b.bit_length() - 1) // stride
+        c = fld._frob_table[pk.values[b >> stride * i]]
+        return powers[i] if c == 1 else pk.pack(_mul(fld, (c,), pk.unpack(powers[i])))
+
+    rows, basis, images = _Rows(row), [pk.slots[p**t] for t in range(fld.s)], []
+    for j, residues in enumerate(zip(*(_walk(pk, prime, c, deg) for c in basis))):
+        for c, residue in zip(basis, residues):
+            images.append(image := [residue, c << stride * j])
+            for _ in range(n_max):  # the Frobenius, a row per nonzero slot
+                x, y = image[-1], 0
+                for mask in masks:
+                    if b := x & mask:
+                        y = add(y, rows[b])
+                image.append(y)
+    return (_linear_columns(pk, [0] * (n_max + 2), images[:k * fld.s]),
+            _linear_columns(pk, [0] + [1] * (n_max + 1), images[k * fld.s:]))
 
 
 @functools.lru_cache(maxsize=32)
@@ -301,12 +336,9 @@ def _p_power_order_counts(p, s, prime_coeffs, alpha, n_max, cap):
     size = fld.q**deg_full
     if size > cap:
         raise CapExceededError(f"unit enumeration of size {size} exceeds cap {cap}")
-    modulus = prime**alpha
-    k = deg_full // 2
-    low = [Counter(col) for col in _power_columns(fld, prime, modulus, k, 0, [()] * (n_max + 2))]
-    high = _power_columns(fld, prime, modulus, deg_full - k, k, [()] + [(1,)] * (n_max + 1))
+    low, high = _power_columns(fld, prime, prime**alpha, deg_full // 2, n_max)
     # non-units, then fixed[m]: residues with x^(p^m) = 1
-    non_units, *fixed = [sum(map(tally.__getitem__, col)) for tally, col in zip(low, high)]
+    non_units, *fixed = [sum(map(Counter(lo).__getitem__, hi)) for lo, hi in zip(low, high)]
     units_found = size - non_units
     expected_units = size - fld.q ** (deg_full - prime.degree)
     if units_found != expected_units:
@@ -431,13 +463,11 @@ def _as_classes_cached(p, s, prime_coeffs, alpha, cap):
         lifted += lifts
     index = {f: i for i, f in enumerate(lifted)}
     dsu = _DSU(len(lifted))
-    basis = {}  # gamma0 -> the lifted wp(p^t T^e/P^gamma0)
+    basis = _Rows(lambda gamma0: list(map(  # gamma0 -> the lifted wp(p^t T^e/P^gamma0)
+        pk.pack, _lifted_wp_basis(fld, prime, e_bound, gamma0))))
     for i, (lam, x) in enumerate(zip(lams, lifted)):
-        gamma0 = lam // p
-        if gamma0 not in basis:
-            basis[gamma0] = list(map(pk.pack, _lifted_wp_basis(fld, prime, e_bound, gamma0)))
         multiples = itertools.accumulate(itertools.repeat(x, p - 2), pk.add, initial=x)
-        for image in [pk.add(x, b) for b in basis[gamma0]] + list(multiples)[1:]:
+        for image in [pk.add(x, b) for b in basis[lam // p]] + list(multiples)[1:]:
             other = index.get(image)
             if other is None:
                 raise AssertionError(f"transform left the normal-form set: "
@@ -468,9 +498,9 @@ def _packed_candidates(pk, prime, lam, e_bound, cap):
     if fld.q**deg > cap:
         raise CapExceededError(f"numerator enumeration of size {fld.q**deg} exceeds cap {cap}")
     factor = _prime_power(prime, e_bound - lam).coeffs
-    basis = [(0,) * e + (fld.p**t,) for e in range(deg) for t in range(fld.s)]
-    images = [((Polynomial(fld, h) % prime).coeffs, _mul(fld, h, factor)) for h in basis]
-    residues, lifts = _linear_columns(pk, [(), ()], images)
+    images = [(pk.pack((Polynomial(fld, h) % prime).coeffs), pk.pack(_mul(fld, h, factor)))
+              for h in ((0,) * e + (fld.p**t,) for e in range(deg) for t in range(fld.s))]
+    residues, lifts = _linear_columns(pk, [0, 0], images)
     return [x for x, residue in zip(lifts, residues) if residue]
 
 

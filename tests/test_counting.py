@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wittcount import counting
+from wittcount import counting, polys
 from wittcount.counting import (
     MAX_COUNT_BITS,
     CountParams,
@@ -191,18 +191,21 @@ def test_oracle_cyclic_split_non_canonical_prime():
                 _orders_by_residue_ring(other, alpha, n)
 
 
-@pytest.mark.parametrize("p", [131, 257])
+@pytest.mark.parametrize("p", [131, 257, 1021])
 def test_oracle_cyclic_large_characteristic(p):
-    # digit sums above 255 overflowed a one-byte-per-digit packing here; the
-    # class oracle makes each of its p - 1 candidates' p - 2 multiples by
-    # repeated packed adds
+    # digit sums above 255 overflowed a one-byte-per-digit packing here.  The
+    # unit oracle's walk of T^j mod P^2 stops at j = p: walked to p^3, it would
+    # take about 10^9 steps at p = 1021.  The class oracle makes each of its
+    # p - 1 candidates' p - 2 multiples by repeated packed adds, so it stays
+    # at p <= 257
     fld = field(p, 1)
     t_plus_1 = Polynomial(fld, (1, 1))
     for n in (1, 2, 3):
         par = params(p, 1, 1, 2, n)
         assert oracle_cyclic_subgroups(par, prime=t_plus_1) == v_n(par)
-    par = params(p, 1, 1, 2, 1)
-    assert oracle_as_classes(par, prime=t_plus_1) == t1(2, par) == 1
+    if p <= 257:
+        par = params(p, 1, 1, 2, 1)
+        assert oracle_as_classes(par, prime=t_plus_1) == t1(2, par) == 1
 
 
 @pytest.mark.parametrize("s", [1, 2])
@@ -234,12 +237,10 @@ def test_power_columns_match_per_residue_images(p, s, d):
         modulus = prime**alpha
         k = d * alpha // 2
         pk = _Packing(fld, d * alpha)
-        low = _power_columns(fld, prime, modulus, k, 0, [()] * (n_max + 2))
+        low, high = _power_columns(fld, prime, modulus, k, n_max)
         expected = list(zip(*power_images(polys_below(fld, k), prime, modulus, n_max)))
         assert [list(map(pk.unpack, col)) for col in low] == \
             [[g.coeffs for g in col] for col in expected]
-        high = _power_columns(fld, prime, modulus, d * alpha - k, k,
-                              [()] + [(1,)] * (n_max + 1))
         highs = (Polynomial(fld, (0,) * k + h.coeffs) for h in polys_below(fld, d * alpha - k))
         residues, *powers = zip(*power_images(highs, prime, modulus, n_max))
         assert [list(map(pk.unpack, col)) for col in high] == [[g.coeffs for g in residues]] + \
@@ -270,6 +271,23 @@ def test_unit_count_is_checked_without_factoring_the_modulus(monkeypatch):
                     == v_n(par)
     finally:
         _p_power_order_counts.cache_clear()
+
+
+def test_unit_counts_divide_no_polynomial(monkeypatch):
+    # the basis images come from packed walks and a packed Frobenius, so the
+    # enumeration makes no polynomial division and no Polynomial.frobenius
+    cases = [((p, s, prime.coeffs, alpha, 3, DEFAULT_ENUM_CAP),
+              ResidueRing(prime**alpha).p_power_torsion(3))
+             for p, s, d, alpha in ((2, 2, 2, 3), (3, 1, 1, 5))
+             for prime in (canonical_prime(field(p, s), d), monic_irreducibles(field(p, s), d)[-1])]
+
+    def refuse(*args):
+        raise AssertionError("polynomial division or Frobenius called")
+
+    monkeypatch.setattr(polys, "_divmod", refuse)
+    monkeypatch.setattr(Polynomial, "frobenius", refuse)
+    for args, torsion in cases:
+        assert list(itertools.accumulate(_p_power_order_counts.__wrapped__(*args))) == torsion
 
 
 def test_oracle_cyclic_agrees_with_formula_small_grid():

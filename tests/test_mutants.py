@@ -201,15 +201,24 @@ CODE_ROWS = [
        (2, 2, 1)),
       (test_counting.test_as_classes_over_prime_power_fields, (2, 2, 1, 6)),
       (test_counting.test_asw_classes_n1_matches_as_classes, ())]),
-    (counting._power_columns, "fld.pow_val(c, fld.p**m)", "c",
-     "the g^(p^m) column of c*T^e scaled by c in place of c^(p^m)",
+    # c01's q4/d2 records at alpha = 3, 5 and n = 2, 3 fail with it too
+    (counting._power_columns, "fld._frob_table[pk.values[b >> stride * i]]",
+     "pk.values[b >> stride * i]",
+     "a Frobenius row c^p T^(i p) of the g^(p^m) columns scaled by c in place of c^p",
      [(test_counting.test_power_columns_match_per_residue_images, (2, 2, 1)),
       (test_counting.test_power_columns_match_per_residue_images, (3, 2, 2))]),
     # every residue but 0 then reads as a unit, which the closed-form Phi(P^alpha) rejects
-    (counting._power_columns, "(g % prime).coeffs", "(g % modulus).coeffs",
-     "the unit test of each residue made mod P^alpha in place of mod P",
+    (counting._power_columns, "_walk(pk, prime, c, deg)", "_walk(pk, modulus, c, deg)",
+     "the unit test of each residue made by a walk mod P^alpha in place of mod P",
      [(_records_pass, (checks.checks_cyclic_subgroup_oracle,)),
       (test_counting.test_p_power_order_counts_match_a_direct_tally, (2, 2, 2, 3))]),
+    # -c = c at p = 2, so only p >= 3 cases see it, and only where M - T^deg M != 0
+    # (every canonical prime of degree 1 is T): c01's q3/d2 records do
+    (counting._walk, "pk.fld._neg_table[pk.values[c]]", "pk.values[c]",
+     "a walk step adding +c (M - T^deg M) in place of -c (M - T^deg M)",
+     [(_records_pass, (checks.checks_cyclic_subgroup_oracle,)),
+      (test_counting.test_power_columns_match_per_residue_images, (3, 1, 2)),
+      (test_counting.test_power_columns_match_per_residue_images, (5, 1, 2))]),
     (counting._teich, "e * vec.p**i", "e",
      "[P^e] scaling every level by P^e in place of P^(e p^i)",
      [(_records_pass, (checks.checks_asw_class_oracle,)),
