@@ -9,12 +9,13 @@ add of base-p digits per entry (:class:`_Packing`), and every residue is
 counted once, exactly, through a tally of the low half; the basis images
 are packed too, by walks of T^e mod P and P^alpha and a slot-wise
 Frobenius.  The column walk, :func:`_linear_columns`, is the one over the
-oracles' residues and numerators: the class oracles' numerators are its
-columns too.  The generator-class oracles enumerate normal-form generators
-and partition them under the scaling-plus-wp equivalence: the degree-p one
-links each to its images under generators of that group, the length-n one
-raises the correction pole bound until two rounds give the same class
-count, within the one budget ``cap`` (:func:`oracle_asw_classes_detail`).
+oracles' residues and numerators, from the same images of T^e mod P
+(:func:`_basis_images`).  The generator-class oracles enumerate normal-form
+generators and partition them under the scaling-plus-wp equivalence: the
+degree-p one links each to g beta, g the least generator of F_p^*, and to
+beta plus each wp basis image; the length-n one raises the correction pole
+bound until two rounds give the same class count, within the one budget
+``cap`` (:func:`oracle_asw_classes_detail`).
 
 The class oracles work in W_n(F_q[T]).  Every value they add has
 denominators that are powers of the one prime P, so each is taken times the
@@ -27,9 +28,10 @@ always, so no lift can lose a pole and none is checked.  The length-n
 oracle takes its corrections c = (h_i/P^b) through v = [P^b]c =
 (h_i P^(b (p^i - 1))): [P^(p b)]wp(c) = F(v) - [P^((p-1) b)]v.  Every sum
 is then a ``Polynomial`` sum, with no gcd, and is looked up among the
-scaled candidates.  At length 1 the degree-p oracle lifts only the F_p-basis
-of its corrections, h^p P^(E-p gamma0) - h P^(E-gamma0), so each generating
-transform is one packed add.
+scaled candidates.  At length 1 no transform moves the pole order lam, so
+the degree-p oracle takes E = lam, one lam at a time: its candidates are the
+numerators Q, and it lifts only the F_p-basis of its corrections,
+h^p P^(lam-p gamma0) - h P^(lam-gamma0), each link one packed add.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import itertools
 import time
 from collections import Counter, namedtuple
 
-from .fields import field
+from .fields import _power, field
 from .polys import (CapExceededError, DEFAULT_ENUM_CAP, Polynomial, _mul, _sum, _wrap,
                     canonical_prime, is_irreducible, phi, polys_below)
 from .witt import WittVector
@@ -274,6 +276,16 @@ def _walk(pk, modulus, x, steps):
     return walk
 
 
+def _basis_images(pk, prime, deg):
+    """[p^t T^e mod P, p^t T^e], e < ``deg`` outer and t < s inner, as packed ints,
+    by a :func:`_walk` from p^t and a shift: the F_p-basis images that both
+    enumeration oracles' :func:`_linear_columns` start from."""
+    basis = [pk.slots[pk.fld.p**t] for t in range(pk.fld.s)]
+    return [[residue, c << pk.stride * e]
+            for e, residues in enumerate(zip(*(_walk(pk, prime, c, deg) for c in basis)))
+            for c, residue in zip(basis, residues)]
+
+
 def _power_columns(fld, prime, modulus, k, n_max):
     """Columns [g mod P, g, g^p, ..., g^(p^n_max)] of packed ints, the powers
     mod M = P^alpha, of the low half, g of degree < k, then of the high half,
@@ -281,10 +293,10 @@ def _power_columns(fld, prime, modulus, k, n_max):
     columns start at 1 (r = 0), so they hold 1 + g^(p^m), the rest at 0.
 
     These are :func:`_linear_columns` from the images of the basis c T^j,
-    c = p^t, made on packed ints: c T^j mod P by a :func:`_walk` from c, c T^j
-    by a shift, and each power as the Frobenius of the one before, one row
-    c^p T^(i p) per nonzero slot c T^i, made once per (i, c) from one walk of
-    T^j mod M up to the top i p, (deg M - 1) p, not to (deg M - 1) p^n_max."""
+    c = p^t (:func:`_basis_images`), each power made on packed ints as the
+    Frobenius of the one before, one row c^p T^(i p) per nonzero slot c T^i,
+    made once per (i, c) from one walk of T^j mod M up to the top i p,
+    (deg M - 1) p, not to (deg M - 1) p^n_max."""
     pk, p, deg = _Packing(fld, modulus.degree), fld.p, modulus.degree
     stride, add = pk.stride, pk.add
     powers = _walk(pk, modulus, 1, (deg - 1) * p + 1)[::p]
@@ -295,16 +307,14 @@ def _power_columns(fld, prime, modulus, k, n_max):
         c = fld._frob_table[pk.values[b >> stride * i]]
         return powers[i] if c == 1 else pk.pack(_mul(fld, (c,), pk.unpack(powers[i])))
 
-    rows, basis, images = _Rows(row), [pk.slots[p**t] for t in range(fld.s)], []
-    for j, residues in enumerate(zip(*(_walk(pk, prime, c, deg) for c in basis))):
-        for c, residue in zip(basis, residues):
-            images.append(image := [residue, c << stride * j])
-            for _ in range(n_max):  # the Frobenius, a row per nonzero slot
-                x, y = image[-1], 0
-                for mask in masks:
-                    if b := x & mask:
-                        y = add(y, rows[b])
-                image.append(y)
+    rows, images = _Rows(row), _basis_images(pk, prime, deg)
+    for image in images:
+        for _ in range(n_max):  # the Frobenius, a row per nonzero slot
+            x, y = image[-1], 0
+            for mask in masks:
+                if b := x & mask:
+                    y = add(y, rows[b])
+            image.append(y)
     return (_linear_columns(pk, [0] * (n_max + 2), images[:k * fld.s]),
             _linear_columns(pk, [0] + [1] * (n_max + 1), images[k * fld.s:]))
 
@@ -443,65 +453,51 @@ def _as_classes(params, prime, cap):
 def _as_classes_cached(p, s, prime_coeffs, alpha, cap):
     """(class count, classes by pole order) of one ring; the caller copies the dict.
 
-    Works on the lifts by [P^E], E = alpha - 1, packed (:class:`_Packing`): a
-    candidate Q/P^lam is Q P^(E-lam) (:func:`_packed_candidates`), and the
-    correction wp(h/P^gamma0) is h^p P^(E-p gamma0) - h P^(E-gamma0).  wp is
-    F_p-linear, so the corrections are the F_p-span of the images of the
-    basis h = p^t T^e (:func:`_lifted_wp_basis`), and the transforms
-    j*beta + wp(c) are generated by beta -> j*beta, 2 <= j < p, and
-    beta -> beta + each such image: (p - 2) + s gamma0 deg P packed adds and
-    lookups per candidate.  Each generator is asserted to map the finite
+    j*beta + wp(c) keeps the pole order lam of beta = Q/P^lam, so each lam is
+    partitioned on its own, under [P^lam], packed: the candidates are the
+    numerators Q (:func:`_numerators`), the corrections wp(h/P^gamma0) the
+    F_p-span of the lifted images of the basis h = p^t T^e
+    (:func:`_lifted_wp_basis`), and F_p^* is cyclic, so the transforms are
+    generated by beta -> g beta, g the least generator of F_p^*, and
+    beta -> beta + each image.  Each generator is asserted to map the finite
     candidate set into itself, so the classes are the components they link."""
     fld = field(p, s)
     prime = Polynomial(fld, prime_coeffs)
-    e_bound = alpha - 1
-    pk = _Packing(fld, e_bound * prime.degree)
-    lams, lifted = [], []
+    g = field(p)._primitive_powers()[:2][-1]  # 1 at p = 2, where F_p^* is trivial
+    by_lambda = {}
     for lam in _pole_orders(p, alpha - 1):
-        lifts = _packed_candidates(pk, prime, lam, e_bound, cap)
-        lams += [lam] * len(lifts)
-        lifted += lifts
-    index = {f: i for i, f in enumerate(lifted)}
-    dsu = _DSU(len(lifted))
-    basis = _Rows(lambda gamma0: list(map(  # gamma0 -> the lifted wp(p^t T^e/P^gamma0)
-        pk.pack, _lifted_wp_basis(fld, prime, e_bound, gamma0))))
-    for i, (lam, x) in enumerate(zip(lams, lifted)):
-        multiples = itertools.accumulate(itertools.repeat(x, p - 2), pk.add, initial=x)
-        for image in [pk.add(x, b) for b in basis[lam // p]] + list(multiples)[1:]:
-            other = index.get(image)
-            if other is None:
-                raise AssertionError(f"transform left the normal-form set: "
-                                     f"({Polynomial(fld, pk.unpack(image))})/({prime})^{e_bound}")
-            dsu.union(i, other)
-    by_lambda = Counter(lam for i, lam in enumerate(lams) if dsu.find(i) == i)
+        pk = _Packing(fld, lam * prime.degree)
+        cands = _numerators(pk, prime, lam, cap)
+        index = {x: i for i, x in enumerate(cands)}
+        dsu = _DSU(len(cands))
+        basis = list(map(pk.pack, _lifted_wp_basis(fld, prime, lam, lam // p)))
+        for i, x in enumerate(cands):
+            for image in [pk.add(x, b) for b in basis] + [_power(x, g, pk.add)]:
+                other = index.get(image)
+                if other is None:
+                    raise AssertionError(f"transform left the normal-form set: "
+                                         f"({Polynomial(fld, pk.unpack(image))})/({prime})^{lam}")
+                dsu.union(i, other)
+        by_lambda[lam] = dsu.class_count()
     return sum(by_lambda.values()), by_lambda
 
 
 def _lifted_candidates(fld, prime, lam, e_bound, cap):
-    """:func:`_packed_candidates` as coefficient tuples."""
-    pk = _Packing(fld, e_bound * prime.degree)
-    return list(map(pk.unpack, _packed_candidates(pk, prime, lam, e_bound, cap)))
+    """Q P^(E-lam) = [P^E](Q/P^lam), E = ``e_bound``, as tuples, for Q of :func:`_numerators`."""
+    pk, factor = _Packing(fld, lam * prime.degree), _prime_power(prime, e_bound - lam).coeffs
+    return [_mul(fld, pk.unpack(x), factor) for x in _numerators(pk, prime, lam, cap)]
 
 
-def _packed_candidates(pk, prime, lam, e_bound, cap):
-    """[P^E](Q/P^lam) = Q P^(E-lam), E = ``e_bound``, as ``pk``-packed ints,
-    for every Q with deg Q < lam deg P that the prime P does not divide, in
-    encoding order; with E = lam these are the Q themselves.
-    CapExceededError unless the q^(lam deg P) numerators fit in ``cap``.
-
-    Q -> Q mod P and Q -> Q P^(E-lam) are F_q-linear, so both are
-    :func:`_linear_columns` from the images of the F_p-basis h = p^t T^e;
-    the lifts with a nonzero residue are kept.
-    """
-    fld = pk.fld
-    deg = lam * prime.degree
+def _numerators(pk, prime, lam, cap):
+    """Every Q with deg Q < lam deg P that the prime P does not divide, packed,
+    in encoding order (CapExceededError unless all q^(lam deg P) fit in
+    ``cap``): the :func:`_linear_columns` of Q mod P and Q from the basis
+    images, kept where the residue is nonzero."""
+    fld, deg = pk.fld, lam * prime.degree
     if fld.q**deg > cap:
         raise CapExceededError(f"numerator enumeration of size {fld.q**deg} exceeds cap {cap}")
-    factor = _prime_power(prime, e_bound - lam).coeffs
-    images = [(pk.pack((Polynomial(fld, h) % prime).coeffs), pk.pack(_mul(fld, h, factor)))
-              for h in ((0,) * e + (fld.p**t,) for e in range(deg) for t in range(fld.s))]
-    residues, lifts = _linear_columns(pk, [0, 0], images)
-    return [x for x, residue in zip(lifts, residues) if residue]
+    residues, numerators = _linear_columns(pk, [0, 0], _basis_images(pk, prime, deg))
+    return [x for x, residue in zip(numerators, residues) if residue]
 
 
 def _lifted_wp_basis(fld, prime, e_bound, gamma0):

@@ -5,12 +5,15 @@ exhaustive unit enumeration, element orders and p-power torsion tally (by
 ``modpow``, sharing nothing with the additive columns) checks ``phi`` and
 the split unit-enumeration oracle; ``power_images`` computes each residue's
 p-power column entries from scratch, the reference for the columns that
-oracle builds by additivity; ``as_classes_by_every_transform`` links each
-degree-p class candidate to every one of its transforms j*beta + wp(c), the
-reference for the class oracle that links only generators of that group;
-``_lifted_wp_images`` lifts every correction wp(h/P^gamma0) of that oracle,
-the reference for the F_p-basis of them that it lifts;
-``_coprime_numerators`` walks the numerators Q/P^lam one ``%`` each;
+oracle builds by additivity; ``as_classes_by_every_transform`` lifts every
+degree-p class candidate of every pole order by one [P^(alpha-1)] and links
+it to every one of its transforms j*beta + wp(c), the reference for the
+class oracle that partitions each pole order lam on its own numerators and
+links only beta -> g beta, g the least generator of F_p^*, and beta plus
+each wp basis image; ``_lifted_wp_images`` lifts every correction
+wp(h/P^gamma0) of that oracle, the reference for the F_p-basis of them that
+it lifts; ``_coprime_numerators`` walks the numerators Q/P^lam one ``%``
+each, the reference for the walked residues;
 ``_pole_parts``, ``_lift`` and ``_lifted_wp`` build the class oracles'
 candidates and corrections over F_q(T) and move them into W_n(F_q[T]) by
 [P^E] with a check of every denominator, the reference for the lifts those
@@ -100,8 +103,9 @@ def power_images(residues, prime: Polynomial, modulus: Polynomial, n_max: int):
 def as_classes_by_every_transform(prime: Polynomial, alpha: int):
     """(class count, classes by pole order) of the degree-p class oracle at
     length 1, linking each lifted candidate beta to j*beta + wp(c) for every
-    j in 1..p-1 and every one of the q^(gamma0 deg P) lifted corrections: the
-    reference for the oracle that links only the generators of that group."""
+    j in 1..p-1 and every one of the q^(gamma0 deg P) lifted corrections, in one
+    index over all lam: the reference for the oracle that takes each lam on
+    its own and links only generators of that group."""
     fld, e_bound = prime.field, alpha - 1
     lams, lifted = [], []
     for lam in range(1, alpha):

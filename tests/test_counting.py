@@ -195,17 +195,14 @@ def test_oracle_cyclic_split_non_canonical_prime():
 def test_oracle_cyclic_large_characteristic(p):
     # digit sums above 255 overflowed a one-byte-per-digit packing here.  The
     # unit oracle's walk of T^j mod P^2 stops at j = p: walked to p^3, it would
-    # take about 10^9 steps at p = 1021.  The class oracle makes each of its
-    # p - 1 candidates' p - 2 multiples by repeated packed adds, so it stays
-    # at p <= 257
+    # take about 10^9 steps at p = 1021
     fld = field(p, 1)
     t_plus_1 = Polynomial(fld, (1, 1))
     for n in (1, 2, 3):
         par = params(p, 1, 1, 2, n)
         assert oracle_cyclic_subgroups(par, prime=t_plus_1) == v_n(par)
-    if p <= 257:
-        par = params(p, 1, 1, 2, 1)
-        assert oracle_as_classes(par, prime=t_plus_1) == t1(2, par) == 1
+    par = params(p, 1, 1, 2, 1)
+    assert oracle_as_classes(par, prime=t_plus_1) == t1(2, par) == 1
 
 
 @pytest.mark.parametrize("s", [1, 2])
@@ -405,13 +402,16 @@ def test_lifted_candidates_at_their_own_pole_order_are_the_numerators(p, s, d):
 
 @pytest.mark.parametrize("p, s, d, alpha_max", [
     (2, 2, 1, 6), (2, 2, 2, 4), (2, 3, 1, 4), (2, 3, 2, 3), (3, 2, 1, 5), (3, 2, 2, 3),
+    (5, 1, 1, 7), (7, 1, 1, 4),
 ])
 def test_as_classes_over_prime_power_fields(p, s, d, alpha_max):
     # q in {4, 8, 9}: the corrections are spanned by wp(p^t T^e / P^gamma0)
     # for t < s, so here the digits t >= 1 are needed.  The largest alpha has
     # gamma0 * d = 2 in the q = 4 rows and 1 in q8/d1 and q9/d1; q8/d2 and
     # q9/d2 stop at gamma0 = 0, as their first cell with gamma0 = 1 has 8^6
-    # or 9^8 candidates.
+    # or 9^8 candidates.  At p = 5 and 7 the oracle's one scaling link, by the
+    # least generator 2 or 3 of F_p^*, stands for all p - 2 multiples j beta
+    # that the reference links; p = 5 reaches gamma0 = 1 at alpha = 7.
     fld = field(p, s)
     prime = monic_irreducibles(fld, d)[-1]
     for alpha in range(2, alpha_max + 1):
@@ -422,6 +422,25 @@ def test_as_classes_over_prime_power_fields(p, s, d, alpha_max):
         count = oracle_as_classes(par, prime=prime)
         assert count == t1(alpha, par)
         assert (count, by_lam) == as_classes_by_every_transform(prime, alpha)
+
+
+def test_class_counts_divide_no_polynomial(monkeypatch):
+    # the numerators' residues mod P come from packed walks, as the unit
+    # oracle's do, so the class partition makes no polynomial division
+    cases = []
+    for p, s, d, alpha in ((2, 2, 2, 4), (3, 1, 1, 6), (3, 1, 2, 4)):
+        for prime in (canonical_prime(field(p, s), d), monic_irreducibles(field(p, s), d)[-1]):
+            par = params(p, s, d, alpha, 1)
+            by_lam = {lam: phi(prime ** (lam - lam // p)) // (p - 1)
+                      for lam in range(1, alpha) if lam % p}
+            cases.append(((p, s, prime.coeffs, alpha, DEFAULT_ENUM_CAP), (t1(alpha, par), by_lam)))
+
+    def refuse(*args):
+        raise AssertionError("polynomial division called")
+
+    monkeypatch.setattr(polys, "_divmod", refuse)
+    for args, expected in cases:
+        assert counting._as_classes_cached.__wrapped__(*args) == expected
 
 
 def test_class_oracles_with_other_primes():

@@ -192,15 +192,27 @@ CODE_ROWS = [
       (test_counting.test_class_oracle_lifts_match_the_witt_lift, (3, 1, 2, 4)),
       (test_counting.test_asw_classes_detail_pinned_cells,
        (3, 1, 1, 5, 1, (13, 62, (2, 3), (13, 13))))]),
-    (counting._packed_candidates, "_mul(fld, h, factor)", "_mul(fld, h[:-1] + (1,), factor)",
-     "the lift column of p^t T^e without its basis scale p^t",
+    # the class oracle's numerators and the unit oracle's columns start from
+    # these images, so c01's q4 records fail with it too
+    (counting._basis_images, "c << pk.stride * e", "pk.slots[1] << pk.stride * e",
+     "the image p^t T^e of the F_p-basis without its scale p^t",
      [(_records_pass, (checks.checks_degree_p_classes,)),
       (_records_pass, (checks.checks_conductor,)),
+      (_records_pass, (checks.checks_cyclic_subgroup_oracle,)),
+      (test_counting.test_p_power_order_counts_match_a_direct_tally, (2, 2, 2, 3)),
       (test_counting.test_class_oracle_lifts_match_the_witt_lift, (2, 2, 1, 5)),
       (test_counting.test_lifted_candidates_at_their_own_pole_order_are_the_numerators,
        (2, 2, 1)),
       (test_counting.test_as_classes_over_prime_power_fields, (2, 2, 1, 6)),
       (test_counting.test_asw_classes_n1_matches_as_classes, ())]),
+    # g^2 = 1 at p = 3, so each candidate is linked to no multiple; at p = 5
+    # and 7, g^2 generates a proper subgroup of F_p^*.  c09's q3 record fails too
+    (counting._as_classes_cached, "_power(x, g, pk.add)", "_power(x, g * g, pk.add)",
+     "the degree-p classes linked by beta -> g^2 beta in place of g beta",
+     [(_records_pass, (checks.checks_degree_p_classes,)),
+      (test_counting.test_as_classes_equal_t1, ()),
+      (test_counting.test_as_classes_over_prime_power_fields, (5, 1, 1, 7)),
+      (test_counting.test_as_classes_over_prime_power_fields, (7, 1, 1, 4))]),
     # c01's q4/d2 records at alpha = 3, 5 and n = 2, 3 fail with it too
     (counting._power_columns, "fld._frob_table[pk.values[b >> stride * i]]",
      "pk.values[b >> stride * i]",
@@ -208,7 +220,7 @@ CODE_ROWS = [
      [(test_counting.test_power_columns_match_per_residue_images, (2, 2, 1)),
       (test_counting.test_power_columns_match_per_residue_images, (3, 2, 2))]),
     # every residue but 0 then reads as a unit, which the closed-form Phi(P^alpha) rejects
-    (counting._power_columns, "_walk(pk, prime, c, deg)", "_walk(pk, modulus, c, deg)",
+    (counting._power_columns, "_basis_images(pk, prime, deg)", "_basis_images(pk, modulus, deg)",
      "the unit test of each residue made by a walk mod P^alpha in place of mod P",
      [(_records_pass, (checks.checks_cyclic_subgroup_oracle,)),
       (test_counting.test_p_power_order_counts_match_a_direct_tally, (2, 2, 2, 3))]),
