@@ -162,8 +162,9 @@ def _degree_p_classes(par, cap):
 
 
 def checks_degree_p_classes(cfg: CheckConfig):
+    # q5 and q7, where the least generator g of F_p^* has g^2 != 1, follow q <= 4
     out = []
-    for p, s in QS_SMALL:
+    for p, s in QS_SMALL + ((5, 1), (7, 1)):
         for alpha in range(1, 7):
             par = CountParams(p, s, 1, alpha, 1)
             out.append(_oracle(f"c02-asclasses/q{p**s}/a{alpha}", par.as_dict(), cfg,
@@ -351,6 +352,13 @@ def _exact_conductor_counts(par, cap):
     return sum(expected.values()), sum(by_lam.values()), notes
 
 
+def _exact_conductor_checks(cfg: CheckConfig):
+    """The c09-exact-conductor records, the class oracle's part of criterion 9."""
+    pars = [CountParams(p, s, 1, 6, 1) for p, s in QS_SMALL]
+    return [_oracle(f"c09-exact-conductor/q{par.q}", par.as_dict(), cfg,
+                    partial(_exact_conductor_counts, par, cfg.cap)) for par in pars]
+
+
 def checks_conductor(cfg: CheckConfig):
     out = []
     for p in (2, 3, 5):
@@ -359,11 +367,7 @@ def checks_conductor(cfg: CheckConfig):
                  for n in (1, 2, 3, 4) for lams in _conductor_grid(p, n))
         out.append(_sweep(f"c09-conductor/p{p}", {"p": p, "entries": "<=20", "n": "1..4"},
                           cfg, cases))
-    for p, s in QS_SMALL:
-        par = CountParams(p, s, 1, 6, 1)
-        out.append(_oracle(f"c09-exact-conductor/q{p**s}", par.as_dict(), cfg,
-                           partial(_exact_conductor_counts, par, cfg.cap)))
-    return out
+    return out + _exact_conductor_checks(cfg)
 
 
 # -- criterion 10: infinite-place classifier --

@@ -29,8 +29,9 @@ oracle takes its corrections c = (h_i/P^b) through v = [P^b]c =
 (h_i P^(b (p^i - 1))): [P^(p b)]wp(c) = F(v) - [P^((p-1) b)]v.  Every sum
 is then a ``Polynomial`` sum, with no gcd, and is looked up among the
 scaled candidates.  At length 1 no transform moves the pole order lam, so
-the degree-p oracle takes E = lam, one lam at a time: its candidates are the
-numerators Q, and it lifts only the F_p-basis of its corrections,
+the degree-p oracle takes E = lam, one lam at a time, and memoises each
+lam's class count per (field, P, lam, cap) for every alpha: its candidates
+are the numerators Q, and it lifts only the F_p-basis of its corrections,
 h^p P^(lam-p gamma0) - h P^(lam-gamma0), each link one packed add.
 """
 
@@ -435,23 +436,25 @@ def oracle_as_classes(params: CountParams, prime: Polynomial = None,
     pole order, which is asserted.  Use :func:`oracle_as_classes_by_conductor`
     for the per-pole-order breakdown.
     """
-    return _as_classes(params, prime, cap)[0]
+    return sum(_as_classes(params, prime, cap).values())
 
 
 def oracle_as_classes_by_conductor(params: CountParams, prime: Polynomial = None,
                                    cap: int = DEFAULT_ENUM_CAP) -> dict:
     """Classes with conductor exactly P^(lam+1), keyed by lam."""
-    return dict(_as_classes(params, prime, cap)[1])
+    return _as_classes(params, prime, cap)
 
 
 def _as_classes(params, prime, cap):
+    """Classes by pole order lam < alpha, in a new dict; every alpha shares each lam's memo."""
     prime = _resolve_prime(params, prime)
-    return _as_classes_cached(params.p, params.s, prime.coeffs, params.alpha, cap)
+    return {lam: _lambda_classes(params.p, params.s, prime.coeffs, lam, cap)
+            for lam in _pole_orders(params.p, params.alpha - 1)}
 
 
-@functools.lru_cache(maxsize=32)
-def _as_classes_cached(p, s, prime_coeffs, alpha, cap):
-    """(class count, classes by pole order) of one ring; the caller copies the dict.
+@functools.lru_cache(maxsize=256)
+def _lambda_classes(p, s, prime_coeffs, lam, cap):
+    """The classes of the normal forms Q/P^lam, memoised per (field, P, lam, cap).
 
     j*beta + wp(c) keeps the pole order lam of beta = Q/P^lam, so each lam is
     partitioned on its own, under [P^lam], packed: the candidates are the
@@ -464,22 +467,18 @@ def _as_classes_cached(p, s, prime_coeffs, alpha, cap):
     fld = field(p, s)
     prime = Polynomial(fld, prime_coeffs)
     g = field(p)._primitive_powers()[:2][-1]  # 1 at p = 2, where F_p^* is trivial
-    by_lambda = {}
-    for lam in _pole_orders(p, alpha - 1):
-        pk = _Packing(fld, lam * prime.degree)
-        cands = _numerators(pk, prime, lam, cap)
-        index = {x: i for i, x in enumerate(cands)}
-        dsu = _DSU(len(cands))
-        basis = list(map(pk.pack, _lifted_wp_basis(fld, prime, lam, lam // p)))
-        for i, x in enumerate(cands):
-            for image in [pk.add(x, b) for b in basis] + [_power(x, g, pk.add)]:
-                other = index.get(image)
-                if other is None:
-                    raise AssertionError(f"transform left the normal-form set: "
-                                         f"({Polynomial(fld, pk.unpack(image))})/({prime})^{lam}")
-                dsu.union(i, other)
-        by_lambda[lam] = dsu.class_count()
-    return sum(by_lambda.values()), by_lambda
+    pk = _Packing(fld, lam * prime.degree)
+    cands = _numerators(pk, prime, lam, cap)
+    index, dsu = {x: i for i, x in enumerate(cands)}, _DSU(len(cands))
+    basis = list(map(pk.pack, _lifted_wp_basis(fld, prime, lam, lam // p)))
+    for i, x in enumerate(cands):
+        for image in [pk.add(x, b) for b in basis] + [_power(x, g, pk.add)]:
+            other = index.get(image)
+            if other is None:
+                raise AssertionError(f"transform left the normal-form set: "
+                                     f"({Polynomial(fld, pk.unpack(image))})/({prime})^{lam}")
+            dsu.union(i, other)
+    return dsu.class_count()
 
 
 def _lifted_candidates(fld, prime, lam, e_bound, cap):

@@ -326,9 +326,38 @@ def test_as_classes_by_conductor():
 def test_as_classes_memo_hands_out_fresh_dicts():
     par = params(3, 1, 1, 5, 1)
     first = oracle_as_classes_by_conductor(par)
+    first[1], first[3] = 7, 1
+    assert oracle_as_classes_by_conductor(par) == {1: 1, 2: 3, 4: 9}
     first.clear()
     assert oracle_as_classes_by_conductor(par) == {1: 1, 2: 3, 4: 9}
     assert oracle_as_classes(par) == 13
+
+
+def test_as_classes_partition_each_pole_order_once():
+    # alpha = 2..6 at q = 3 has the pole orders 1, 2, 4 and 5: a sweep over
+    # alpha partitions each once, when it first appears
+    prime = monic_irreducibles(field(3, 1), 1)[-1]
+    counting._lambda_classes.cache_clear()
+    misses = []
+    for alpha in range(2, 7):
+        par = params(3, 1, 1, alpha, 1)
+        assert oracle_as_classes(par, prime=prime) == t1(alpha, par)
+        assert oracle_as_classes_by_conductor(par, prime=prime) == \
+            {lam: phi(prime ** (lam - lam // 3)) // 2 for lam in range(1, alpha) if lam % 3}
+        misses.append(counting._lambda_classes.cache_info().misses)
+    assert misses == [1, 2, 2, 3, 4]
+
+
+def test_as_classes_memo_keeps_a_smaller_cap():
+    # a partition memoised under the default cap is not read under a smaller
+    # one: q3/a6 has 3^5 numerators at lam = 5
+    par = params(3, 1, 1, 6, 1)
+    assert oracle_as_classes(par) == t1(6, par)
+    with pytest.raises(CapExceededError):
+        oracle_as_classes(par, cap=3**4)
+    with pytest.raises(CapExceededError):
+        oracle_as_classes_by_conductor(par, cap=3**4)
+    assert oracle_as_classes(params(3, 1, 1, 5, 1), cap=3**4) == 13
 
 
 # -- length-n class oracle --
@@ -430,17 +459,16 @@ def test_class_counts_divide_no_polynomial(monkeypatch):
     cases = []
     for p, s, d, alpha in ((2, 2, 2, 4), (3, 1, 1, 6), (3, 1, 2, 4)):
         for prime in (canonical_prime(field(p, s), d), monic_irreducibles(field(p, s), d)[-1]):
-            par = params(p, s, d, alpha, 1)
-            by_lam = {lam: phi(prime ** (lam - lam // p)) // (p - 1)
-                      for lam in range(1, alpha) if lam % p}
-            cases.append(((p, s, prime.coeffs, alpha, DEFAULT_ENUM_CAP), (t1(alpha, par), by_lam)))
+            cases += [((p, s, prime.coeffs, lam, DEFAULT_ENUM_CAP),
+                       phi(prime ** (lam - lam // p)) // (p - 1))
+                      for lam in range(1, alpha) if lam % p]
 
     def refuse(*args):
         raise AssertionError("polynomial division called")
 
     monkeypatch.setattr(polys, "_divmod", refuse)
     for args, expected in cases:
-        assert counting._as_classes_cached.__wrapped__(*args) == expected
+        assert counting._lambda_classes.__wrapped__(*args) == expected
 
 
 def test_class_oracles_with_other_primes():

@@ -168,7 +168,7 @@ CODE_ROWS = [
     (counting._lifted_wp_basis, "range(fld.s)", "range(1)",
      "class links through a wp basis without its digits t >= 1",
      [(_records_pass, (checks.checks_degree_p_classes,)),
-      (_records_pass, (checks.checks_conductor,)),
+      (_records_pass, (checks._exact_conductor_checks,)),
       (test_counting.test_as_classes_over_prime_power_fields, (2, 2, 1, 6)),
       (test_counting.test_as_classes_over_prime_power_fields, (2, 2, 2, 4)),
       (test_counting.test_as_classes_over_prime_power_fields, (3, 2, 1, 5)),
@@ -185,7 +185,7 @@ CODE_ROWS = [
     (counting._linear_columns, "col[-size:]", "col[:size]",
      "the columns of d p^t T^e adding the image of p^t T^e once for every d",
      [(_records_pass, (checks.checks_degree_p_classes,)),
-      (_records_pass, (checks.checks_conductor,)),
+      (_records_pass, (checks._exact_conductor_checks,)),
       (test_counting.test_as_classes_frozen_examples, ()),
       (test_counting.test_as_classes_equal_t1, ()),
       (test_counting.test_as_classes_over_prime_power_fields, (3, 2, 1, 5)),
@@ -197,7 +197,7 @@ CODE_ROWS = [
     (counting._basis_images, "c << pk.stride * e", "pk.slots[1] << pk.stride * e",
      "the image p^t T^e of the F_p-basis without its scale p^t",
      [(_records_pass, (checks.checks_degree_p_classes,)),
-      (_records_pass, (checks.checks_conductor,)),
+      (_records_pass, (checks._exact_conductor_checks,)),
       (_records_pass, (checks.checks_cyclic_subgroup_oracle,)),
       (test_counting.test_p_power_order_counts_match_a_direct_tally, (2, 2, 2, 3)),
       (test_counting.test_class_oracle_lifts_match_the_witt_lift, (2, 2, 1, 5)),
@@ -206,8 +206,9 @@ CODE_ROWS = [
       (test_counting.test_as_classes_over_prime_power_fields, (2, 2, 1, 6)),
       (test_counting.test_asw_classes_n1_matches_as_classes, ())]),
     # g^2 = 1 at p = 3, so each candidate is linked to no multiple; at p = 5
-    # and 7, g^2 generates a proper subgroup of F_p^*.  c09's q3 record fails too
-    (counting._as_classes_cached, "_power(x, g, pk.add)", "_power(x, g * g, pk.add)",
+    # and 7, g^2 generates a proper subgroup of F_p^*.  c02's q3, q5 and q7
+    # records at alpha >= 2 fail with it, and c09's q3 record
+    (counting._lambda_classes, "_power(x, g, pk.add)", "_power(x, g * g, pk.add)",
      "the degree-p classes linked by beta -> g^2 beta in place of g beta",
      [(_records_pass, (checks.checks_degree_p_classes,)),
       (test_counting.test_as_classes_equal_t1, ()),
@@ -261,7 +262,7 @@ CODE_ROWS = [
 
 
 def _clear_counting_memos():
-    counting._as_classes_cached.cache_clear()
+    counting._lambda_classes.cache_clear()
     counting._p_power_order_counts.cache_clear()
 
 
